@@ -208,30 +208,22 @@ class FinCategory:
     def from_json(cls, data: dict) -> "FinCategory":
         try:
             morphisms = {m["id"]: (m["src"], m["tgt"]) for m in data["morphisms"]}
+            # JSON object keys are strings: key each identity by the object
+            # whose label it spells, so integer-labelled objects find theirs.
+            by_label = {str(x): x for x in data["objects"]}
+            identities = {by_label.get(str(k), k): i for k, i in dict(data["identities"]).items()}
             return cls(
                 data["objects"],
                 morphisms,
-                data["identities"],
+                identities,
                 {(g, f): h for g, f, h in data["compose"]},
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpanlabError(f"malformed category JSON: {exc}") from exc
 
 
-def validate_category(C: FinCategory) -> Verdict:
-    return C.validate()
-
-
-def pullback(C, f, g):
-    return C.pullback(f, g)
-
-
-def limit(C, node_obj, arrows):
-    return C.limit_of_diagram(node_obj, arrows)
-
-
 # ---------------------------------------------------------------------------
-# functors and cones
+# functors
 
 
 class Functor:
@@ -269,15 +261,6 @@ class Functor:
                     ):
                         return Verdict.refuted(witness={"pair": (g, f), "reason": "composition"})
         return Verdict.verified()
-
-
-@dataclass
-class Cone:
-    apex: object
-    legs: dict
-
-    def commutes(self, C, arrows) -> bool:
-        return all(C.compose(m, self.legs[a]) == self.legs[b] for a, b, m in arrows)
 
 
 # ---------------------------------------------------------------------------

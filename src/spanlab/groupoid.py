@@ -95,12 +95,6 @@ class FinGroupoid:
             out.append(sorted((by_key[c] for c in comp), key=repr))
         return out
 
-    def component_of(self, x):
-        for comp in self.components():
-            if x in comp:
-                return set(comp)
-        return {x}
-
     def aut(self, x):
         return self.hom(x, x)
 

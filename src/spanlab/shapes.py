@@ -5,11 +5,19 @@ several directions) indexes a span diagram; its wide sub-poset of intervals
 of length at most one carries the free generating data.  Objects are stored
 as explicit tuples in a fixed lexicographic order so poset maps, colimits
 and JSON dumps are deterministic.
+
+A shape is compiled once per process: sigma_shape returns one shared
+instance per arity tuple, and that instance builds its order tables (the
+order as a set of pairs, strict and Lambda up-sets, the fill order, the
+arrows among a node list, restriction maps) on first use and keeps them,
+so checks that visit thousands of diagrams on one shape never re-derive
+its order.  Nothing is built at import time.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .verdict import ShapeSpecError, Verdict
 
@@ -69,11 +77,15 @@ class SigmaShape:
 
     Objects are k-tuples of pairs (i, j) with 0 <= i <= j <= arity; the
     order is componentwise (i, j) <= (i', j') iff i <= i' and j' <= j, so
-    arrows shrink intervals.
+    arrows shrink intervals.  The order tables below are built on first use
+    and kept; obtain shapes from sigma_shape so that every caller shares
+    them.
     """
 
     arities: tuple
     objects: tuple = field(init=False)
+    # Tables keyed by node lists, simplex maps or edges, filled on first use.
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.arities) == 0:
@@ -90,24 +102,121 @@ class SigmaShape:
     def k(self) -> int:
         return len(self.arities)
 
+    @cached_property
+    def order(self) -> frozenset:
+        """The pairs (a, b) with a <= b, built direction by direction as
+        products of interval containments."""
+        per_direction = [
+            [
+                (p, q)
+                for p in _all_intervals(n)
+                for q in _all_intervals(n)
+                if p[0] <= q[0] and q[1] <= p[1]
+            ]
+            for n in self.arities
+        ]
+        return frozenset(
+            (tuple(p for p, _ in combo), tuple(q for _, q in combo))
+            for combo in itertools.product(*per_direction)
+        )
+
     def leq(self, a, b) -> bool:
-        return all(i <= i2 and j2 <= j for (i, j), (i2, j2) in zip(a, b))
+        return (a, b) in self.order
+
+    @cached_property
+    def strict_up(self) -> dict:
+        """Each cell's strict up-set (the cells it maps into), in object
+        order."""
+        ups = {a: [] for a in self.objects}
+        for a, b in sorted(self.order):
+            if a != b:
+                ups[a].append(b)
+        return {a: tuple(bs) for a, bs in ups.items()}
+
+    @cached_property
+    def lambda_cells(self) -> tuple:
+        """The cells whose intervals all have length at most one, in object
+        order."""
+        return tuple(a for a in self.objects if self.is_lambda_object(a))
+
+    @cached_property
+    def lambda_set(self) -> frozenset:
+        return frozenset(self.lambda_cells)
+
+    @cached_property
+    def lambda_up(self) -> dict:
+        """The Lambda part of each cell's strict up-set, in object order:
+        the nodes of the diagram whose limit fills the cell."""
+        lam = self.lambda_set
+        return {a: tuple(b for b in ups if b in lam) for a, ups in self.strict_up.items()}
+
+    @cached_property
+    def fill_order(self) -> tuple:
+        """All cells by total interval length, then lexicographically: every
+        cell comes after the cells strictly above it."""
+        return tuple(sorted(self.objects, key=lambda a: (self._total_length(a), a)))
+
+    @cached_property
+    def fill_rank(self) -> dict:
+        """Each cell's position in fill_order, as a sort key."""
+        return {a: r for r, a in enumerate(self.fill_order)}
+
+    def arrows_among(self, nodes) -> tuple:
+        """The pairs (a, b) of distinct nodes with a <= b, in node-list
+        order."""
+        key = ("arrows", tuple(nodes))
+        pairs = self._memo.get(key)
+        if pairs is None:
+            order = self.order
+            pairs = tuple(
+                (a, b) for a in key[1] for b in key[1] if a != b and (a, b) in order
+            )
+            self._memo[key] = pairs
+        return pairs
+
+    def restriction(self, phis) -> tuple:
+        """Pulling back along the poset map that one SimplexMap per
+        direction induces out of this shape: (cell, image) pairs for the
+        cells and ((a, b), (image of a, image of b)) pairs for the strict
+        arrows, in object order."""
+        if isinstance(phis, SimplexMap):
+            phis = (phis,)
+        key = ("restriction", tuple(phis))
+        table = self._memo.get(key)
+        if table is None:
+            mapping = sigma_map(key[1], self)
+            table = (
+                tuple(mapping.items()),
+                tuple(((a, b), (mapping[a], mapping[b])) for a, b in self.arrows_among(self.objects)),
+            )
+            self._memo[key] = table
+        return table
+
+    def edge(self, r: int, i: int) -> tuple:
+        """The i-th edge in direction r: the shape with that arity collapsed
+        to 1, and the inert simplex maps including it into this shape."""
+        key = ("edge", r, i)
+        piece = self._memo.get(key)
+        if piece is None:
+            arities = self.arities
+            small = sigma_shape(tuple(1 if s == r else n for s, n in enumerate(arities)))
+            phis = tuple(
+                SimplexMap(1, n, (i - 1, i)) if s == r else SimplexMap.identity(n)
+                for s, n in enumerate(arities)
+            )
+            piece = self._memo[key] = (small, phis)
+        return piece
 
     def _total_length(self, a) -> int:
         return sum(j - i for i, j in a)
 
     def cover_relations(self):
         """Pairs (a, b) with b covering a (one interval shrunk by one)."""
-        out = []
-        for a in self.objects:
-            for b in self.objects:
-                if a != b and self.leq(a, b) and self._total_length(a) - self._total_length(b) == 1:
-                    out.append((a, b))
-        return out
-
-    def up_set(self, a):
-        """Objects b with a <= b (the cells a maps into)."""
-        return [b for b in self.objects if self.leq(a, b)]
+        return [
+            (a, b)
+            for a, b in sorted(self.order)
+            if self._total_length(a) - self._total_length(b) == 1
+        ]
 
     def is_lambda_object(self, a) -> bool:
         return all(j - i <= 1 for i, j in a)
@@ -129,8 +238,7 @@ class LambdaShape:
     objects: tuple = field(init=False)
 
     def __post_init__(self):
-        objs = tuple(o for o in self.parent.objects if self.parent.is_lambda_object(o))
-        object.__setattr__(self, "objects", objs)
+        object.__setattr__(self, "objects", self.parent.lambda_cells)
 
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
@@ -143,10 +251,19 @@ class LambdaShape:
         ]
 
 
+# One shared SigmaShape per arity tuple, so its tables are built once per
+# process.
+_SHAPES: dict = {}
+
+
 def sigma_shape(arities) -> SigmaShape:
     if isinstance(arities, int):
         arities = (arities,)
-    return SigmaShape(tuple(arities))
+    arities = tuple(arities)
+    shape = _SHAPES.get(arities)
+    if shape is None:
+        shape = _SHAPES.setdefault(arities, SigmaShape(arities))
+    return shape
 
 
 def lambda_shape(arities) -> LambdaShape:

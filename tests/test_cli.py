@@ -37,6 +37,41 @@ class TestBasics:
         assert code == 0
         assert report["details"]["mode"] == "exhaustive"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--base", "finset:3", "--samples", "0"], ["--base", "finset:2", "--bound", "-1"]],
+        ids=["no-samples", "no-objects"],
+    )
+    def test_check_segal_no_data_inconclusive(self, extra):
+        """A run that checks no data, sampled or exhaustive, verifies
+        nothing."""
+        report, code = run(["check", "segal", "--arities", "2", *extra])
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["details"]["data_checked"] == 0
+
+    def test_check_complete_integer_labels(self, tmp_path):
+        """Category JSON labelled by integers: the divisor lattice of 12."""
+        divisors = [1, 2, 3, 4, 6, 12]
+        arrows = [(a, b) for a in divisors for b in divisors if b % a == 0]
+        lattice = {
+            "objects": divisors,
+            "morphisms": [{"id": f"{a}|{b}", "src": a, "tgt": b} for a, b in arrows],
+            "identities": {str(d): f"{d}|{d}" for d in divisors},
+            "compose": [
+                [f"{b}|{c}", f"{a}|{b}", f"{a}|{c}"]
+                for a, b in arrows
+                for b2, c in arrows
+                if b2 == b
+            ],
+        }
+        f = tmp_path / "lattice12.json"
+        f.write_text(json.dumps(lattice))
+        report, code = run(["check", "complete", "--base", str(f)])
+        assert code == 0
+        assert report["verdict"] == "verified"
+        assert report["details"] == {"objects": 6, "invertible_spans": 6}
+
     def test_locsys_axioms(self):
         report, code = run(["locsys", "check", "--coeff", "bz2", "--kind", "axioms"])
         assert code == 0

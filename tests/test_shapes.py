@@ -196,3 +196,34 @@ def test_sigma_map_monotone(n, m, data):
         for b in src.objects:
             if src.leq(a, b):
                 assert tgt.leq(mapping[a], mapping[b])
+
+
+def _brute_leq(a, b):
+    """Interval containment, direction by direction."""
+    return all(i <= i2 and j2 <= j for (i, j), (i2, j2) in zip(a, b))
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_compiled_tables_match_interval_containment(arities):
+    """Every compiled order table agrees with brute-force interval
+    containment, and each arity tuple has one shared shape."""
+    s = sigma_shape(arities)
+    assert s is sigma_shape(tuple(arities))
+    objs = s.objects
+    ups = {c: tuple(b for b in objs if b != c and _brute_leq(c, b)) for c in objs}
+    lam = tuple(c for c in objs if all(j - i <= 1 for i, j in c))
+    lam_set = set(lam)
+    lam_up = {c: tuple(b for b in ups[c] if b in lam_set) for c in objs}
+    order = {(c, c) for c in objs} | {(c, b) for c in objs for b in ups[c]}
+    assert s.order == order
+    assert s.strict_up == ups
+    assert s.lambda_up == lam_up
+    assert s.lambda_cells == lam
+    length = lambda c: sum(j - i for i, j in c)
+    assert list(s.fill_order) == sorted(objs, key=lambda c: (length(c), c))
+    assert s.arrows_among(objs) == tuple((a, b) for a in objs for b in ups[a])
+    for nodes in (lam, *lam_up.values()):
+        assert s.arrows_among(nodes) == tuple(
+            (a, b) for a in nodes for b in nodes if a != b and (a, b) in order
+        )

@@ -20,7 +20,6 @@ from spanlab.spans import (
     invertible_span_check,
     is_cartesian,
     kan_extend,
-    lambda_cells,
     mapping_category_check,
     mapping_fiber,
     natural_families,
@@ -208,7 +207,7 @@ class TestSegal:
         shape = sigma_shape(2)
         obj, mor = two_span_lambda_data()
         ext = kan_extend(shape, base, obj, mor)
-        lam = lambda_cells(shape)
+        lam = shape.lambda_cells
         idfam = {c: base.identity(ext.obj[c]) for c in lam}
         full = extend_natural_family(ext, ext, idfam)
         assert full is not None
