@@ -6,6 +6,8 @@ checkers, adjunction and duality certification, labeled spans over internal
 categories, and an exact linear shadow in Lagrangian correspondences.
 """
 
+__version__ = "1.0.0"
+
 from .fincat import FinCategory, FinFunction, FinSetCategory, Functor, finset
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, iso_comma
 from .shapes import LambdaShape, SigmaShape, lambda_shape, lambda_wedge_check, sigma_map, sigma_shape
@@ -52,4 +54,3 @@ from .lagrangian import (
 )
 from .verdict import EXIT_CODES, ResourceError, SpanlabError, Verdict
 
-__version__ = "1.0.0"

@@ -15,12 +15,11 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import duality, lagrangian, locsys, shapes, spans
+from . import __version__, duality, lagrangian, locsys, shapes, spans
 from .fincat import FinCategory, finset
-from .verdict import EXIT_CODES, ResourceError, SpanlabError, Verdict
+from .verdict import EXIT_CODES, ResourceError, SpanlabError, Verdict, _jsonable
 
 SCHEMA = "spanlab-report/1"
-VERSION = "1.0.0"
 
 
 def _parse_base(spec: str):
@@ -40,7 +39,16 @@ def _parse_base(spec: str):
     return FinCategory.from_json(data)
 
 
+def _to_int(text) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise SpanlabError(f"expected an integer, got {text!r}") from exc
+
+
 def _parse_object(base, label):
+    if label is None:
+        raise SpanlabError("an object label (-X, -Y) is required")
     if isinstance(base, FinCategory):
         for x in base.objects:
             if str(x) == str(label):
@@ -54,9 +62,9 @@ def _parse_object(base, label):
 
 def _parse_coefficients(spec: str) -> locsys.InternalCategory:
     if spec.startswith("discrete:"):
-        return locsys.discrete_internal(int(spec.split(":", 1)[1]))
+        return locsys.discrete_internal(_to_int(spec.split(":", 1)[1]))
     if spec.startswith("cyclic:"):
-        return locsys.cyclic_internal(int(spec.split(":", 1)[1]))
+        return locsys.cyclic_internal(_to_int(spec.split(":", 1)[1]))
     if spec == "bz2":
         return locsys.cyclic_internal(2)
     if spec == "bz3":
@@ -83,7 +91,7 @@ def _random_span(base, bound, rng: random.Random) -> spans.Span:
 
 
 def _int_list(values):
-    return tuple(int(v) for v in values)
+    return tuple(_to_int(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +115,6 @@ def _run_shapes(args) -> tuple[Verdict, dict]:
     return Verdict.verified(witness=payload), {}
 
 
-def _jsonable(value):
-    """Render arbitrary table data (tuple keys, morphism labels) as plain
-    JSON types, stringifying anything without a native encoding."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 def _run_level(args) -> tuple[Verdict, dict]:
     base = _parse_base(args.base)
     lvl = spans.span_level(base, _int_list(args.arities), bound=args.bound)
@@ -134,6 +130,8 @@ def _run_level(args) -> tuple[Verdict, dict]:
 def _run_check(args) -> tuple[Verdict, dict]:
     base = _parse_base(args.base)
     if args.which == "segal":
+        if args.samples < 0:
+            raise SpanlabError("--samples must be at least 0")
         return (
             spans.segal_check(
                 base,
@@ -215,6 +213,8 @@ def _run_locsys(args) -> tuple[Verdict, dict]:
 
 def _run_lag(args) -> tuple[Verdict, dict]:
     if args.kind == "pairs":
+        if args.dim < 2:
+            raise SpanlabError("--dim must be at least 2 for pairs")
         return (
             lagrangian.random_pair_check(trials=args.trials, max_dim=args.dim, seed=args.seed),
             {},
@@ -242,7 +242,7 @@ def _report(check_name, request, verdict: Verdict, extra, elapsed) -> dict:
     body = verdict.to_json()
     report = {
         "schema": SCHEMA,
-        "version": VERSION,
+        "version": __version__,
         "check": check_name,
         "request": request,
         "verdict": body["verdict"],
@@ -374,7 +374,7 @@ def _run_suite(args) -> tuple[dict, int]:
     verdict = next(k for k, v in EXIT_CODES.items() if v == worst)
     summary = {
         "schema": SCHEMA,
-        "version": VERSION,
+        "version": __version__,
         "verdict": verdict,
         "worst_exit": worst,
         "reports": [rep for rep, _ in results],

@@ -211,13 +211,12 @@ class DualityWitness:
 
 def tensor_spans(base, s: Span, t: Span) -> Span:
     """Componentwise product of spans with canonical product representatives."""
-    AL, lp1, lp2 = base.product(s.left, t.left)
-    AR, rp1, rp2 = base.product(s.right, t.right)
+    AL, _, _ = base.product(s.left, t.left)
+    AR, _, _ = base.product(s.right, t.right)
     M, mp1, mp2 = base.product(s.apex, t.apex)
     lleg = _pair(base, base.compose(s.lleg, mp1), base.compose(t.lleg, mp2))
     rleg = _pair(base, base.compose(s.rleg, mp1), base.compose(t.rleg, mp2))
-    del AL, AR, lp1, lp2, rp1, rp2
-    return Span(base.product(s.left, t.left)[0], lleg, M, rleg, base.product(s.right, t.right)[0])
+    return Span(AL, lleg, M, rleg, AR)
 
 
 def _assoc(base, x, y, z):

@@ -514,22 +514,7 @@ def core(C, bound=None):
     for lazily enumerated bases)."""
     from .groupoid import FinGroupoid
 
-    objs = C.objects_within(bound)
-    morphs = {}
-    inverse = {}
-    for x in objs:
-        for y in objs:
-            for m in C.isos(x, y):
-                morphs[(x, y, m)] = (x, y)
-    ident = {x: (x, x, C.identity(x)) for x in objs}
-    comp = {}
-    for (xs, ys, g) in list(morphs):
-        for (xf, yf, f) in list(morphs):
-            if yf == xs:
-                comp[((xs, ys, g), (xf, yf, f))] = (xf, ys, C.compose(g, f))
-    for (x, y, m) in morphs:
-        inverse[(x, y, m)] = (y, x, C.inverse(m))
-    return FinGroupoid(FinCategory(objs, morphs, ident, comp), inverse)
+    return FinGroupoid(C.objects_within(bound), C.isos, C.compose, C.inverse, C.identity)
 
 
 def finset(max_size: int) -> FinSetCategory:

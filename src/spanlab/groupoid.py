@@ -8,118 +8,186 @@ design note shows they agree (discrete cospan target).
 """
 from __future__ import annotations
 
-import itertools
-
-from .fincat import FinCategory, Functor
-from .verdict import SpanlabError, Verdict
+from .fincat import Functor
+from .verdict import ResourceError, SpanlabError, Verdict
 
 GROUP_ISO_BOUND = 24  # brute-force bijection search cap
 
 
+def positions(objects):
+    """A function from objects to their positions in the list, None when
+    absent.  It tries its argument's identity first: callers mostly hand
+    back the listed objects themselves, and hashing a large object key
+    (a diagram, a labeled span) costs more than many homs."""
+    by_id = {id(x): i for i, x in enumerate(objects)}
+    by_key = {}
+
+    def position(x):
+        i = by_id.get(id(x))
+        if i is None:
+            if not by_key:
+                by_key.update((y, k) for k, y in enumerate(objects))
+            i = by_key.get(x)
+        return i
+
+    return position
+
+
 class FinGroupoid:
-    """A finite category in which every morphism is invertible."""
+    """A finite groupoid given by its objects and four functions on
+    morphism components: hom(x, y) lists the components of the morphisms
+    x -> y, and compose(g, f), inverse(m) and identity(x) act on components.
 
-    def __init__(self, category: FinCategory, inverse: dict):
-        self.category = category
-        self.inverse_table = dict(inverse)
+    A morphism is the triple (x, y, component).  Homs are computed one
+    source row at a time, on first use, and memoised by object position;
+    objects not listed have no morphisms.  The hom function is only ever
+    called with the listed objects themselves, never with equal copies, so
+    a builder can find its own data for an object through positions()
+    without hashing it.
+    """
 
-    # delegate the category surface
-    @property
-    def objects(self):
-        return self.category.objects
+    def __init__(self, objects, hom, compose, inverse, identity):
+        self.objects = list(objects)
+        self._hom = hom
+        self._compose = compose
+        self._inverse = inverse
+        self._identity = identity
+        self._position = positions(self.objects)
+        self._rows = [None] * len(self.objects)
 
-    def all_morphisms(self):
-        return self.category.all_morphisms()
-
-    def src(self, m):
-        return self.category.src(m)
-
-    def tgt(self, m):
-        return self.category.tgt(m)
-
-    def identity(self, x):
-        return self.category.identity(x)
-
-    def compose(self, g, f):
-        return self.category.compose(g, f)
+    def _row(self, i):
+        """The nonempty homs out of object i, keyed by target position in
+        object order."""
+        row = self._rows[i]
+        if row is None:
+            x, row = self.objects[i], {}
+            for j, y in enumerate(self.objects):
+                ms = tuple((x, y, c) for c in self._hom(x, y))
+                if ms:
+                    row[j] = ms
+            self._rows[i] = row
+        return row
 
     def hom(self, x, y):
-        return self.category.hom(x, y)
-
-    def inverse(self, m):
-        return self.inverse_table[m]
-
-    def validate(self) -> Verdict:
-        v = self.category.validate()
-        if not v:
-            return v
-        for m in self.category.all_morphisms():
-            n = self.inverse_table.get(m)
-            s, t = self.category.src(m), self.category.tgt(m)
-            if n is None:
-                return Verdict.refuted(witness={"morphism": m, "reason": "no inverse listed"})
-            if (
-                self.category.compose(n, m) != self.category.identity(s)
-                or self.category.compose(m, n) != self.category.identity(t)
-            ):
-                return Verdict.refuted(witness={"morphism": m, "reason": "inverse law fails"})
-        return Verdict.verified()
-
-    # connectivity
-
-    def _adjacency(self):
-        adj = {repr(x): set() for x in self.objects}
-        for m in self.category.all_morphisms():
-            s, t = repr(self.src(m)), repr(self.tgt(m))
-            adj[s].add(t)
-            adj[t].add(s)
-        return adj
-
-    def components(self):
-        by_key = {repr(x): x for x in self.objects}
-        adj = self._adjacency()
-        seen = set()
-        out = []
-        for x in self.objects:
-            k = repr(x)
-            if k in seen:
-                continue
-            comp, frontier = {k}, [k]
-            while frontier:
-                y = frontier.pop()
-                for z in adj[y]:
-                    if z not in comp:
-                        comp.add(z)
-                        frontier.append(z)
-            seen |= comp
-            out.append(sorted((by_key[c] for c in comp), key=repr))
-        return out
+        i, j = self._position(x), self._position(y)
+        if i is None or j is None:
+            return ()
+        return self._row(i).get(j, ())
 
     def aut(self, x):
         return self.hom(x, x)
 
+    def all_morphisms(self):
+        return [m for i in range(len(self.objects)) for ms in self._row(i).values() for m in ms]
+
+    def src(self, m):
+        return m[0]
+
+    def tgt(self, m):
+        return m[1]
+
+    def identity(self, x):
+        return (x, x, self._identity(x))
+
+    def compose(self, g, f):
+        return (f[0], g[1], self._compose(g[2], f[2]))
+
+    def inverse(self, m):
+        return (m[1], m[0], self._inverse(m[2]))
+
+    def validate(self) -> Verdict:
+        """Identities, closure of composition, unit laws, associativity and
+        inverse laws on every morphism."""
+        rows = [self._row(i) for i in range(len(self.objects))]
+        for i, x in enumerate(self.objects):
+            if self.identity(x) not in rows[i].get(i, ()):
+                return Verdict.refuted(witness={"object": x, "reason": "bad identity"})
+        for i, row in enumerate(rows):
+            for j, fs in row.items():
+                for f in fs:
+                    x, y = f[0], f[1]
+                    if self.compose(f, self.identity(x)) != f:
+                        return Verdict.refuted(witness={"morphism": f, "reason": "right unit law"})
+                    if self.compose(self.identity(y), f) != f:
+                        return Verdict.refuted(witness={"morphism": f, "reason": "left unit law"})
+                    inv = self.inverse(f)
+                    if (
+                        inv not in rows[j].get(i, ())
+                        or self.compose(inv, f) != self.identity(x)
+                        or self.compose(f, inv) != self.identity(y)
+                    ):
+                        return Verdict.refuted(witness={"morphism": f, "reason": "inverse law fails"})
+                    for k, gs in rows[j].items():
+                        for g in gs:
+                            gf = self.compose(g, f)
+                            if gf not in row.get(k, ()):
+                                return Verdict.refuted(
+                                    witness={"pair": (g, f), "reason": "composite outside its hom"}
+                                )
+                            for hs in rows[k].values():
+                                for h in hs:
+                                    if self.compose(self.compose(h, g), f) != self.compose(h, gf):
+                                        return Verdict.refuted(
+                                            witness={"triple": (h, g, f), "reason": "associativity"}
+                                        )
+        return Verdict.verified()
+
+    def components(self):
+        """Connected components in the order of their first objects, each
+        sorted by repr."""
+        placed = [False] * len(self.objects)
+        out = []
+        for start in range(len(self.objects)):
+            if placed[start]:
+                continue
+            placed[start] = True
+            members, frontier = [start], [start]
+            while frontier:
+                for z in self._row(frontier.pop()):
+                    if not placed[z]:
+                        placed[z] = True
+                        members.append(z)
+                        frontier.append(z)
+            out.append(sorted((self.objects[i] for i in members), key=repr))
+        return out
+
     def to_json(self) -> dict:
-        data = self.category.to_json()
-        data["inverse"] = {repr(m): self.inverse_table[m] for m in self.inverse_table}
-        return data
+        """The groupoid as tables; composites are listed for each morphism f
+        in turn, over the morphisms g out of its target."""
+        morphs = self.all_morphisms()
+        return {
+            "objects": list(self.objects),
+            "morphisms": [{"id": m, "src": m[0], "tgt": m[1]} for m in morphs],
+            "identities": {x: self.identity(x) for x in self.objects},
+            "compose": [
+                [g, f, self.compose(g, f)]
+                for i in range(len(self.objects))
+                for j, fs in self._row(i).items()
+                for f in fs
+                for gs in self._row(j).values()
+                for g in gs
+            ],
+            "inverse": {repr(m): self.inverse(m) for m in morphs},
+        }
 
 
 def discrete_groupoid(labels) -> FinGroupoid:
-    labels = list(labels)
-    morphs = {("id", x): (x, x) for x in labels}
-    ident = {x: ("id", x) for x in labels}
-    comp = {(("id", x), ("id", x)): ("id", x) for x in labels}
-    inv = {("id", x): ("id", x) for x in labels}
-    return FinGroupoid(FinCategory(labels, morphs, ident, comp), inv)
+    """One identity morphism, with component "id", at each label."""
+    return FinGroupoid(
+        labels,
+        lambda x, y: ("id",) if x == y else (),
+        lambda g, f: "id",
+        lambda m: m,
+        lambda x: "id",
+    )
 
 
 def one_object_group(elements, mul, unit, inv) -> FinGroupoid:
     """Deloop a finite group given by tables: one object '*', one morphism
     per element."""
-    morphs = {g: ("*", "*") for g in elements}
-    comp = {(g, f): mul[(g, f)] for g in elements for f in elements}
+    elements = tuple(elements)
     return FinGroupoid(
-        FinCategory(["*"], morphs, {"*": unit}, comp), {g: inv[g] for g in elements}
+        ["*"], lambda x, y: elements, lambda g, f: mul[(g, f)], inv.__getitem__, lambda x: unit
     )
 
 
@@ -180,7 +248,7 @@ def groups_isomorphic(els1, mul1, unit1, els2, mul2, unit2) -> bool:
     if len(els1) != len(els2):
         return False
     if len(els1) > GROUP_ISO_BOUND:
-        raise SpanlabError(f"group order {len(els1)} exceeds the search bound")
+        raise ResourceError(f"group order {len(els1)} exceeds the search bound")
 
     def order(e, mul, unit):
         n, acc = 1, e
@@ -263,69 +331,76 @@ def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# groupoids on pairs of morphisms
+
+
+def _pairwise(A: FinGroupoid, B: FinGroupoid, objects, hom) -> FinGroupoid:
+    """A groupoid whose objects start with a pair (a, b) of objects of A and
+    B and whose components are pairs (m, n) of their morphisms, composed,
+    inverted and made identities componentwise."""
+    return FinGroupoid(
+        objects,
+        hom,
+        lambda g, f: (A.compose(g[0], f[0]), B.compose(g[1], f[1])),
+        lambda m: (A.inverse(m[0]), B.inverse(m[1])),
+        lambda x: (A.identity(x[0]), B.identity(x[1])),
+    )
+
+
+def product_groupoid(A: FinGroupoid, B: FinGroupoid) -> FinGroupoid:
+    """The product A x B: objects and morphisms are pairs."""
+    return _pairwise(
+        A,
+        B,
+        [(a, b) for a in A.objects for b in B.objects],
+        lambda x, y: [(m, n) for m in A.hom(x[0], y[0]) for n in B.hom(x[1], y[1])],
+    )
+
+
+# ---------------------------------------------------------------------------
 # homotopy pullback
 
 
 def iso_comma(F: Functor, G: Functor):
     """The iso-comma groupoid of F: A -> K and G: B -> K.
 
-    Objects are triples (a, b, alpha) with alpha: F a -> G b in K; morphisms
-    are pairs (m, n) with alpha' . F m = G n . alpha.  Returns the groupoid
-    together with the two projection functors.
+    Objects are triples (a, b, alpha) with alpha the component of a
+    morphism F a -> G b in K; morphisms are pairs (m, n) with
+    alpha' . F m = G n . alpha.  Returns the groupoid together with the two
+    projection functors.
     """
     if F.target is not G.target:
         raise SpanlabError("iso-comma needs a shared target")
     A, B, K = F.source, G.source, F.target
-    objs = [
-        (a, b, alpha)
-        for a in A.objects
-        for b in B.objects
-        for alpha in K.hom(F.on_obj(a), G.on_obj(b))
-    ]
-    morphs = {}
-    for o1 in objs:
-        a1, b1, al1 = o1
-        for o2 in objs:
-            a2, b2, al2 = o2
-            for m in A.hom(a1, a2):
-                for n in B.hom(b1, b2):
-                    if K.compose(al2, F.on_mor(m)) == K.compose(G.on_mor(n), al1):
-                        morphs[(o1, o2, m, n)] = (o1, o2)
-    ident = {(a, b, al): ((a, b, al), (a, b, al), A.identity(a), B.identity(b)) for a, b, al in objs}
-    comp = {}
-    for g in morphs:
-        for f in morphs:
-            if f[1] == g[0]:
-                comp[(g, f)] = (f[0], g[1], A.compose(g[2], f[2]), B.compose(g[3], f[3]))
-    inv = {
-        (o1, o2, m, n): (o2, o1, A.inverse(m), B.inverse(n)) for o1, o2, m, n in morphs
-    }
-    cat = FinCategory(objs, morphs, ident, comp)
-    gpd = FinGroupoid(cat, inv)
-    proj_a = Functor(
-        gpd, A, {o: o[0] for o in objs}, {m: m[2] for m in morphs}
-    )
-    proj_b = Functor(
-        gpd, B, {o: o[1] for o in objs}, {m: m[3] for m in morphs}
-    )
+    objs, alphas = [], []
+    for a in A.objects:
+        for b in B.objects:
+            for alpha in K.hom(F.on_obj(a), G.on_obj(b)):
+                objs.append((a, b, alpha[2]))
+                alphas.append(alpha)
+    at = positions(objs)
+
+    def hom(o1, o2):
+        al1, al2 = alphas[at(o1)], alphas[at(o2)]
+        return [
+            (m, n)
+            for m in A.hom(o1[0], o2[0])
+            for n in B.hom(o1[1], o2[1])
+            if K.compose(al2, F.on_mor(m)) == K.compose(G.on_mor(n), al1)
+        ]
+
+    gpd = _pairwise(A, B, objs, hom)
+    morphs = gpd.all_morphisms()
+    proj_a = Functor(gpd, A, {o: o[0] for o in objs}, {m: m[2][0] for m in morphs})
+    proj_b = Functor(gpd, B, {o: o[1] for o in objs}, {m: m[2][1] for m in morphs})
     return gpd, proj_a, proj_b
 
 
 def full_subgroupoid(G: FinGroupoid, keep) -> FinGroupoid:
-    objs = [x for x in G.objects if keep(x)]
-    kept = set(map(repr, objs))
-    morphs = {
-        m: (s, t)
-        for m in G.all_morphisms()
-        for s, t in [(G.src(m), G.tgt(m))]
-        if repr(s) in kept and repr(t) in kept
-    }
-    ident = {x: G.identity(x) for x in objs}
-    comp = {
-        (g, f): G.compose(g, f)
-        for g in morphs
-        for f in morphs
-        if G.tgt(f) == G.src(g)
-    }
-    inv = {m: G.inverse(m) for m in morphs}
-    return FinGroupoid(FinCategory(objs, morphs, ident, comp), inv)
+    return FinGroupoid(
+        [x for x in G.objects if keep(x)],
+        lambda x, y: [m[2] for m in G.hom(x, y)],
+        G._compose,
+        G._inverse,
+        G._identity,
+    )

@@ -8,8 +8,8 @@ pushes the apex labels through the internal composition table.
 """
 from __future__ import annotations
 
-from .fincat import FinCategory, FinFunction, FinSetCategory, Functor
-from .groupoid import FinGroupoid, equivalent, groupoids_equivalent
+from .fincat import FinSetCategory, Functor
+from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
 from .spans import Span, compose_spans
 from .verdict import FootMismatchError, SpanlabError, Verdict
 
@@ -335,78 +335,52 @@ def locsys_level(base: FinSetCategory, C: InternalCategory, arities, bound=None)
     import itertools
 
     if arities == (0,):
-        objs = [
-            (X, xi)
-            for X in base.objects_within(bound)
-            for xi in itertools.product(range(C.C0), repeat=X)
-        ]
-        morphs = {}
-        for (X, xi) in objs:
-            for (Y, eta) in objs:
-                for b in labeled_bijections(C, base, X, xi, Y, eta):
-                    morphs[((X, xi), (Y, eta), b)] = ((X, xi), (Y, eta))
-        ident = {
-            (X, xi): ((X, xi), (X, xi), identity_labeled_bij(C, base, X, xi))
-            for X, xi in objs
-        }
-        comp = {}
-        for m2, (s2, t2) in morphs.items():
-            for m1, (s1, t1) in morphs.items():
-                if t1 == s2:
-                    comp[(m2, m1)] = (s1, t2, compose_labeled_bij(C, base, m2[2], m1[2]))
-        inv = {(s, t, b): (t, s, invert_labeled_bij(C, base, b)) for s, t, b in morphs}
-        return FinGroupoid(FinCategory(objs, morphs, ident, comp), inv)
-
+        return FinGroupoid(
+            [
+                (X, xi)
+                for X in base.objects_within(bound)
+                for xi in itertools.product(range(C.C0), repeat=X)
+            ],
+            lambda x, y: labeled_bijections(C, base, *x, *y),
+            lambda g, f: compose_labeled_bij(C, base, g, f),
+            lambda m: invert_labeled_bij(C, base, m),
+            lambda x: identity_labeled_bij(C, base, *x),
+        )
     objs = all_locsys_spans(C, base, bound)
     keys = [o.key for o in objs]
-    by_key = dict(zip(keys, objs))
-    morphs = {}
-    for k1 in keys:
-        for k2 in keys:
-            for tri in locsys_span_isos(C, base, by_key[k1], by_key[k2]):
-                morphs[(k1, k2, tri)] = (k1, k2)
-    ident = {}
-    for k in keys:
-        o = by_key[k]
-        ident[k] = (
-            k,
-            k,
-            (
-                identity_labeled_bij(C, base, o.span.left, o.xi),
-                base.identity(o.span.apex),
-                identity_labeled_bij(C, base, o.span.right, o.eta),
-            ),
-        )
-
-    def _compose_cells(c2, c1):
-        return (
-            compose_labeled_bij(C, base, c2[0], c1[0]),
-            base.compose(c2[1], c1[1]),
-            compose_labeled_bij(C, base, c2[2], c1[2]),
-        )
-
-    comp = {}
-    by_src = {}
-    for label, (s, t) in morphs.items():
-        by_src.setdefault(s, []).append(label)
-    for f, (fs, ft) in morphs.items():
-        for g in by_src.get(ft, []):
-            comp[(g, f)] = (fs, g[1], _compose_cells(g[2], f[2]))
-    inv = {
-        (s, t, tri): (
-            t,
-            s,
-            (
-                invert_labeled_bij(C, base, tri[0]),
-                base.inverse(tri[1]),
-                invert_labeled_bij(C, base, tri[2]),
-            ),
-        )
-        for s, t, tri in morphs
-    }
-    gpd = FinGroupoid(FinCategory(keys, morphs, ident, comp), inv)
-    gpd.spans = by_key
+    at = positions(keys)
+    gpd = _two_cell_groupoid(C, base, keys, lambda k: objs[at(k)])
+    gpd.spans = dict(zip(keys, objs))
     return gpd
+
+
+def _two_cell_groupoid(C, base, objects, span_of) -> FinGroupoid:
+    """Labeled spans, each read off its object by span_of, and the 2-cells
+    (bl, h, br) between them, composed and inverted componentwise."""
+
+    def identity(x):
+        s = span_of(x)
+        return (
+            identity_labeled_bij(C, base, s.span.left, s.xi),
+            base.identity(s.span.apex),
+            identity_labeled_bij(C, base, s.span.right, s.eta),
+        )
+
+    return FinGroupoid(
+        objects,
+        lambda x, y: locsys_span_isos(C, base, span_of(x), span_of(y)),
+        lambda g, f: (
+            compose_labeled_bij(C, base, g[0], f[0]),
+            base.compose(g[1], f[1]),
+            compose_labeled_bij(C, base, g[2], f[2]),
+        ),
+        lambda m: (
+            invert_labeled_bij(C, base, m[0]),
+            base.inverse(m[1]),
+            invert_labeled_bij(C, base, m[2]),
+        ),
+        identity,
+    )
 
 
 def locsys_spans_isomorphic(C, base, s: LocalSystemSpan, t: LocalSystemSpan) -> bool:
@@ -520,29 +494,17 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
         checked += 1
 
     level0 = locsys_level(base, C, (0,), bound)
-    eq = _LocsysEqGroupoid(C, base, invertible)
+    eq = _two_cell_groupoid(C, base, invertible, lambda s: s)
     fobj = {(X, xi): identity_locsys(C, base, X, xi) for X, xi in level0.objects}
     fmor = {}
-    for m in level0.category.all_morphisms():
-        (X, xi), (Y, eta), b = m
-        fmor[m] = (fobj[(X, xi)], fobj[(Y, eta)], (b, b[0], b))
+    for m in level0.all_morphisms():
+        x, y, b = m
+        fmor[m] = (fobj[x], fobj[y], (b, b[0], b))
     F = Functor(level0, eq, fobj, fmor)
     ve = equivalent(F)
     if not ve:
         return Verdict.refuted(witness={"stage": "degeneracy", "inner": ve.witness})
     return Verdict.verified(spans_checked=checked, invertible=len(invertible))
-
-
-class _LocsysEqGroupoid:
-    """Invertible labeled spans; homs are label-compatible natural triples."""
-
-    def __init__(self, C, base, objects):
-        self.C = C
-        self.base = base
-        self.objects = list(objects)
-
-    def hom(self, s, t):
-        return [(s, t, tri) for tri in locsys_span_isos(self.C, self.base, s, t)]
 
 
 def locsys_dual(C: InternalCategory, s: LocalSystemSpan) -> LocalSystemSpan:
@@ -610,22 +572,7 @@ def locsys_mapping_fiber_check(C: InternalCategory, X, xi, Y, eta, bound=1) -> V
     fiber = _strict_fiber_groupoid(C, base, fiber_objs)
 
     K = len(comma_set(C, X, xi, Y, eta))
-    other_objs = [(A, h) for A in base.objects_within(bound) for h in base.hom(A, K)]
-    morphs = {}
-    for (A, h) in other_objs:
-        for (B, k) in other_objs:
-            for u in base.isos(A, B):
-                if base.compose(k, u) == h:
-                    morphs[((A, h), (B, k), u)] = ((A, h), (B, k))
-    ident = {(A, h): ((A, h), (A, h), base.identity(A)) for A, h in other_objs}
-    comp = {}
-    for m2, (s2, t2) in morphs.items():
-        for m1, (s1, t1) in morphs.items():
-            if t1 == s2:
-                comp[(m2, m1)] = (s1, t2, base.compose(m2[2], m1[2]))
-    inv = {(a, b, u): (b, a, base.inverse(u)) for a, b, u in morphs}
-    other = FinGroupoid(FinCategory(other_objs, morphs, ident, comp), inv)
-
+    other = sets_over(base, K, bound)
     v = groupoids_equivalent(fiber, other)
     if v:
         return Verdict.verified(
@@ -634,25 +581,52 @@ def locsys_mapping_fiber_check(C: InternalCategory, X, xi, Y, eta, bound=1) -> V
     return Verdict.refuted(witness=v.witness)
 
 
+def sets_over(base: FinSetCategory, K, bound=None) -> FinGroupoid:
+    """Finite sets (A, h: A -> K) within bound and the bijections over K."""
+    return FinGroupoid(
+        [(A, h) for A in base.objects_within(bound) for h in base.hom(A, K)],
+        lambda x, y: [u for u in base.isos(x[0], y[0]) if base.compose(y[1], u) == x[1]],
+        base.compose,
+        base.inverse,
+        lambda x: base.identity(x[0]),
+    )
+
+
 def _strict_fiber_groupoid(C, base, objs) -> FinGroupoid:
     """Labeled spans with fixed feet and labels; morphisms are apex
-    bijections with identity feet components."""
+    bijections h over the identity feet components, so that the labeled
+    2-cell (identity, h, identity) is natural."""
     keys = [s.key for s in objs]
-    by_key = dict(zip(keys, objs))
-    morphs = {}
-    for k1 in keys:
-        for k2 in keys:
-            s, t = by_key[k1], by_key[k2]
-            idl = identity_labeled_bij(C, base, s.span.left, s.xi)
-            idr = identity_labeled_bij(C, base, s.span.right, s.eta)
-            for (bl, h, br) in locsys_span_isos(C, base, s, t):
-                if bl == idl and br == idr:
-                    morphs[(k1, k2, h)] = (k1, k2)
-    ident = {k: (k, k, base.identity(by_key[k].span.apex)) for k in keys}
-    comp = {}
-    for m2, (s2, t2) in morphs.items():
-        for m1, (s1, t1) in morphs.items():
-            if t1 == s2:
-                comp[(m2, m1)] = (s1, t2, base.compose(m2[2], m1[2]))
-    inv = {(a, b, h): (b, a, base.inverse(h)) for a, b, h in morphs}
-    return FinGroupoid(FinCategory(keys, morphs, ident, comp), inv)
+    at = positions(keys)
+
+    def hom(k1, k2):
+        s, t = objs[at(k1)], objs[at(k2)]
+        ss, ts = s.span, t.span
+        if not (
+            _identity_is_labeled(C, ss.left, s.xi, ts.left, t.xi)
+            and _identity_is_labeled(C, ss.right, s.eta, ts.right, t.eta)
+        ):
+            return []
+        _, mul = identity_labeled_bij(C, base, ss.left, s.xi)
+        _, mur = identity_labeled_bij(C, base, ss.right, s.eta)
+        return [
+            h
+            for h in base.isos(ss.apex, ts.apex)
+            if base.compose(ts.lleg, h) == ss.lleg
+            and base.compose(ts.rleg, h) == ss.rleg
+            and all(
+                C.compose(t.a[h.values[i]], mul[ss.lleg.values[i]])
+                == C.compose(mur[ss.rleg.values[i]], s.a[i])
+                for i in range(ss.apex)
+            )
+        ]
+
+    return FinGroupoid(
+        keys, hom, base.compose, base.inverse, lambda k: base.identity(objs[at(k)].span.apex)
+    )
+
+
+def _identity_is_labeled(C, X, xi, Y, eta) -> bool:
+    """Is the identity labeled bijection of (X, xi) one of the labeled
+    bijections (X, xi) -> (Y, eta), as labeled_bijections lists them?"""
+    return X == Y and all(C.ident[v] in invertible_between(C, v, w) for v, w in zip(xi, eta))

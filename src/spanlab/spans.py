@@ -13,8 +13,8 @@ import itertools
 import os
 import random
 
-from .fincat import FinCategory, Functor
-from .groupoid import FinGroupoid, equivalent
+from .fincat import Functor
+from .groupoid import FinGroupoid, equivalent, positions
 from .shapes import SigmaShape, sigma_shape
 from .verdict import FootMismatchError, NoLimitError, ResourceError, Verdict
 
@@ -479,43 +479,27 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
     for lo, lm in data:
         d = kan_extend(shape, base, lo, lm)
         diagrams[d.key] = d
-    lam = shape.lambda_cells
     keys = sorted(diagrams)
-    morphs = {}
-    for k1 in keys:
-        d1 = diagrams[k1]
-        for k2 in keys:
-            d2 = diagrams[k2]
-            if any(d1.obj[c] != d2.obj[c] and not base.isos(d1.obj[c], d2.obj[c]) for c in lam):
-                continue
-            for fam in natural_families(base, shape, lam, d1, d2):
-                full = extend_natural_family(d1, d2, fam)
-                if full is None:
-                    continue
-                label = (k1, k2, tuple(sorted(full.items())))
-                morphs[label] = (k1, k2)
-    ident = {}
-    for k in keys:
-        d = diagrams[k]
-        fam = tuple(sorted((c, base.identity(d.obj[c])) for c in shape.objects))
-        ident[k] = (k, k, fam)
-    by_src = {}
-    for label, (s, t) in morphs.items():
-        by_src.setdefault(s, []).append(label)
-    comp = {}
-    for f, (fs, ft) in morphs.items():
-        ffam = dict(f[2])
-        for g in by_src.get(ft, []):
-            gfam = dict(g[2])
-            cfam = tuple(
-                sorted((c, base.compose(gfam[c], ffam[c])) for c in shape.objects)
-            )
-            comp[(g, f)] = (fs, g[1], cfam)
-    inv = {}
-    for label, (s, t) in morphs.items():
-        fam = dict(label[2])
-        inv[label] = (t, s, tuple(sorted((c, base.inverse(fam[c])) for c in shape.objects)))
-    gpd = FinGroupoid(FinCategory(keys, morphs, ident, comp), inv)
+    listed = [diagrams[k] for k in keys]
+    at = positions(keys)
+    lam = shape.lambda_cells
+
+    def hom(k1, k2):
+        d1, d2 = listed[at(k1)], listed[at(k2)]
+        if any(d1.obj[c] != d2.obj[c] and not base.isos(d1.obj[c], d2.obj[c]) for c in lam):
+            return []
+        fams = natural_families(base, shape, lam, d1, d2)
+        fulls = (extend_natural_family(d1, d2, fam) for fam in fams)
+        return [tuple(sorted(full.items())) for full in fulls if full is not None]
+
+    # a component is a family sorted by cell, so families zip cell by cell
+    gpd = FinGroupoid(
+        keys,
+        hom,
+        lambda g, f: tuple((c, base.compose(gc, fc)) for (c, gc), (_, fc) in zip(g, f)),
+        lambda m: tuple((c, base.inverse(mc)) for c, mc in m),
+        lambda k: tuple((c, base.identity(x)) for c, x in sorted(listed[at(k)].obj.items())),
+    )
     gpd.diagrams = diagrams
     return gpd
 
@@ -703,29 +687,30 @@ def invertible_span_check(base, bound=None) -> Verdict:
     return Verdict.verified(spans_checked=checked)
 
 
-class _EqGroupoid:
-    """Groupoid of invertible spans (both legs invertible) within bound.
+def invertible_span_groupoid(base, bound=None) -> FinGroupoid:
+    """Invertible spans (both legs invertible) within bound and the natural
+    triples (left, apex, right) between them."""
 
-    Homs computed on demand: a natural triple between invertible spans is
-    determined by its left component, so hom(s, t) is in bijection with the
-    isomorphisms left(s) -> left(t)."""
+    def cellwise(op):
+        return lambda *cells: tuple(map(op, *cells))
 
-    def __init__(self, base, bound=None):
-        self.base = base
-        self.objects = [s for s in all_spans(base, bound) if both_legs_iso(base, s)]
-
-    def hom(self, s: Span, t: Span):
-        base = self.base
+    def hom(s: Span, t: Span):
+        # a natural triple between invertible spans is determined by its
+        # left component
         out = []
         for gl in base.isos(s.left, t.left):
             h = base.compose(base.inverse(t.lleg), base.compose(gl, s.lleg))
             gr = base.compose(t.rleg, base.compose(h, base.inverse(s.rleg)))
-            out.append((s, t, (gl, h, gr)))
+            out.append((gl, h, gr))
         return out
 
-    def identity(self, s: Span):
-        b = self.base
-        return (s, s, (b.identity(s.left), b.identity(s.apex), b.identity(s.right)))
+    return FinGroupoid(
+        [s for s in all_spans(base, bound) if both_legs_iso(base, s)],
+        hom,
+        cellwise(base.compose),
+        cellwise(base.inverse),
+        lambda s: (base.identity(s.left), base.identity(s.apex), base.identity(s.right)),
+    )
 
 
 def completeness_check(base, bound=None) -> Verdict:
@@ -733,7 +718,7 @@ def completeness_check(base, bound=None) -> Verdict:
     via the degeneracy (object to identity span)."""
     from .fincat import core
 
-    eq = _EqGroupoid(base, bound)
+    eq = invertible_span_groupoid(base, bound)
     obj_gpd = core(base, bound)
     fobj = {x: identity_span(base, x) for x in obj_gpd.objects}
     fmor = {}
@@ -753,56 +738,32 @@ def completeness_check(base, bound=None) -> Verdict:
 # mapping categories
 
 
-def _product_groupoid(A: FinGroupoid, B: FinGroupoid) -> FinGroupoid:
-    objs = [(a, b) for a in A.objects for b in B.objects]
-    morphs = {}
-    for m in A.all_morphisms():
-        for n in B.all_morphisms():
-            morphs[(m, n)] = ((A.src(m), B.src(n)), (A.tgt(m), B.tgt(n)))
-    ident = {(a, b): (A.identity(a), B.identity(b)) for a, b in objs}
-    comp = {}
-    for (m1, n1), (s1, t1) in morphs.items():
-        for (m2, n2), (s2, t2) in morphs.items():
-            if t2 == s1:
-                comp[((m1, n1), (m2, n2))] = (A.compose(m1, m2), B.compose(n1, n2))
-    inv = {(m, n): (A.inverse(m), B.inverse(n)) for m, n in morphs}
-    return FinGroupoid(FinCategory(objs, morphs, ident, comp), inv)
-
-
 def mapping_fiber(base, X, Y, bound=None, ceiling=None):
     """Homotopy fiber of the one-span level over the pair (X, Y) of the
     objects level, computed as an iso-comma over the point."""
     from .fincat import core
-    from .groupoid import discrete_groupoid, iso_comma
+    from .groupoid import discrete_groupoid, iso_comma, product_groupoid
 
     level = span_level(base, (1,), bound, ceiling)
     L0 = core(base, bound)
-    L00 = _product_groupoid(L0, L0)
+    L00 = product_groupoid(L0, L0)
     feet_obj = {}
-    feet_mor = {}
     for k in level.objects:
-        d = level.diagrams[k]
-        s = diagram_to_span(d)
+        s = diagram_to_span(level.diagrams[k])
         feet_obj[k] = (s.left, s.right)
-    for m in level.category.all_morphisms():
+    feet_mor = {}
+    for m in level.all_morphisms():
         k1, k2, famtuple = m
         fam = dict(famtuple)
-        s1 = diagram_to_span(level.diagrams[k1])
-        s2 = diagram_to_span(level.diagrams[k2])
-        gl = fam[((0, 0),)]
-        gr = fam[((1, 1),)]
+        (l1, r1), (l2, r2) = feet_obj[k1], feet_obj[k2]
         feet_mor[m] = (
-            (s1.left, s2.left, gl),
-            (s1.right, s2.right, gr),
+            feet_obj[k1],
+            feet_obj[k2],
+            ((l1, l2, fam[((0, 0),)]), (r1, r2, fam[((1, 1),)])),
         )
     feet = Functor(level, L00, feet_obj, feet_mor)
     pt = discrete_groupoid(["*"])
-    pick = Functor(
-        pt,
-        L00,
-        {"*": (X, Y)},
-        {("id", "*"): ((X, X, base.identity(X)), (Y, Y, base.identity(Y)))},
-    )
+    pick = Functor(pt, L00, {"*": (X, Y)}, {pt.identity("*"): L00.identity((X, Y))})
     fiber, _, _ = iso_comma(pick, feet)
     return fiber
 

@@ -1,4 +1,5 @@
 """The command-line surface: reports, exit codes, suites, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,25 @@ class TestErrors:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shapes", "sigma", "x"],
+            ["check", "segal", "--base", "finset:2", "--arities", "x"],
+            ["locsys", "check", "--coeff", "discrete:x"],
+            ["certify", "dual", "--base", "finset:2"],
+            ["check", "mapping", "--base", "finset:2"],
+            ["check", "segal", "--base", "finset:3", "--arities", "2", "--samples", "-1"],
+            ["lag", "check", "--kind", "pairs", "--dim", "1", "--trials", "2"],
+        ],
+        ids=["arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim"],
+    )
+    def test_malformed_input_is_a_usage_error(self, argv):
+        report, code = run(argv)
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert json.loads(json.dumps(report)) == report
+
     def test_refuting_check_exit_1(self, tmp_path):
         # an internal category with a missing composite
         bad = {
@@ -201,6 +221,19 @@ class TestDeterminism:
         r1.pop("timing")
         r2.pop("timing")
         assert r1 == r2
+
+
+class TestByteStability:
+    def test_level_json_report_hash(self):
+        """The full level tables, pinned byte for byte: hom order,
+        composite order, identities and inverses all reach this report."""
+        report, code = run(["level", "--base", "finset:2", "--arities", "1", "--json"])
+        assert code == 0
+        report.pop("timing")
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2e8b857544f0214dfc4d124dd2638af5db2fc5551b1b9e419ad1d4e4ad1aa43a"
+        )
 
 
 class TestMain:

@@ -228,7 +228,15 @@ class TestCore:
 
     def test_core_idempotent_on_groupoids(self):
         G = core(finset(2))
-        H = core(G.category)
+        morphs = G.all_morphisms()
+        H = core(
+            FinCategory(
+                G.objects,
+                {m: (m[0], m[1]) for m in morphs},
+                {x: G.identity(x) for x in G.objects},
+                {(g, f): G.compose(g, f) for g in morphs for f in morphs if f[1] == g[0]},
+            )
+        )
         assert len(H.objects) == len(G.objects)
         assert len(list(H.all_morphisms())) == len(list(G.all_morphisms()))
 

@@ -5,6 +5,7 @@ import pytest
 
 from spanlab.fincat import Functor
 from spanlab.groupoid import (
+    FinGroupoid,
     cyclic_group_groupoid,
     discrete_groupoid,
     full_subgroupoid,
@@ -16,26 +17,12 @@ from spanlab.groupoid import (
     pi0_aut_profile,
 )
 from spanlab.fincat import core, finset
-from spanlab.verdict import SpanlabError
+from spanlab.verdict import ResourceError
 
 
 def codiscrete_groupoid(labels):
     """Exactly one morphism between every ordered pair of objects."""
-    from spanlab.fincat import FinCategory
-    from spanlab.groupoid import FinGroupoid
-
-    morphs = {(x, y): (x, y) for x in labels for y in labels}
-    ident = {x: (x, x) for x in labels}
-    comp = {
-        (((y, z)), ((x, y2))): (x, z)
-        for x in labels
-        for y in labels
-        for y2 in labels
-        for z in labels
-        if y == y2
-    }
-    inv = {(x, y): (y, x) for x in labels for y in labels}
-    return FinGroupoid(FinCategory(list(labels), morphs, ident, comp), inv)
+    return FinGroupoid(labels, lambda x, y: [()], lambda g, f: (), lambda m: (), lambda x: ())
 
 
 def klein_four():
@@ -78,7 +65,7 @@ class TestEquivalent:
     def test_collapse_bz2_to_bz3_refuted(self):
         A = cyclic_group_groupoid(2)
         B = cyclic_group_groupoid(3)
-        F = Functor(A, B, {"*": "*"}, {0: 0, 1: 0})
+        F = Functor(A, B, {"*": "*"}, {("*", "*", 0): ("*", "*", 0), ("*", "*", 1): ("*", "*", 0)})
         v = equivalent(F)
         assert not v
         assert v.witness["reason"] in ("not faithful", "hom sizes differ")
@@ -86,14 +73,14 @@ class TestEquivalent:
     def test_collapse_two_points_refuted(self):
         A = discrete_groupoid([0, 1])
         B = discrete_groupoid([0])
-        F = Functor(A, B, {0: 0, 1: 0}, {("id", 0): ("id", 0), ("id", 1): ("id", 0)})
+        F = Functor(A, B, {0: 0, 1: 0}, {(0, 0, "id"): (0, 0, "id"), (1, 1, "id"): (0, 0, "id")})
         v = equivalent(F)
         assert not v
 
     def test_missing_object_refuted(self):
         A = discrete_groupoid([0])
         B = discrete_groupoid([0, 1])
-        F = Functor(A, B, {0: 0}, {("id", 0): ("id", 0)})
+        F = Functor(A, B, {0: 0}, {(0, 0, "id"): (0, 0, "id")})
         v = equivalent(F)
         assert not v
         assert v.witness["reason"] == "not in essential image"
@@ -102,7 +89,7 @@ class TestEquivalent:
 def _point_into(G):
     x = G.objects[0]
     pt = discrete_groupoid(["pt"])
-    return Functor(pt, G, {"pt": x}, {("id", "pt"): G.identity(x)})
+    return Functor(pt, G, {"pt": x}, {pt.identity("pt"): G.identity(x)})
 
 
 class TestIsoComma:
@@ -127,8 +114,10 @@ class TestIsoComma:
         K = discrete_groupoid([0, 1])
         A = discrete_groupoid(["a0", "a1"])
         B = discrete_groupoid(["b0"])
-        FA = Functor(A, K, {"a0": 0, "a1": 1}, {("id", "a0"): ("id", 0), ("id", "a1"): ("id", 1)})
-        FB = Functor(B, K, {"b0": 0}, {("id", "b0"): ("id", 0)})
+        FA = Functor(
+            A, K, {"a0": 0, "a1": 1}, {("a0", "a0", "id"): (0, 0, "id"), ("a1", "a1", "id"): (1, 1, "id")}
+        )
+        FB = Functor(B, K, {"b0": 0}, {("b0", "b0", "id"): (0, 0, "id")})
         C, _, _ = iso_comma(FA, FB)
         # only (a0, b0) match over 0
         assert len(C.objects) == 1
@@ -182,8 +171,13 @@ class TestGroupsIsomorphic:
     def test_bound_enforced(self):
         els = list(range(30))
         mul = {(g, f): (g + f) % 30 for g in els for f in els}
-        with pytest.raises(SpanlabError):
+        with pytest.raises(ResourceError):
             groups_isomorphic(els, mul, 0, els, mul, 0)
+
+    def test_bound_hit_while_matching_components(self):
+        """A bound hit is a resource limit (inconclusive), not an error."""
+        with pytest.raises(ResourceError):
+            groupoids_equivalent(cyclic_group_groupoid(30), cyclic_group_groupoid(30))
 
 
 class TestGroupoidsEquivalent:
@@ -212,3 +206,81 @@ class TestGroupoidsEquivalent:
         H = full_subgroupoid(G, lambda x: x < 2)
         assert len(H.objects) == 2
         assert H.validate()
+
+
+class TestLazySurface:
+    def test_hom_memoised_and_found_for_equal_copies(self):
+        calls = []
+
+        def hom(x, y):
+            calls.append((x, y))
+            return [()] if x[0] % 2 == y[0] % 2 else []
+
+        G = FinGroupoid([(0,), (1,), (2,)], hom, lambda g, f: (), lambda m: (), lambda x: ())
+        assert len(G.all_morphisms()) == 5
+        assert len(G.all_morphisms()) == 5
+        assert G.hom(tuple([0]), tuple([2])) == (((0,), (2,), ()),)
+        assert G.hom((0,), (5,)) == ()
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 9
+
+    def test_components_in_order_of_first_object(self):
+        G = FinGroupoid(
+            [3, 1, 2, 0],
+            lambda x, y: [None] if x % 2 == y % 2 else [],
+            lambda g, f: None,
+            lambda m: None,
+            lambda x: None,
+        )
+        assert G.components() == [[1, 3], [0, 2]]
+
+    def test_validate_catches_a_wrong_composite(self):
+        G = FinGroupoid([0], lambda x, y: [0, 1], lambda g, f: 0, lambda m: m, lambda x: 0)
+        v = G.validate()
+        assert not v
+        assert v.witness["reason"] in ("left unit law", "right unit law")
+
+
+def _rewritten_builders():
+    from spanlab.fincat import FinSetCategory
+    from spanlab.groupoid import product_groupoid
+    from spanlab.locsys import (
+        _strict_fiber_groupoid,
+        _two_cell_groupoid,
+        all_locsys_spans,
+        cyclic_internal,
+        locsys_invertible_predicate,
+        locsys_level,
+        sets_over,
+    )
+    from spanlab.spans import invertible_span_groupoid, mapping_fiber, span_level
+
+    bz2, b1 = cyclic_internal(2), FinSetCategory(1)
+    bz2_group = cyclic_group_groupoid(2)
+    labeled = all_locsys_spans(bz2, b1, 1)
+    return {
+        "discrete_groupoid": lambda: discrete_groupoid(["a", "b"]),
+        "one_object_group": klein_four,
+        "core": lambda: core(finset(2)),
+        "core_of_table": lambda: core(finset(1).to_fincategory()),
+        "full_subgroupoid": lambda: full_subgroupoid(core(finset(2)), lambda x: x > 0),
+        "product_groupoid": lambda: product_groupoid(core(finset(2)), cyclic_group_groupoid(2)),
+        "iso_comma": lambda: iso_comma(_point_into(bz2_group), _point_into(bz2_group))[0],
+        "span_level": lambda: span_level(finset(2), (1,)),
+        "mapping_fiber": lambda: mapping_fiber(finset(2), 1, 1),
+        "invertible_span_groupoid": lambda: invertible_span_groupoid(finset(2)),
+        "locsys_level_0": lambda: locsys_level(b1, bz2, (0,), 1),
+        "locsys_level_1": lambda: locsys_level(b1, bz2, (1,), 1),
+        "strict_fiber": lambda: _strict_fiber_groupoid(
+            bz2, b1, [s for s in labeled if s.span.left == s.span.right == 1]
+        ),
+        "invertible_labeled_spans": lambda: _two_cell_groupoid(
+            bz2, b1, [s for s in labeled if locsys_invertible_predicate(bz2, b1, s)], lambda s: s
+        ),
+        "sets_over": lambda: sets_over(FinSetCategory(2), 2, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rewritten_builders()))
+def test_rewritten_builder_validates(name):
+    G = _rewritten_builders()[name]()
+    assert G.objects and G.validate()

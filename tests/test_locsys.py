@@ -1,11 +1,16 @@
 """Labeled spans: internal coefficient categories, composition, levels,
 classification of invertibles, duals, and mapping fibers."""
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab.fincat import FinFunction, FinSetCategory
 from spanlab.locsys import (
     InternalCategory,
     LocalSystemSpan,
+    _strict_fiber_groupoid,
     all_locsys_spans,
     comma_set,
     compose_labeled_bij,
@@ -24,6 +29,7 @@ from spanlab.locsys import (
     locsys_invertible_search,
     locsys_level,
     locsys_mapping_fiber_check,
+    locsys_span_isos,
     locsys_spans_isomorphic,
     validate_internal,
     walking_arrow_internal,
@@ -262,3 +268,46 @@ class TestMappingFibers:
         v = locsys_mapping_fiber_check(BZ2, 0, (), 0, (), bound=1)
         assert v
         assert v.details["comma_size"] == 0
+
+
+def _filtered_strict_fiber_homs(C, base, s, t):
+    """The former strict-fiber formula, kept as the oracle: every labeled
+    2-cell s -> t, kept when both feet components are the identity labeled
+    bijections."""
+    idl = identity_labeled_bij(C, base, s.span.left, s.xi)
+    idr = identity_labeled_bij(C, base, s.span.right, s.eta)
+    return [h for bl, h, br in locsys_span_isos(C, base, s, t) if bl == idl and br == idr]
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_fibers(coeff):
+    """Every strict fiber at bound 2 (feet up to size 2), as (spans,
+    groupoid) pairs."""
+    C = {"bz2": BZ2, "cyclic:3": BZ3, "arrow": ARROW}[coeff]
+    base = FinSetCategory(2)
+    by_feet = {}
+    for s in all_locsys_spans(C, base, 2):
+        by_feet.setdefault((s.span.left, s.xi, s.span.right, s.eta), []).append(s)
+    return C, base, [(objs, _strict_fiber_groupoid(C, base, objs)) for objs in by_feet.values()]
+
+
+class TestStrictFiberHoms:
+    @pytest.mark.parametrize("coeff", ["bz2", "arrow"])
+    def test_match_filtered_two_cells_exhaustively(self, coeff):
+        C, base, fibers = _strict_fibers(coeff)
+        for objs, G in fibers:
+            for s, k1 in zip(objs, G.objects):
+                for t, k2 in zip(objs, G.objects):
+                    direct = [m[2] for m in G.hom(k1, k2)]
+                    assert direct == _filtered_strict_fiber_homs(C, base, s, t)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_filtered_two_cells_sampled(self, data):
+        """cyclic:3 has too many pairs to compare them all in a test run."""
+        C, base, fibers = _strict_fibers(data.draw(st.sampled_from(["bz2", "cyclic:3", "arrow"])))
+        objs, G = data.draw(st.sampled_from(fibers))
+        i = data.draw(st.integers(0, len(objs) - 1))
+        j = data.draw(st.one_of(st.just(i), st.integers(0, len(objs) - 1)))
+        direct = [m[2] for m in G.hom(G.objects[i], G.objects[j])]
+        assert direct == _filtered_strict_fiber_homs(C, base, objs[i], objs[j])
