@@ -22,6 +22,7 @@ from .spans import (
     is_cartesian,
     kan_extend,
     mapping_category_check,
+    reverse_span,
     segal_check,
     span_level,
 )
@@ -29,7 +30,6 @@ from .duality import (
     AdjunctionWitness,
     build_adjunction,
     object_duality_check,
-    reverse_span,
     tensor_spans,
     triangle_check,
 )

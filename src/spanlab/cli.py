@@ -36,7 +36,11 @@ def _parse_base(spec: str):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpanlabError(f"cannot read base file {spec!r}: {exc}") from exc
-    return FinCategory.from_json(data)
+    base = FinCategory.from_json(data)
+    v = base.validate()
+    if not v:
+        raise SpanlabError(f"base file {spec!r} is not a category: {v.witness}")
+    return base
 
 
 def _to_int(text) -> int:
@@ -44,6 +48,12 @@ def _to_int(text) -> int:
         return int(text)
     except ValueError as exc:
         raise SpanlabError(f"expected an integer, got {text!r}") from exc
+
+
+def _at_least(least, n, what) -> int:
+    if n < least:
+        raise SpanlabError(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 def _parse_object(base, label):
@@ -62,9 +72,9 @@ def _parse_object(base, label):
 
 def _parse_coefficients(spec: str) -> locsys.InternalCategory:
     if spec.startswith("discrete:"):
-        return locsys.discrete_internal(_to_int(spec.split(":", 1)[1]))
+        return locsys.discrete_internal(_at_least(0, _to_int(spec.split(":", 1)[1]), "discrete size"))
     if spec.startswith("cyclic:"):
-        return locsys.cyclic_internal(_to_int(spec.split(":", 1)[1]))
+        return locsys.cyclic_internal(_at_least(1, _to_int(spec.split(":", 1)[1]), "cyclic order"))
     if spec == "bz2":
         return locsys.cyclic_internal(2)
     if spec == "bz3":
@@ -92,6 +102,16 @@ def _random_span(base, bound, rng: random.Random) -> spans.Span:
 
 def _int_list(values):
     return tuple(_to_int(v) for v in values)
+
+
+def _foot_labels(flag, size, values, C: locsys.InternalCategory):
+    """The labels of a foot of the given size: values, or all 0 when none
+    are given, each an object of C."""
+    _at_least(0, size, "a foot size")
+    labels = _int_list(values) if values else (0,) * size
+    if len(labels) != size or not all(0 <= v < C.C0 for v in labels):
+        raise SpanlabError(f"{flag} must give {size} labels in range({C.C0}), got {list(labels)}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +150,13 @@ def _run_level(args) -> tuple[Verdict, dict]:
 def _run_check(args) -> tuple[Verdict, dict]:
     base = _parse_base(args.base)
     if args.which == "segal":
-        if args.samples < 0:
-            raise SpanlabError("--samples must be at least 0")
         return (
             spans.segal_check(
                 base,
                 _int_list(args.arities),
                 bound=args.bound,
                 seed=args.seed,
-                samples=args.samples,
+                samples=_at_least(0, args.samples, "--samples"),
             ),
             {},
         )
@@ -180,7 +198,7 @@ def _run_certify(args) -> tuple[Verdict, dict]:
             w = duality.build_adjunction(base, s)
             return duality.triangle_check(w), {"witness_data": w.to_json()}
         rng = random.Random(args.seed)
-        for trial in range(args.trials):
+        for trial in range(_at_least(0, args.trials, "--trials")):
             s = _random_span(base, args.bound, rng)
             w = duality.build_adjunction(base, s)
             v = duality.triangle_check(w)
@@ -189,7 +207,10 @@ def _run_certify(args) -> tuple[Verdict, dict]:
                     Verdict.refuted(witness={"trial": trial, "span": repr(s), "inner": v.witness}),
                     {},
                 )
-        return Verdict.verified(trials=args.trials, seed=args.seed), {}
+        details = dict(trials=args.trials, seed=args.seed)
+        if not args.trials:
+            return Verdict.inconclusive(witness={"reason": "no spans were sampled"}, **details), {}
+        return Verdict.verified(**details), {}
     raise SpanlabError(f"unknown certification {args.which!r}")
 
 
@@ -202,8 +223,8 @@ def _run_locsys(args) -> tuple[Verdict, dict]:
     if args.kind == "equivalence":
         return locsys.locsys_equivalence_check(C, bound=args.bound), {}
     if args.kind == "fiber":
-        xi = _int_list(args.xi) if args.xi else (0,) * args.X
-        eta = _int_list(args.eta) if args.eta else (0,) * args.Y
+        xi = _foot_labels("--xi", args.X, args.xi, C)
+        eta = _foot_labels("--eta", args.Y, args.eta, C)
         return (
             locsys.locsys_mapping_fiber_check(C, args.X, xi, args.Y, eta, bound=args.bound),
             {},
@@ -215,10 +236,8 @@ def _run_lag(args) -> tuple[Verdict, dict]:
     if args.kind == "pairs":
         if args.dim < 2:
             raise SpanlabError("--dim must be at least 2 for pairs")
-        return (
-            lagrangian.random_pair_check(trials=args.trials, max_dim=args.dim, seed=args.seed),
-            {},
-        )
+        trials = _at_least(0, args.trials, "--trials")
+        return lagrangian.random_pair_check(trials=trials, max_dim=args.dim, seed=args.seed), {}
     if args.kind == "zigzag":
         return lagrangian.duality_zigzag_check(args.dim), {}
     raise SpanlabError(f"unknown lagrangian check {args.kind!r}")
@@ -364,6 +383,8 @@ def _run_suite(args) -> tuple[dict, int]:
             isinstance(r, list) and all(isinstance(a, str) for a in r) for r in requests
         ):
             raise SpanlabError("config must be a list of argv lists")
+        if any(r[:1] == ["suite"] for r in requests):
+            raise SpanlabError("a suite cannot contain a suite request")
     except (OSError, json.JSONDecodeError, KeyError, SpanlabError) as exc:
         return {"schema": SCHEMA, "verdict": "error", "witness": {"error": str(exc)}}, 3
     if not requests:

@@ -8,27 +8,19 @@ the collapse re-derived per case from an independently computed limit.
 """
 from __future__ import annotations
 
-from .spans import Span, compose_spans, identity_span, iso_to_identity_span
+from .spans import Span, compose_spans, identity_span, iso_to_identity_span, reverse_span
 from .verdict import NoLimitError, Verdict
-
-
-def reverse_span(s: Span) -> Span:
-    return Span(s.right, s.rleg, s.apex, s.lleg, s.left)
-
-
-def _pair(base, f, g):
-    """The induced map into the canonical product of the targets."""
-    if hasattr(base, "pair_into_product"):
-        return base.pair_into_product(f, g)
-    P, p1, p2 = base.product(base.tgt(f), base.tgt(g))
-    node_obj = {"L": base.tgt(f), "R": base.tgt(g)}
-    return base.factor_through_limit(P, {"L": p1, "R": p2}, base.src(f), {"L": f, "R": g}, node_obj)
 
 
 def _pair_into_pullback(base, P, p, q, f, g):
     """Factor the cone (f, g) through the pullback with projections p, q."""
     node_obj = {"L": base.tgt(p), "R": base.tgt(q)}
     return base.factor_through_limit(P, {"L": p, "R": q}, base.src(f), {"L": f, "R": g}, node_obj)
+
+
+def _pair(base, f, g):
+    """The induced map into the canonical product of the targets."""
+    return _pair_into_pullback(base, *base.product(base.tgt(f), base.tgt(g)), f, g)
 
 
 class AdjunctionWitness:
@@ -222,8 +214,7 @@ def tensor_spans(base, s: Span, t: Span) -> Span:
 def _assoc(base, x, y, z):
     """Canonical re-association (x*y)*z -> x*(y*z) on product representatives."""
     XY, p1, p2 = base.product(x, y)
-    XY_Z, q1, q2 = base.product(XY, z)
-    del XY, XY_Z
+    _, q1, q2 = base.product(XY, z)
     inner = _pair(base, base.compose(p2, q1), q2)  # (y, z) component
     return _pair(base, base.compose(p1, q1), inner)
 
@@ -241,8 +232,8 @@ def object_duality_check(base, X) -> Verdict:
     ev = Span(XX, diag, X, bang, one)
     coev = Span(one, bang, X, diag, XX)
     id_x = identity_span(base, X)
-    u2 = _proj2(base, one, X)  # 1*X -> X
-    w1 = _proj1(base, X, one)  # X*1 -> X
+    u2 = base.product(one, X)[2]  # 1*X -> X
+    w1 = base.product(X, one)[1]  # X*1 -> X
     assoc = _assoc(base, X, X, X)  # (X*X)*X -> X*(X*X)
     unassoc = _unassoc(base, X, X, X)
 
@@ -270,18 +261,10 @@ def object_duality_check(base, X) -> Verdict:
     return Verdict.verified(witness=DualityWitness(base, X, ev, coev, zig, zag).to_json())
 
 
-def _proj1(base, x, y):
-    return base.product(x, y)[1]
-
-
-def _proj2(base, x, y):
-    return base.product(x, y)[2]
-
-
 def _unassoc(base, x, y, z):
     """Canonical re-association x*(y*z) -> (x*y)*z."""
     YZ, r1, r2 = base.product(y, z)
-    X_YZ, q1, q2 = base.product(x, YZ)
+    _, q1, q2 = base.product(x, YZ)
     inner = _pair(base, q1, base.compose(r1, q2))  # (x, y) component
     return _pair(base, inner, base.compose(r2, q2))
 

@@ -96,7 +96,7 @@ class FinCategory:
                 if ft == gs:
                     if comp is None:
                         return Verdict.refuted(witness={"pair": (g, f), "reason": "missing composite"})
-                    if self.morphisms[comp] != (fs, gt):
+                    if self.morphisms.get(comp) != (fs, gt):
                         return Verdict.refuted(witness={"pair": (g, f), "reason": "wrong-typed composite"})
                 elif comp is not None:
                     return Verdict.refuted(witness={"pair": (g, f), "reason": "composite of non-composable"})
@@ -227,38 +227,30 @@ class FinCategory:
 
 
 class Functor:
-    def __init__(self, source, target, object_map, morphism_map):
+    """A functor given by two functions, on_obj on objects and on_mor on
+    morphisms; a morphism on which on_mor returns None is unmapped."""
+
+    def __init__(self, source, target, on_obj, on_mor):
         self.source = source
         self.target = target
-        self.object_map = dict(object_map)
-        self.morphism_map = dict(morphism_map)
-
-    def on_obj(self, x):
-        return self.object_map[x]
-
-    def on_mor(self, m):
-        return self.morphism_map[m]
+        self.on_obj = on_obj
+        self.on_mor = on_mor
 
     def validate(self) -> Verdict:
-        S, T = self.source, self.target
+        S, T, F = self.source, self.target, self.on_mor
         for m in S.all_morphisms():
-            fm = self.morphism_map.get(m)
+            fm = F(m)
             if fm is None:
                 return Verdict.refuted(witness={"morphism": m, "reason": "unmapped"})
-            if (T.src(fm), T.tgt(fm)) != (
-                self.object_map[S.src(m)],
-                self.object_map[S.tgt(m)],
-            ):
+            if (T.src(fm), T.tgt(fm)) != (self.on_obj(S.src(m)), self.on_obj(S.tgt(m))):
                 return Verdict.refuted(witness={"morphism": m, "reason": "endpoints not preserved"})
         for x in S.objects:
-            if self.morphism_map[S.identity(x)] != T.identity(self.object_map[x]):
+            if F(S.identity(x)) != T.identity(self.on_obj(x)):
                 return Verdict.refuted(witness={"object": x, "reason": "identity not preserved"})
         for g in S.all_morphisms():
             for f in S.all_morphisms():
                 if S.tgt(f) == S.src(g):
-                    if self.morphism_map[S.compose(g, f)] != T.compose(
-                        self.morphism_map[g], self.morphism_map[f]
-                    ):
+                    if F(S.compose(g, f)) != T.compose(F(g), F(f)):
                         return Verdict.refuted(witness={"pair": (g, f), "reason": "composition"})
         return Verdict.verified()
 
@@ -381,16 +373,6 @@ class FinSetCategory:
         pr1 = FinFunction(apex, x, tuple(a for a, _ in pairs))
         pr2 = FinFunction(apex, y, tuple(b for _, b in pairs))
         return apex, pr1, pr2
-
-    def pair_into_product(self, f: FinFunction, g: FinFunction) -> FinFunction:
-        """The induced map into the canonical product of the targets."""
-        if f.source != g.source:
-            raise SpanlabError("pairing needs a shared source")
-        apex, pr1, pr2 = self.product(f.target, g.target)
-        index = {(a, b): i for i, (a, b) in enumerate(zip(pr1.values, pr2.values))}
-        return FinFunction(
-            f.source, apex, tuple(index[(f.values[i], g.values[i])] for i in range(f.source))
-        )
 
     def terminal(self):
         return 1

@@ -390,9 +390,8 @@ def iso_comma(F: Functor, G: Functor):
         ]
 
     gpd = _pairwise(A, B, objs, hom)
-    morphs = gpd.all_morphisms()
-    proj_a = Functor(gpd, A, {o: o[0] for o in objs}, {m: m[2][0] for m in morphs})
-    proj_b = Functor(gpd, B, {o: o[1] for o in objs}, {m: m[2][1] for m in morphs})
+    proj_a = Functor(gpd, A, lambda o: o[0], lambda m: m[2][0])
+    proj_b = Functor(gpd, B, lambda o: o[1], lambda m: m[2][1])
     return gpd, proj_a, proj_b
 
 

@@ -8,9 +8,11 @@ pushes the apex labels through the internal composition table.
 """
 from __future__ import annotations
 
+import itertools
+
 from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
-from .spans import Span, compose_spans
+from .spans import Span, identity_span, iso_to_identity_span, reverse_span
 from .verdict import FootMismatchError, SpanlabError, Verdict
 
 
@@ -205,8 +207,7 @@ class LocalSystemSpan:
 
 
 def identity_locsys(C: InternalCategory, base: FinSetCategory, Y: int, eta) -> LocalSystemSpan:
-    span = Span(Y, base.identity(Y), Y, base.identity(Y), Y)
-    return LocalSystemSpan(span, eta, eta, [C.ident[e] for e in eta])
+    return LocalSystemSpan(identity_span(base, Y), eta, eta, [C.ident[e] for e in eta])
 
 
 def compose_locsys(
@@ -214,23 +215,27 @@ def compose_locsys(
 ) -> LocalSystemSpan:
     """Underlying spans composed by pullback; apex labels pushed through the
     internal composition."""
-    if s.span.right != t.span.left or s.eta != t.xi:
+    ss, ts = s.span, t.span
+    if ss.right != ts.left or s.eta != t.xi:
         raise FootMismatchError("middle foot or middle label mismatch")
-    comp = compose_spans(base, s.span, t.span)
-    # canonical pullback points are pairs (i, j) with rleg(i) = lleg(j), in order
-    pairs = [
-        (i, j)
-        for i in range(s.span.apex)
-        for j in range(t.span.apex)
-        if s.span.rleg.values[i] == t.span.lleg.values[j]
-    ]
-    labels = [C.compose(t.a[j], s.a[i]) for i, j in pairs]
+    P, p, q = base.pullback(ss.rleg, ts.lleg)
+    comp = Span(ss.left, base.compose(ss.lleg, p), P, base.compose(ts.rleg, q), ts.right)
+    labels = [C.compose(t.a[j], s.a[i]) for i, j in zip(p.values, q.values)]
     return LocalSystemSpan(comp, s.xi, t.eta, labels)
 
 
-def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
-    import itertools
+def _apex_labels(C: InternalCategory, l, r, xi, eta):
+    """Every apex labeling a of the span with legs l, r and feet labels xi,
+    eta: src . a = xi . l and tgt . a = eta . r."""
+    return itertools.product(
+        *(
+            [m for m in range(C.C1) if C.src[m] == xi[x] and C.tgt[m] == eta[y]]
+            for x, y in zip(l.values, r.values)
+        )
+    )
 
+
+def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
     out = []
     for X in base.objects_within(bound):
         for Y in base.objects_within(bound):
@@ -240,16 +245,7 @@ def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
                         span = Span(X, l, A, r, Y)
                         for xi in itertools.product(range(C.C0), repeat=X):
                             for eta in itertools.product(range(C.C0), repeat=Y):
-                                apex_choices = [
-                                    [
-                                        m
-                                        for m in range(C.C1)
-                                        if C.src[m] == xi[l.values[i]]
-                                        and C.tgt[m] == eta[r.values[i]]
-                                    ]
-                                    for i in range(A)
-                                ]
-                                for a in itertools.product(*apex_choices):
+                                for a in _apex_labels(C, l, r, xi, eta):
                                     out.append(LocalSystemSpan(span, xi, eta, a))
     return out
 
@@ -266,8 +262,6 @@ def invertible_between(C: InternalCategory, x, y):
 def labeled_bijections(C: InternalCategory, base, X, xi, Y, eta):
     """Morphisms of labeled sets (X, xi) -> (Y, eta): a bijection g with a
     family of internal isomorphisms mu(x): xi(x) -> eta(g x)."""
-    import itertools
-
     out = []
     for g in base.isos(X, Y):
         choices = [invertible_between(C, xi[x], eta[g.values[x]]) for x in range(X)]
@@ -332,8 +326,6 @@ def locsys_level(base: FinSetCategory, C: InternalCategory, arities, bound=None)
     arities = tuple(arities)
     if arities not in ((0,), (1,)):
         raise SpanlabError("labeled levels are shipped for arities (0,) and (1,) only")
-    import itertools
-
     if arities == (0,):
         return FinGroupoid(
             [
@@ -430,29 +422,17 @@ def locsys_iso_to_identity(C: InternalCategory, base, s: LocalSystemSpan) -> boo
     """Is s isomorphic to the identity labeled span by a 2-cell fixing feet
     and labels?"""
     sp = s.span
-    if sp.left != sp.right or s.xi != s.eta:
-        return False
-    if sp.lleg != sp.rleg or not base.is_iso(sp.lleg):
+    if s.xi != s.eta or not iso_to_identity_span(base, sp):
         return False
     return all(s.a[i] == C.ident[s.xi[sp.lleg.values[i]]] for i in range(sp.apex))
 
 
 def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None) -> bool:
-    import itertools
-
     sp = s.span
     for B in base.objects_within(bound):
         for l in base.hom(B, sp.right):
             for r in base.hom(B, sp.left):
-                apex_choices = [
-                    [
-                        m
-                        for m in range(C.C1)
-                        if C.src[m] == s.eta[l.values[i]] and C.tgt[m] == s.xi[r.values[i]]
-                    ]
-                    for i in range(B)
-                ]
-                for a in itertools.product(*apex_choices):
+                for a in _apex_labels(C, l, r, s.eta, s.xi):
                     t = LocalSystemSpan(Span(sp.right, l, B, r, sp.left), s.eta, s.xi, a)
                     if locsys_iso_to_identity(
                         C, base, compose_locsys(C, base, s, t)
@@ -495,12 +475,12 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
 
     level0 = locsys_level(base, C, (0,), bound)
     eq = _two_cell_groupoid(C, base, invertible, lambda s: s)
-    fobj = {(X, xi): identity_locsys(C, base, X, xi) for X, xi in level0.objects}
-    fmor = {}
-    for m in level0.all_morphisms():
+
+    def on_mor(m):
         x, y, b = m
-        fmor[m] = (fobj[x], fobj[y], (b, b[0], b))
-    F = Functor(level0, eq, fobj, fmor)
+        return identity_locsys(C, base, *x), identity_locsys(C, base, *y), (b, b[0], b)
+
+    F = Functor(level0, eq, lambda x: identity_locsys(C, base, *x), on_mor)
     ve = equivalent(F)
     if not ve:
         return Verdict.refuted(witness={"stage": "degeneracy", "inner": ve.witness})
@@ -512,13 +492,7 @@ def locsys_dual(C: InternalCategory, s: LocalSystemSpan) -> LocalSystemSpan:
     table; defined for internal groupoids."""
     if C.inv is None:
         raise SpanlabError("dual labels need an internal groupoid")
-    sp = s.span
-    return LocalSystemSpan(
-        Span(sp.right, sp.rleg, sp.apex, sp.lleg, sp.left),
-        s.eta,
-        s.xi,
-        [C.inv[m] for m in s.a],
-    )
+    return LocalSystemSpan(reverse_span(s.span), s.eta, s.xi, [C.inv[m] for m in s.a])
 
 
 def locsys_adjunction_check(C: InternalCategory, base, s: LocalSystemSpan, bound=None) -> Verdict:
@@ -561,7 +535,13 @@ def comma_set(C: InternalCategory, X, xi, Y, eta):
 
 def locsys_mapping_fiber_check(C: InternalCategory, X, xi, Y, eta, bound=1) -> Verdict:
     """Compare the strict fiber of labeled spans with feet (X, xi), (Y, eta)
-    against labeled sets over the comma set of internal morphisms."""
+    against labeled sets over the comma set of internal morphisms.  Feet
+    larger than the bound leave the fiber empty: inconclusive."""
+    v = validate_internal(C)
+    if not v:
+        return Verdict.refuted(witness={"stage": "coefficients", "inner": v.witness})
+    if max(X, Y) > bound:
+        return Verdict.inconclusive(witness={"reason": f"feet ({X}, {Y}) exceed the bound {bound}"})
     base = FinSetCategory(bound)
     xi, eta = tuple(xi), tuple(eta)
     fiber_objs = [

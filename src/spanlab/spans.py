@@ -400,6 +400,10 @@ def identity_span(base, X) -> Span:
     return Span(X, base.identity(X), X, base.identity(X), X)
 
 
+def reverse_span(s: Span) -> Span:
+    return Span(s.right, s.rleg, s.apex, s.lleg, s.left)
+
+
 def compose_spans(base, s: Span, t: Span) -> Span:
     """Pullback composite of X <- A -> Y and Y <- B -> Z."""
     if s.right != t.left:
@@ -669,7 +673,7 @@ def invertible_span_check(base, bound=None) -> Verdict:
     for s in all_spans(base, bound):
         pred = both_legs_iso(base, s)
         if pred:
-            t = Span(s.right, s.rleg, s.apex, s.lleg, s.left)
+            t = reverse_span(s)
             found = iso_to_identity_span(base, compose_spans(base, s, t)) and iso_to_identity_span(
                 base, compose_spans(base, t, s)
             )
@@ -720,13 +724,12 @@ def completeness_check(base, bound=None) -> Verdict:
 
     eq = invertible_span_groupoid(base, bound)
     obj_gpd = core(base, bound)
-    fobj = {x: identity_span(base, x) for x in obj_gpd.objects}
-    fmor = {}
-    for m in obj_gpd.all_morphisms():
+
+    def on_mor(m):
         x, y, g = m
-        fmor[m] = (fobj[x], fobj[y], (g, g, g))
-    F = Functor(obj_gpd, eq, fobj, fmor)
-    v = equivalent(F)
+        return identity_span(base, x), identity_span(base, y), (g, g, g)
+
+    v = equivalent(Functor(obj_gpd, eq, lambda x: identity_span(base, x), on_mor))
     if v:
         return Verdict.verified(
             witness=None, objects=len(obj_gpd.objects), invertible_spans=len(eq.objects)
@@ -747,23 +750,20 @@ def mapping_fiber(base, X, Y, bound=None, ceiling=None):
     level = span_level(base, (1,), bound, ceiling)
     L0 = core(base, bound)
     L00 = product_groupoid(L0, L0)
-    feet_obj = {}
-    for k in level.objects:
-        s = diagram_to_span(level.diagrams[k])
-        feet_obj[k] = (s.left, s.right)
-    feet_mor = {}
-    for m in level.all_morphisms():
-        k1, k2, famtuple = m
-        fam = dict(famtuple)
-        (l1, r1), (l2, r2) = feet_obj[k1], feet_obj[k2]
-        feet_mor[m] = (
-            feet_obj[k1],
-            feet_obj[k2],
-            ((l1, l2, fam[((0, 0),)]), (r1, r2, fam[((1, 1),)])),
-        )
+    left, right = ((0, 0),), ((1, 1),)
+
+    def feet_obj(k):
+        d = level.diagrams[k]
+        return d.obj[left], d.obj[right]
+
+    def feet_mor(m):
+        (l1, r1), (l2, r2) = feet_obj(m[0]), feet_obj(m[1])
+        fam = dict(m[2])
+        return (l1, r1), (l2, r2), ((l1, l2, fam[left]), (r1, r2, fam[right]))
+
     feet = Functor(level, L00, feet_obj, feet_mor)
     pt = discrete_groupoid(["*"])
-    pick = Functor(pt, L00, {"*": (X, Y)}, {pt.identity("*"): L00.identity((X, Y))})
+    pick = Functor(pt, L00, lambda x: (X, Y), lambda m: L00.identity((X, Y)))
     fiber, _, _ = iso_comma(pick, feet)
     return fiber
 

@@ -139,14 +139,75 @@ class TestErrors:
             ["check", "mapping", "--base", "finset:2"],
             ["check", "segal", "--base", "finset:3", "--arities", "2", "--samples", "-1"],
             ["lag", "check", "--kind", "pairs", "--dim", "1", "--trials", "2"],
+            ["lag", "check", "--kind", "pairs", "--trials", "-1"],
+            ["certify", "adjoint", "--base", "finset:2", "--trials", "-1"],
         ],
-        ids=["arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim"],
+        ids=[
+            "arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim",
+            "pairs-trials", "adjoint-trials",
+        ],
     )
     def test_malformed_input_is_a_usage_error(self, argv):
         report, code = run(argv)
         assert code == 3
         assert report["verdict"] == "error"
         assert json.loads(json.dumps(report)) == report
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "segal", "--arities", "2"], ["level", "--arities", "1"], ["check", "complete"]],
+        ids=["segal", "level", "complete"],
+    )
+    def test_category_file_validated(self, tmp_path, argv):
+        """The walking arrow without the composite (ib, f) is no category."""
+        arrow = {
+            "objects": ["a", "b"],
+            "morphisms": [
+                {"id": "ia", "src": "a", "tgt": "a"},
+                {"id": "ib", "src": "b", "tgt": "b"},
+                {"id": "f", "src": "a", "tgt": "b"},
+            ],
+            "identities": {"a": "ia", "b": "ib"},
+            "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"], ["f", "ia", "f"]],
+        }
+        f = tmp_path / "arrow.json"
+        f.write_text(json.dumps(arrow))
+        report, code = run([*argv, "--base", str(f)])
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert "missing composite" in report["witness"]["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lag", "check", "--kind", "pairs", "--trials", "0"],
+            ["certify", "adjoint", "--base", "finset:2", "--trials", "0"],
+        ],
+        ids=["pairs", "adjoint"],
+    )
+    def test_zero_trials_inconclusive(self, argv):
+        report, code = run(argv)
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["details"]["trials"] == 0
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            (["--coeff", "discrete:-1"], 3),
+            (["--coeff", "cyclic:0"], 3),
+            (["--coeff", "bz2", "--kind", "fiber", "-X", "2", "-Y", "1", "--xi", "0"], 3),
+            (["--coeff", "bz2", "--kind", "fiber", "-X", "1", "--xi", "0", "0"], 3),
+            (["--coeff", "bz2", "--kind", "fiber", "--xi", "5"], 3),
+            (["--coeff", "bz2", "--kind", "fiber", "-X", "-1"], 3),
+            (["--coeff", "bz2", "--kind", "fiber", "-X", "3", "-Y", "1", "--bound", "1"], 2),
+        ],
+        ids=["discrete-negative", "cyclic-zero", "xi-short", "xi-long", "xi-label", "X-negative", "feet-over-bound"],
+    )
+    def test_locsys_input_checked(self, extra, code):
+        report, got = run(["locsys", "check", *extra])
+        assert got == code
+        assert report["verdict"] == ("inconclusive" if code == 2 else "error")
 
     def test_refuting_check_exit_1(self, tmp_path):
         # an internal category with a missing composite
@@ -205,6 +266,18 @@ class TestSuite:
         report, code = run(["suite", "--config", str(f)])
         assert code == 0
 
+    def test_nested_suite_rejected(self, tmp_path):
+        """The inner suite is finite, so this ends even if nesting were
+        allowed; it must be refused before any request runs."""
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps([["shapes", "sigma", "1"]]))
+        outer = tmp_path / "outer.json"
+        outer.write_text(json.dumps([["shapes", "sigma", "1"], ["suite", "--config", str(inner)]]))
+        report, code = run(["suite", "--config", str(outer)])
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert "reports" not in report
+
     def test_malformed_config(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"requests": "not-a-list"}))
@@ -234,6 +307,45 @@ class TestByteStability:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "2e8b857544f0214dfc4d124dd2638af5db2fc5551b1b9e419ad1d4e4ad1aa43a"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["check", "mapping", "--base", "finset:2", "-X", "2", "-Y", "2"],
+                "eefeb4ec70de52d9bf7c15cca8d9422671cab9f80e7b57e86db6f845bb8a0234",
+            ),
+            (
+                ["check", "complete", "--base", "finset:3"],
+                "d076795262b0c921de01263e7d8f4b4ddf45c223b50459b5b51a0c3bc04f12da",
+            ),
+            (
+                ["certify", "dual", "--base", "finset:4", "-X", "3"],
+                "a1b5d7a1b936940d9568a464844cbae77f46b89e997cd473e047b1ef91bdf26c",
+            ),
+            (
+                ["locsys", "check", "--coeff", "cyclic:4", "--kind", "battery"],
+                "7af1361275ba012a6e120dc9e07249dbf6e70292bcface1b2d72a8fd2c33ec0b",
+            ),
+            (
+                ["locsys", "check", "--coeff", "bz2", "--kind", "equivalence", "--bound", "2"],
+                "495a9a994342fe3fe0bb6ab6e6e4527a0c7f51b995d0332a1234724aaceedb3f",
+            ),
+            (
+                ["lag", "check", "--kind", "pairs", "--trials", "20", "--dim", "6", "--seed", "0"],
+                "fff9a39603e7d3001096f18ff9ae250ae41474022f869c6232620086493bed1f",
+            ),
+        ],
+        ids=["mapping", "complete", "dual", "battery", "equivalence", "pairs"],
+    )
+    def test_report_hash(self, argv, digest):
+        """Reports of the functor, pairing, pullback, reversal and
+        Lagrangian paths, pinned byte for byte."""
+        report, code = run(argv)
+        assert code == 0
+        report.pop("timing")
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMain:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanlab.duality import _pair
 from spanlab.fincat import (
     FinCategory,
     FinFunction,
@@ -40,6 +41,13 @@ class TestFinCategoryAxioms:
         v = C.validate()
         assert not v
         assert v.witness["reason"] in ("wrong-typed composite", "associativity", "left unit law")
+
+    def test_composite_outside_the_morphisms_refuted(self):
+        C = walking_arrow()
+        C.composition[("id1", "f")] = "g"  # names no morphism
+        v = C.validate()
+        assert not v
+        assert v.witness == {"pair": ("id1", "f"), "reason": "wrong-typed composite"}
 
     def test_json_roundtrip(self):
         C = walking_arrow()
@@ -257,6 +265,6 @@ class TestFinSetCategory:
         B = finset(3)
         f = FinFunction(2, 2, (0, 1))
         g = FinFunction(2, 2, (1, 0))
-        h = B.pair_into_product(f, g)
+        h = _pair(B, f, g)
         P, p1, p2 = B.product(2, 2)
         assert B.compose(p1, h) == f and B.compose(p2, h) == g

@@ -58,14 +58,16 @@ class TestEquivalent:
         G = codiscrete_groupoid([0, 1])
         H = full_subgroupoid(G, lambda x: x == 0)
         F = Functor(
-            H, G, {x: x for x in H.objects}, {m: m for m in H.all_morphisms()}
+            H, G, {x: x for x in H.objects}.__getitem__, {m: m for m in H.all_morphisms()}.get
         )
         assert equivalent(F)
 
     def test_collapse_bz2_to_bz3_refuted(self):
         A = cyclic_group_groupoid(2)
         B = cyclic_group_groupoid(3)
-        F = Functor(A, B, {"*": "*"}, {("*", "*", 0): ("*", "*", 0), ("*", "*", 1): ("*", "*", 0)})
+        F = Functor(
+            A, B, {"*": "*"}.__getitem__, {("*", "*", 0): ("*", "*", 0), ("*", "*", 1): ("*", "*", 0)}.get
+        )
         v = equivalent(F)
         assert not v
         assert v.witness["reason"] in ("not faithful", "hom sizes differ")
@@ -73,14 +75,16 @@ class TestEquivalent:
     def test_collapse_two_points_refuted(self):
         A = discrete_groupoid([0, 1])
         B = discrete_groupoid([0])
-        F = Functor(A, B, {0: 0, 1: 0}, {(0, 0, "id"): (0, 0, "id"), (1, 1, "id"): (0, 0, "id")})
+        F = Functor(
+            A, B, {0: 0, 1: 0}.__getitem__, {(0, 0, "id"): (0, 0, "id"), (1, 1, "id"): (0, 0, "id")}.get
+        )
         v = equivalent(F)
         assert not v
 
     def test_missing_object_refuted(self):
         A = discrete_groupoid([0])
         B = discrete_groupoid([0, 1])
-        F = Functor(A, B, {0: 0}, {(0, 0, "id"): (0, 0, "id")})
+        F = Functor(A, B, {0: 0}.__getitem__, {(0, 0, "id"): (0, 0, "id")}.get)
         v = equivalent(F)
         assert not v
         assert v.witness["reason"] == "not in essential image"
@@ -89,7 +93,7 @@ class TestEquivalent:
 def _point_into(G):
     x = G.objects[0]
     pt = discrete_groupoid(["pt"])
-    return Functor(pt, G, {"pt": x}, {pt.identity("pt"): G.identity(x)})
+    return Functor(pt, G, {"pt": x}.__getitem__, {pt.identity("pt"): G.identity(x)}.get)
 
 
 class TestIsoComma:
@@ -105,7 +109,7 @@ class TestIsoComma:
     def test_along_identity_recovers_source(self):
         G = core(finset(2))
         idG = Functor(
-            G, G, {x: x for x in G.objects}, {m: m for m in G.all_morphisms()}
+            G, G, {x: x for x in G.objects}.__getitem__, {m: m for m in G.all_morphisms()}.get
         )
         C, pa, _ = iso_comma(idG, idG)
         assert groupoids_equivalent(C, G)
@@ -115,9 +119,12 @@ class TestIsoComma:
         A = discrete_groupoid(["a0", "a1"])
         B = discrete_groupoid(["b0"])
         FA = Functor(
-            A, K, {"a0": 0, "a1": 1}, {("a0", "a0", "id"): (0, 0, "id"), ("a1", "a1", "id"): (1, 1, "id")}
+            A,
+            K,
+            {"a0": 0, "a1": 1}.__getitem__,
+            {("a0", "a0", "id"): (0, 0, "id"), ("a1", "a1", "id"): (1, 1, "id")}.get,
         )
-        FB = Functor(B, K, {"b0": 0}, {("b0", "b0", "id"): (0, 0, "id")})
+        FB = Functor(B, K, {"b0": 0}.__getitem__, {("b0", "b0", "id"): (0, 0, "id")}.get)
         C, _, _ = iso_comma(FA, FB)
         # only (a0, b0) match over 0
         assert len(C.objects) == 1
@@ -127,6 +134,14 @@ class TestIsoComma:
         C, pa, pb = iso_comma(_point_into(G), _point_into(G))
         assert pa.validate()
         assert pb.validate()
+
+    def test_unmapped_morphism_refuted(self):
+        """A morphism on which on_mor returns None is unmapped."""
+        G = cyclic_group_groupoid(2)
+        F = Functor(G, G, lambda x: x, lambda m: m if m[2] == 0 else None)
+        v = F.validate()
+        assert not v
+        assert v.witness == {"morphism": ("*", "*", 1), "reason": "unmapped"}
 
 
 class TestProfiles:

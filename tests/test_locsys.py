@@ -264,6 +264,13 @@ class TestMappingFibers:
         assert v
         assert v.details["comma_size"] == 1
 
+    def test_corrupted_coefficients_refuted(self):
+        """The missing composite (1, 1) used to pass unnoticed: verified."""
+        C = InternalCategory(1, 2, [0, 0], [0, 0], [0], {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+        v = locsys_mapping_fiber_check(C, 1, (0,), 1, (0,), bound=1)
+        assert not v
+        assert v.witness["stage"] == "coefficients"
+
     def test_fiber_empty_feet(self):
         v = locsys_mapping_fiber_check(BZ2, 0, (), 0, (), bound=1)
         assert v
