@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, duality, lagrangian, locsys, shapes, spans
-from .fincat import FinCategory, finset
+from .fincat import FinCategory, FinFunction, FinSetCategory, finset
 from .verdict import EXIT_CODES, ResourceError, SpanlabError, Verdict, _jsonable
 
 SCHEMA = "spanlab-report/1"
@@ -86,6 +86,22 @@ def _parse_coefficients(spec: str) -> locsys.InternalCategory:
             return locsys.InternalCategory.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise SpanlabError(f"cannot read coefficients {spec!r}: {exc}") from exc
+
+
+def _parse_span(path: str, base) -> spans.Span:
+    """The span of finite sets in a JSON file with sizes left, apex, right
+    and value lists lleg, rleg."""
+    if not isinstance(base, FinSetCategory):
+        raise SpanlabError("a --span file holds finite-set functions and needs a finset:N base")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        left, apex, right = data["left"], data["apex"], data["right"]
+        lleg = FinFunction.checked(apex, left, data["lleg"])
+        rleg = FinFunction.checked(apex, right, data["rleg"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, SpanlabError) as exc:
+        raise SpanlabError(f"cannot read span file {path!r}: {exc}") from exc
+    return spans.Span(left, lleg, apex, rleg, right)
 
 
 def _random_span(base, bound, rng: random.Random) -> spans.Span:
@@ -181,21 +197,7 @@ def _run_certify(args) -> tuple[Verdict, dict]:
         return duality.object_duality_check(base, X), {}
     if args.which == "adjoint":
         if args.span:
-            try:
-                with open(args.span, encoding="utf-8") as fh:
-                    data = json.load(fh)
-                from .fincat import FinFunction
-
-                s = spans.Span(
-                    data["left"],
-                    FinFunction(data["apex"], data["left"], tuple(data["lleg"])),
-                    data["apex"],
-                    FinFunction(data["apex"], data["right"], tuple(data["rleg"])),
-                    data["right"],
-                )
-            except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SpanlabError(f"cannot read span file {args.span!r}: {exc}") from exc
-            w = duality.build_adjunction(base, s)
+            w = duality.build_adjunction(base, _parse_span(args.span, base))
             return duality.triangle_check(w), {"witness_data": w.to_json()}
         rng = random.Random(args.seed)
         for trial in range(_at_least(0, args.trials, "--trials")):

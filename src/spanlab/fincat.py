@@ -124,24 +124,19 @@ class FinCategory:
     def limit_of_diagram(self, node_obj: dict, arrows):
         """Universal cone over the diagram; arrows is a list of
         (node_a, node_b, morphism D(a) -> D(b)).  Raises NoLimitError."""
-        cones = self._all_cones(node_obj, arrows)
+        nodes = sorted(node_obj)
+        cones = [(x, legs) for x in self.objects for legs in self.cones(x, nodes, node_obj, arrows)]
         for apex, legs in cones:
             if all(
                 len(self._factorizations(apex, legs, a2, l2, node_obj)) == 1
                 for a2, l2 in cones
             ):
                 return apex, legs
-        raise NoLimitError(f"no universal cone over {sorted(node_obj)}")
+        raise NoLimitError(f"no universal cone over {nodes}")
 
-    def _all_cones(self, node_obj, arrows):
-        nodes = sorted(node_obj)
-        out = []
-        for apex in self.objects:
-            for legs in self._cone_legs(apex, nodes, node_obj, arrows):
-                out.append((apex, legs))
-        return out
-
-    def _cone_legs(self, apex, nodes, node_obj, arrows):
+    def cones(self, apex, nodes, node_obj, arrows):
+        """All cones with the given apex over the diagram, as leg dicts
+        keyed by nodes, in the product order of the hom lists."""
         def backtrack(i, legs):
             if i == len(nodes):
                 yield dict(legs)
@@ -262,18 +257,25 @@ class Functor:
 @dataclass(frozen=True, order=True)
 class FinFunction:
     """A function {0..source-1} -> {0..target-1} as a value tuple; ordered
-    lexicographically so enumerations sort deterministically."""
+    lexicographically so enumerations sort deterministically.  The
+    constructor trusts its arguments; values from outside the program go
+    through FinFunction.checked."""
 
     source: int
     target: int
     values: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.source:
-            raise SpanlabError("value tuple length does not match source size")
-        if any(v < 0 or v >= self.target for v in self.values):
-            raise SpanlabError("function value out of range")
+    @classmethod
+    def checked(cls, source, target, values) -> "FinFunction":
+        """The function with these values, or SpanlabError unless the sizes
+        are ints >= 0 and values a list of source ints in range(target)."""
+        if not all(type(n) is int and n >= 0 for n in (source, target)):
+            raise SpanlabError(f"finite-set sizes must be integers >= 0, got {source!r}, {target!r}")
+        if not isinstance(values, (list, tuple)) or len(values) != source:
+            raise SpanlabError(f"expected a list of {source} function values, got {values!r}")
+        if not all(type(v) is int and 0 <= v < target for v in values):
+            raise SpanlabError(f"function values must be integers in range({target}), got {values!r}")
+        return cls(source, target, tuple(values))
 
     def __call__(self, i: int) -> int:
         return self.values[i]

@@ -16,7 +16,7 @@ import random
 from .fincat import Functor
 from .groupoid import FinGroupoid, equivalent, positions
 from .shapes import SigmaShape, sigma_shape
-from .verdict import FootMismatchError, NoLimitError, ResourceError, Verdict
+from .verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError, Verdict
 
 DEFAULT_CEILING = 50000
 
@@ -110,18 +110,6 @@ def _cell_limit(shape: SigmaShape, base, c, obj, mor):
     return node_obj, L, legs
 
 
-def _cones_from(base, A, node_obj, arrows, nodes):
-    """All cones with apex A over the diagram, as leg dicts (fallback when
-    the base lacks the limit)."""
-    out = []
-    homs = [base.hom(A, node_obj[n]) for n in nodes]
-    for combo in itertools.product(*homs):
-        legs = dict(zip(nodes, combo))
-        if all(base.compose(m, legs[a]) == legs[b] for a, b, m in arrows):
-            out.append(legs)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # free data on the Lambda sub-poset
 
@@ -161,7 +149,7 @@ def enumerate_lambda_data(shape: SigmaShape, base, bound=None):
         except NoLimitError:
             for A in objects:
                 obj[c] = A
-                for legs_c in _cones_from(base, A, node_obj, arrows, ups):
+                for legs_c in base.cones(A, ups, node_obj, arrows):
                     for b in ups:
                         mor[(c, b)] = legs_c[b]
                     yield from rec(i + 1, obj, mor)
@@ -741,16 +729,24 @@ def completeness_check(base, bound=None) -> Verdict:
 # mapping categories
 
 
-def mapping_fiber(base, X, Y, bound=None, ceiling=None):
-    """Homotopy fiber of the one-span level over the pair (X, Y) of the
-    objects level, computed as an iso-comma over the point."""
+def mapping_fiber(base, X, Y, bound=None, ceiling=None, arities=()):
+    """Homotopy fiber over the pair (X, Y) of the objects level, computed
+    as an iso-comma over the point: of the one-span level, or for arities
+    (k,) of the underlying (1, k) level, whose feet are the first-direction
+    vertices."""
     from .fincat import core
     from .groupoid import discrete_groupoid, iso_comma, product_groupoid
 
-    level = span_level(base, (1,), bound, ceiling)
+    if len(arities) > 1:
+        raise SpanlabError("mapping fibers are shipped for at most one arity")
+    if arities:
+        level = underlying_2fold_level(base, (1, *arities), bound, ceiling)
+        left, right = ((0, 0), (0, 0)), ((1, 1), (0, 0))
+    else:
+        level = span_level(base, (1,), bound, ceiling)
+        left, right = ((0, 0),), ((1, 1),)
     L0 = core(base, bound)
     L00 = product_groupoid(L0, L0)
-    left, right = ((0, 0),), ((1, 1),)
 
     def feet_obj(k):
         d = level.diagrams[k]
@@ -775,7 +771,7 @@ def mapping_category_check(base, X, Y, arities=(), bound=None, ceiling=None) -> 
     from .groupoid import groupoids_equivalent
 
     arities = tuple(arities)
-    fiber = mapping_fiber(base, X, Y, bound, ceiling)
+    fiber = mapping_fiber(base, X, Y, bound, ceiling, arities)
     sl = slice_over_pair(base, X, Y, bound)
     if arities:
         other = span_level(sl, arities, None, ceiling)

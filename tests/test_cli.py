@@ -89,6 +89,58 @@ class TestBasics:
         assert code == 0
         assert "witness_data" in report
 
+    @pytest.mark.parametrize(
+        "base, span",
+        [
+            ("finset:3", {"left": -1, "apex": 0, "right": 2, "lleg": [], "rleg": []}),
+            ("finset:3", {"left": 2, "apex": 1, "right": 2, "lleg": [True], "rleg": [0]}),
+            ("finset:3", {"left": 2, "apex": 1, "right": 2, "lleg": [0], "rleg": [0.0]}),
+            ("finset:3", {"left": 2, "apex": 3, "right": 2, "lleg": [0, 1], "rleg": [0, 1, 1]}),
+            ("finset:3", {"left": 2, "apex": 3, "right": 2, "lleg": [0, 1, 2], "rleg": [0, 1, 1]}),
+            ("finset:3", {"left": 2, "apex": 1, "right": 2, "lleg": [0]}),
+            ("finset:3", [2, 1, 2]),
+            ("category", {"left": 2, "apex": 3, "right": 2, "lleg": [0, 1, 1], "rleg": [0, 1, 1]}),
+        ],
+        ids=["negative-size", "bool-value", "float-value", "bad-length", "out-of-range",
+             "missing-leg", "not-an-object", "category-base"],
+    )
+    def test_certify_adjoint_bad_span_file(self, tmp_path, capsys, base, span):
+        """A span file is checked where it is read: bad values, and a base
+        that is not the finite sets, are usage errors with a report."""
+        if base == "category":
+            base = str(tmp_path / "point.json")
+            point = {"objects": ["*"], "morphisms": [{"id": "1", "src": "*", "tgt": "*"}],
+                     "identities": {"*": "1"}, "compose": [["1", "1", "1"]]}
+            (tmp_path / "point.json").write_text(json.dumps(point))
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps(span))
+        code = main(["certify", "adjoint", "--base", base, "--span", str(f)])
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "error"
+        assert "span" in report["witness"]["error"]
+
+    @pytest.mark.parametrize(
+        "argv, code, sizes",
+        [
+            (["--base", "finset:1", "-X", "1", "-Y", "1", "--arities", "1"], 0, (5, 5)),
+            (["--base", "finset:1", "-X", "1", "-Y", "1", "--arities", "2"], 0, (13, 13)),
+            (["--base", "finset:1", "-X", "0", "-Y", "1", "--arities", "1"], 0, (1, 1)),
+            (["--base", "finset:2", "-X", "1", "-Y", "1", "--arities", "1"], 2, None),
+            (["--base", "finset:1", "-X", "1", "-Y", "1", "--arities", "1", "1"], 3, None),
+        ],
+        ids=["finset1-arity1", "finset1-arity2", "empty-foot", "ceiling", "two-arities"],
+    )
+    def test_check_mapping_arities(self, argv, code, sizes):
+        """With an arity k the fiber is taken in the underlying (1, k)
+        level, so both sides count k-fold spans over X x Y."""
+        report, got = run(["check", "mapping", *argv])
+        assert got == code
+        assert report["verdict"] == {0: "verified", 2: "inconclusive", 3: "error"}[code]
+        if sizes:
+            details = report["details"]
+            assert (details["fiber_objects"], details["slice_side_objects"]) == sizes
+
 
 class TestReportSchema:
     def test_fields_present(self):

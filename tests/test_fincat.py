@@ -63,9 +63,57 @@ class TestFinCategoryAxioms:
 class TestFinFunction:
     def test_validation(self):
         with pytest.raises(SpanlabError):
-            FinFunction(2, 2, (0,))
+            FinFunction.checked(2, 2, (0,))
         with pytest.raises(SpanlabError):
-            FinFunction(1, 2, (2,))
+            FinFunction.checked(1, 2, (2,))
+
+    @pytest.mark.parametrize(
+        "source, target, values",
+        [(1, 2, [True]), (1, 2, [0.0]), (2, 1, [0, 0.0]), (-1, 0, []), (0, -1, []), (True, 1, [0]),
+         (1.0, 1, [0]), (1, 2, 0), (1, 2, "0"), (1, 2, None)],
+        ids=["bool-value", "float-value", "float-late", "negative-source", "negative-target",
+             "bool-size", "float-size", "int-values", "str-values", "no-values"],
+    )
+    def test_checked_rejects_outside_values(self, source, target, values):
+        with pytest.raises(SpanlabError):
+            FinFunction.checked(source, target, values)
+
+    def test_checked_accepts_lists(self):
+        f = FinFunction.checked(3, 2, [0, 1, 1])
+        assert f == FinFunction(3, 2, (0, 1, 1))
+        assert repr(f) == "FinFunction(source=3, target=2, values=(0, 1, 1))"
+        assert FinFunction.checked(0, 0, []) == finset(0).identity(0)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_producers_agree_with_checked_constructor(self, data):
+        """Every function the finite-set category builds, on sizes 0-3,
+        passes the checks its trusting constructor skips."""
+        B = finset(3)
+        x, y, z, w = (data.draw(st.integers(0, 3)) for _ in range(4))
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        from_x, from_y = B.hom(x, z), B.hom(y, z)
+        produced = from_x + B.isos(x, x) + [B.identity(x), B.random_hom(x, z, rng)]
+        produced += [B.inverse(p) for p in B.isos(x, x)]
+        produced += [B.compose(h, f) for f in from_x for h in B.hom(z, y)]
+        produced += B.product(x, y)[1:]
+        node_obj, arrows = {"a": x, "b": y, "c": z}, []
+        if from_x and from_y:
+            f, g = data.draw(st.sampled_from(from_x)), data.draw(st.sampled_from(from_y))
+            produced += B.pullback(f, g)[1:]
+            arrows = [("a", "c", f), ("b", "c", g)]
+        L, legs = B.limit_of_diagram(node_obj, arrows)
+        produced += legs.values()
+        u = B.random_hom(w, L, rng)
+        if u is not None:
+            cone = {n: B.compose(legs[n], u) for n in node_obj}
+            produced.append(B.factor_through_limit(L, legs, w, cone, node_obj))
+            assert produced[-1] == u
+        produced = [p for p in produced if p is not None]
+        assert produced
+        for p in produced:
+            assert p == FinFunction.checked(p.source, p.target, p.values)
+            assert type(p.values) is tuple
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)

@@ -31,7 +31,7 @@ from spanlab.spans import (
     span_to_diagram,
     underlying_2fold_level,
 )
-from spanlab.verdict import FootMismatchError, ResourceError
+from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError
 
 
 V = lambda i, j: ((i, j),)  # one-direction cell shorthand
@@ -181,6 +181,35 @@ class TestLevels:
     def test_ceiling_raises(self):
         with pytest.raises(ResourceError):
             span_level(finset(1), (1,), ceiling=2)
+
+    def test_level_over_a_base_without_products(self):
+        """In the poset p, q <= x, y neither x and y nor p and q have a
+        meet, so free data over those feet come from the cone search."""
+        objs = ["p", "q", "x", "y"]
+        leq = [(a, a) for a in objs] + [(a, b) for a in "pq" for b in "xy"]
+        C = FinCategory(
+            objs,
+            {m: m for m in leq},
+            {a: (a, a) for a in objs},
+            {((b, c), (a, b)): (a, c) for a, b in leq for b2, c in leq if b == b2},
+        )
+        assert C.validate()
+        misses = []
+        limit = C.limit_of_diagram
+
+        def counting_limit(node_obj, arrows):
+            try:
+                return limit(node_obj, arrows)
+            except NoLimitError:
+                misses.append(sorted(node_obj.values()))
+                raise
+
+        C.limit_of_diagram = counting_limit
+        level = span_level(C, (1,))
+        # a span A -> X, A -> Y is a lower bound A of X and Y; only identities
+        oracle = sum(sum(1 for a, b in leq if a == A) ** 2 for A in objs)
+        assert len(level.objects) == len(list(level.all_morphisms())) == oracle == 20
+        assert sorted(misses) == [["p", "q"], ["p", "q"], ["x", "y"], ["x", "y"]]
 
 
 class TestSegal:
