@@ -65,9 +65,10 @@ def _parse_object(base, label):
                 return x
         raise SpanlabError(f"no object labeled {label!r}")
     try:
-        return int(label)
+        n = int(label)
     except ValueError as exc:
         raise SpanlabError(f"finite-set objects are integers, got {label!r}") from exc
+    return _at_least(0, n, "a finite-set object")
 
 
 def _parse_coefficients(spec: str) -> locsys.InternalCategory:
@@ -106,6 +107,8 @@ def _parse_span(path: str, base) -> spans.Span:
 
 def _random_span(base, bound, rng: random.Random) -> spans.Span:
     objs = list(base.objects_within(bound))
+    if not objs:
+        raise SpanlabError(f"no objects within --bound {bound} to sample spans from")
     while True:
         X = rng.choice(objs)
         Y = rng.choice(objs)
@@ -390,7 +393,15 @@ def _run_suite(args) -> tuple[dict, int]:
     except (OSError, json.JSONDecodeError, KeyError, SpanlabError) as exc:
         return {"schema": SCHEMA, "verdict": "error", "witness": {"error": str(exc)}}, 3
     if not requests:
-        return {"schema": SCHEMA, "verdict": "verified", "reports": [], "worst_exit": 0}, 0
+        worst = EXIT_CODES["inconclusive"]
+        return {
+            "schema": SCHEMA,
+            "version": __version__,
+            "verdict": "inconclusive",
+            "witness": {"reason": "the suite holds no requests"},
+            "reports": [],
+            "worst_exit": worst,
+        }, worst
     with ThreadPoolExecutor(max_workers=min(8, len(requests))) as pool:
         results = list(pool.map(run_request, requests))
     worst = max(code for _, code in results)

@@ -70,13 +70,18 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Zero)
-
-
 def apply_form(omega, u, v):
-    """u^T . omega . v."""
-    return sum((u[i] * _dot(omega[i], v) for i in range(len(u))), Zero)
+    """u^T . omega . v, summed over the nonzero entries of u, omega and v
+    only (the standard and direct-sum forms hold one nonzero per row)."""
+    support = [(j, b) for j, b in enumerate(v) if b]
+    total = Zero
+    for a, row in zip(u, omega):
+        if a:
+            for j, b in support:
+                w = row[j]
+                if w:
+                    total += a * w * b
+    return total
 
 
 def canonical_subspace(rows):

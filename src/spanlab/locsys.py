@@ -12,7 +12,7 @@ import itertools
 
 from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
-from .spans import Span, identity_span, iso_to_identity_span, reverse_span
+from .spans import Span, inverse_candidates, identity_span, iso_to_identity_span, reverse_span
 from .verdict import FootMismatchError, SpanlabError, Verdict
 
 
@@ -428,16 +428,16 @@ def locsys_iso_to_identity(C: InternalCategory, base, s: LocalSystemSpan) -> boo
 
 
 def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None) -> bool:
-    sp = s.span
-    for B in base.objects_within(bound):
-        for l in base.hom(B, sp.right):
-            for r in base.hom(B, sp.left):
-                for a in _apex_labels(C, l, r, s.eta, s.xi):
-                    t = LocalSystemSpan(Span(sp.right, l, B, r, sp.left), s.eta, s.xi, a)
-                    if locsys_iso_to_identity(
-                        C, base, compose_locsys(C, base, s, t)
-                    ) and locsys_iso_to_identity(C, base, compose_locsys(C, base, t, s)):
-                        return True
+    """Is some labeled span an inverse of s?  A labeled composite has the
+    composite of the underlying spans beneath it, so only the underlying
+    inverse candidates of s can carry such labels."""
+    for t in inverse_candidates(base, s.span, bound):
+        for a in _apex_labels(C, t.lleg, t.rleg, s.eta, s.xi):
+            u = LocalSystemSpan(t, s.eta, s.xi, a)
+            if locsys_iso_to_identity(
+                C, base, compose_locsys(C, base, s, u)
+            ) and locsys_iso_to_identity(C, base, compose_locsys(C, base, u, s)):
+                return True
     return False
 
 

@@ -638,16 +638,37 @@ def segal_check(base, arities, bound=None, seed=0, samples=24, ceiling=None) -> 
 # invertibility and completeness
 
 
-def _has_inverse(base, s: Span, bound) -> bool:
+def inverse_candidates(base, s: Span, bound):
+    """Every span t = (s.right <-l- B -r-> s.left) with B within bound such
+    that s . t and t . s are both isomorphic to identity spans, in (B, l, r)
+    order.
+
+    Pruning lemma: s . t is the pullback P, p, q of s.rleg and l, with legs
+    s.lleg . p and r . q, so up to its right leg r . q it depends only on
+    (B, l).  Hence s . t is isomorphic to an identity span exactly when
+    s.lleg . p is invertible and r . q equals it, and one pullback per
+    (B, l) serves every r.  The pullback is taken only when hom(B, s.left)
+    is nonempty, as a search composing each candidate would take it: a
+    table base may raise NoLimitError there."""
     for B in base.objects_within(bound):
+        rs = base.hom(B, s.left)
+        if not rs:
+            continue
         for l in base.hom(B, s.right):
-            for r in base.hom(B, s.left):
+            _, p, q = base.pullback(s.rleg, l)
+            leg = base.compose(s.lleg, p)
+            if not base.is_iso(leg):
+                continue
+            for r in rs:
+                if base.compose(r, q) != leg:
+                    continue
                 t = Span(s.right, l, B, r, s.left)
-                if iso_to_identity_span(base, compose_spans(base, s, t)) and iso_to_identity_span(
-                    base, compose_spans(base, t, s)
-                ):
-                    return True
-    return False
+                if iso_to_identity_span(base, compose_spans(base, t, s)):
+                    yield t
+
+
+def _has_inverse(base, s: Span, bound) -> bool:
+    return next(inverse_candidates(base, s, bound), None) is not None
 
 
 def both_legs_iso(base, s: Span) -> bool:
@@ -676,6 +697,8 @@ def invertible_span_check(base, bound=None) -> Verdict:
                 }
             )
         checked += 1
+    if not checked:
+        return Verdict.inconclusive(witness={"reason": "no spans were checked"}, spans_checked=0)
     return Verdict.verified(spans_checked=checked)
 
 
@@ -710,8 +733,10 @@ def completeness_check(base, bound=None) -> Verdict:
     via the degeneracy (object to identity span)."""
     from .fincat import core
 
-    eq = invertible_span_groupoid(base, bound)
     obj_gpd = core(base, bound)
+    if not obj_gpd.objects:
+        return Verdict.inconclusive(witness={"reason": "no objects within the bound"}, objects=0)
+    eq = invertible_span_groupoid(base, bound)
 
     def on_mor(m):
         x, y, g = m
@@ -771,6 +796,10 @@ def mapping_category_check(base, X, Y, arities=(), bound=None, ceiling=None) -> 
     from .groupoid import groupoids_equivalent
 
     arities = tuple(arities)
+    within = base.objects_within(bound)
+    if X not in within or Y not in within:
+        # the level holds no span with these feet, so the fiber is empty
+        return Verdict.inconclusive(witness={"reason": f"feet ({X}, {Y}) exceed the bound"})
     fiber = mapping_fiber(base, X, Y, bound, ceiling, arities)
     sl = slice_over_pair(base, X, Y, bound)
     if arities:

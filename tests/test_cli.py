@@ -193,10 +193,14 @@ class TestErrors:
             ["lag", "check", "--kind", "pairs", "--dim", "1", "--trials", "2"],
             ["lag", "check", "--kind", "pairs", "--trials", "-1"],
             ["certify", "adjoint", "--base", "finset:2", "--trials", "-1"],
+            ["certify", "dual", "--base", "finset:2", "-X", "-1"],
+            ["certify", "adjoint", "--base", "finset:2", "--bound", "-1", "--trials", "3"],
+            ["check", "mapping", "--base", "finset:2", "-X", "-1", "-Y", "1"],
         ],
         ids=[
             "arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim",
-            "pairs-trials", "adjoint-trials",
+            "pairs-trials", "adjoint-trials", "dual-negative-X", "adjoint-no-objects",
+            "mapping-negative-X",
         ],
     )
     def test_malformed_input_is_a_usage_error(self, argv):
@@ -244,6 +248,22 @@ class TestErrors:
         assert report["details"]["trials"] == 0
 
     @pytest.mark.parametrize(
+        "argv, details",
+        [
+            (["check", "invertible", "--base", "finset:2", "--bound", "-1"], {"spans_checked": 0}),
+            (["check", "complete", "--base", "finset:2", "--bound", "-1"], {"objects": 0}),
+            (["check", "mapping", "--base", "finset:3", "-X", "2", "-Y", "1", "--bound", "1"], {}),
+            (["check", "mapping", "--base", "finset:2", "-X", "3", "-Y", "1"], {}),
+        ],
+        ids=["invertible-no-spans", "complete-no-objects", "mapping-feet-over-bound", "mapping-feet-over-base"],
+    )
+    def test_nothing_checked_inconclusive(self, argv, details):
+        report, code = run(argv)
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["details"] == details
+
+    @pytest.mark.parametrize(
         "extra, code",
         [
             (["--coeff", "discrete:-1"], 3),
@@ -287,7 +307,8 @@ class TestSuite:
         f = tmp_path / "empty.json"
         f.write_text(json.dumps({"requests": []}))
         report, code = run(["suite", "--config", str(f)])
-        assert code == 0
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
         assert report["reports"] == []
 
     def test_aggregates_worst_exit(self, tmp_path):

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab.lagrangian import (
     LagrangianCorrespondence,
     SymplecticSpace,
+    apply_form,
     canonical_subspace,
     coevaluation,
     compose_lagrangian,
@@ -29,6 +32,23 @@ from spanlab.lagrangian import (
 from spanlab.verdict import SpanlabError
 
 F = Fraction
+
+
+def apply_form_oracle(omega, u, v):
+    """u^T . omega . v over every entry: the slow oracle of apply_form."""
+    def dot(x, y):
+        return sum((a * b for a, b in zip(x, y)), F(0))
+
+    return sum((u[i] * dot(omega[i], v) for i in range(len(u))), F(0))
+
+
+# entries that are often zero, as small integers or small fractions
+ENTRIES = st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
 
 
 class TestLinearAlgebra:
@@ -57,6 +77,28 @@ class TestLinearAlgebra:
         b1 = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
         b2 = [[F(1), F(1), F(2)], [F(1), F(-1), F(0)]]
         assert canonical_subspace(b1) == canonical_subspace(b2)
+
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(ENTRIES, min_size=n, max_size=n),
+            st.lists(ENTRIES, min_size=n, max_size=n),
+        )
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_form_matches_oracle(self, args):
+        omega, u, v = args
+        got = apply_form(omega, u, v)
+        assert got == apply_form_oracle(omega, u, v)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_apply_form_on_standard_forms(self, dim):
+        rng = random.Random(dim)
+        omega = standard_symplectic(dim).omega
+        for _ in range(20):
+            u, v = ([F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)] for _ in "uv")
+            assert apply_form(omega, u, v) == apply_form_oracle(omega, u, v)
 
 
 class TestSymplecticSpaces:

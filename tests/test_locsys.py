@@ -10,6 +10,7 @@ from spanlab.fincat import FinFunction, FinSetCategory
 from spanlab.locsys import (
     InternalCategory,
     LocalSystemSpan,
+    _apex_labels,
     _strict_fiber_groupoid,
     all_locsys_spans,
     comma_set,
@@ -27,6 +28,7 @@ from spanlab.locsys import (
     locsys_equivalence_check,
     locsys_invertible_predicate,
     locsys_invertible_search,
+    locsys_iso_to_identity,
     locsys_level,
     locsys_mapping_fiber_check,
     locsys_span_isos,
@@ -43,6 +45,17 @@ BZ2 = cyclic_internal(2)
 BZ3 = cyclic_internal(3)
 ARROW = walking_arrow_internal()
 POINT = discrete_internal(1)
+# objects 0, 1; morphisms id0, id1, s: 0 -> 1, r: 1 -> 0 and e = s . r,
+# with r . s = id0, so r is a one-sided inverse of s only
+ID0, ID1, S_, R_, E_ = range(5)
+SPLIT = InternalCategory(
+    2, 5, [0, 1, 0, 1, 1], [0, 1, 1, 0, 1], [ID0, ID1],
+    {
+        (ID0, ID0): ID0, (ID1, ID1): ID1,
+        (S_, ID0): S_, (ID1, S_): S_, (R_, ID1): R_, (ID0, R_): R_, (E_, ID1): E_, (ID1, E_): E_,
+        (R_, S_): ID0, (S_, R_): E_, (E_, E_): E_, (E_, S_): S_, (R_, E_): R_,
+    },
+)
 
 
 def point_span(base, label, C=BZ2, xi=(0,), eta=(0,)):
@@ -215,6 +228,50 @@ class TestInvertibles:
         s = point_span(base, 1, C=BZ3, xi=(0,), eta=(0,))
         assert locsys_invertible_predicate(BZ3, base, s)
         assert locsys_invertible_search(BZ3, base, s, 1)
+
+    def test_split_idempotent_validates(self):
+        assert validate_internal(SPLIT)
+
+    @pytest.mark.parametrize("C", [BZ2, ARROW, SPLIT], ids=["bz2", "arrow", "split"])
+    def test_search_matches_oracle_at_bound_1(self, C):
+        """Over SPLIT the point span labeled s has the one-sided inverse
+        labeled r only."""
+        base = FinSetCategory(1)
+        for s in _labeled_spans(C, 1):
+            for bound in (-1, 0, 1):
+                got = locsys_invertible_search(C, base, s, bound)
+                assert got == invertible_search_oracle(C, base, s, bound), (s, bound)
+
+    @given(st.sampled_from([BZ2, ARROW, SPLIT]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_search_matches_oracle_at_bound_2(self, C, data):
+        base = FinSetCategory(2)
+        s = data.draw(st.sampled_from(_labeled_spans(C, 2)))
+        bound = data.draw(st.integers(-1, 2))
+        assert locsys_invertible_search(C, base, s, bound) == invertible_search_oracle(
+            C, base, s, bound
+        )
+
+
+@functools.cache
+def _labeled_spans(C, bound):
+    return all_locsys_spans(C, FinSetCategory(bound), bound)
+
+
+def invertible_search_oracle(C, base, s: LocalSystemSpan, bound) -> bool:
+    """The labeled inverse search that composes every labeled candidate
+    both ways: the slow oracle of locsys_invertible_search."""
+    sp = s.span
+    for B in base.objects_within(bound):
+        for l in base.hom(B, sp.right):
+            for r in base.hom(B, sp.left):
+                for a in _apex_labels(C, l, r, s.eta, s.xi):
+                    t = LocalSystemSpan(Span(sp.right, l, B, r, sp.left), s.eta, s.xi, a)
+                    if locsys_iso_to_identity(
+                        C, base, compose_locsys(C, base, s, t)
+                    ) and locsys_iso_to_identity(C, base, compose_locsys(C, base, t, s)):
+                        return True
+    return False
 
 
 class TestDuals:

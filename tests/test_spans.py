@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab.fincat import FinCategory, FinFunction, core, finset
 from spanlab.groupoid import groupoids_equivalent
@@ -11,6 +13,7 @@ from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
     SpanDiagram,
+    _has_inverse,
     all_spans,
     completeness_check,
     compose_spans,
@@ -18,6 +21,7 @@ from spanlab.spans import (
     enumerate_lambda_data,
     identity_span,
     invertible_span_check,
+    iso_to_identity_span,
     is_cartesian,
     kan_extend,
     mapping_category_check,
@@ -187,12 +191,7 @@ class TestLevels:
         meet, so free data over those feet come from the cone search."""
         objs = ["p", "q", "x", "y"]
         leq = [(a, a) for a in objs] + [(a, b) for a in "pq" for b in "xy"]
-        C = FinCategory(
-            objs,
-            {m: m for m in leq},
-            {a: (a, a) for a in objs},
-            {((b, c), (a, b)): (a, c) for a, b in leq for b2, c in leq if b == b2},
-        )
+        C = poset_category(objs, leq)
         assert C.validate()
         misses = []
         limit = C.limit_of_diagram
@@ -253,8 +252,91 @@ class TestInvertibility:
     def test_small_base(self):
         assert invertible_span_check(finset(1))
 
+    def test_no_spans_inconclusive(self):
+        v = invertible_span_check(finset(2), bound=-1)
+        assert v.status == "inconclusive"
+        assert v.details["spans_checked"] == 0
+
+
+def has_inverse_oracle(base, s: Span, bound) -> bool:
+    """The inverse search that composes every candidate both ways: the slow
+    oracle of spans._has_inverse."""
+    for B in base.objects_within(bound):
+        for l in base.hom(B, s.right):
+            for r in base.hom(B, s.left):
+                t = Span(s.right, l, B, r, s.left)
+                if iso_to_identity_span(base, compose_spans(base, s, t)) and iso_to_identity_span(
+                    base, compose_spans(base, t, s)
+                ):
+                    return True
+    return False
+
+
+def poset_category(objs, leq):
+    """The poset with the given order pairs as a table category; the
+    morphism a -> b is labelled (a, b)."""
+    return FinCategory(
+        objs,
+        {m: m for m in leq},
+        {a: (a, a) for a in objs},
+        {((b, c), (a, b)): (a, c) for a, b in leq for b2, c in leq if b == b2},
+    )
+
+
+def divisor_lattice(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return poset_category(divisors, [(a, b) for a in divisors for b in divisors if b % a == 0])
+
+
+def outcome(search, *args):
+    """The result of a search, or the type of the exception it raised."""
+    try:
+        return search(*args)
+    except NoLimitError as exc:
+        return type(exc)
+
+
+class TestInverseSearch:
+    """The pruned inverse search against the search composing every
+    candidate."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_finset_span(self, n):
+        base = finset(n)
+        for s in all_spans(base):
+            for bound in (None, -1, *range(n + 1)):
+                assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound), (s, bound)
+
+    def test_every_span_of_the_divisor_lattice_of_12(self):
+        base = divisor_lattice(12)
+        assert base.validate()
+        found = [_has_inverse(base, s, None) for s in all_spans(base)]
+        assert found == [has_inverse_oracle(base, s, None) for s in all_spans(base)]
+        assert sum(found) == 6  # the identity spans
+
+    def test_raises_where_the_oracle_raises(self):
+        """Over the poset p, q <= x, y the cospan p -> x <- q has no
+        pullback: both searches raise NoLimitError on the same spans."""
+        objs = ["p", "q", "x", "y"]
+        base = poset_category(objs, [(a, a) for a in objs] + [(a, b) for a in "pq" for b in "xy"])
+        assert base.validate()
+        got = [outcome(_has_inverse, base, s, None) for s in all_spans(base)]
+        assert got == [outcome(has_inverse_oracle, base, s, None) for s in all_spans(base)]
+        assert NoLimitError in got and True in got and False in got
+
+    @given(st.sampled_from(all_spans(finset(3))), st.one_of(st.none(), st.integers(-1, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_finset3_spans(self, s, bound):
+        base = finset(3)
+        assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound)
+
 
 class TestCompleteness:
+    def test_no_objects_inconclusive(self):
+        v = completeness_check(finset(2), bound=-1)
+        assert v.status == "inconclusive"
+        assert v.details["objects"] == 0
+
     def test_finset_bases(self):
         for n in (1, 2):
             v = completeness_check(finset(n))
