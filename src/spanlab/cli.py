@@ -244,7 +244,7 @@ def _run_lag(args) -> tuple[Verdict, dict]:
         trials = _at_least(0, args.trials, "--trials")
         return lagrangian.random_pair_check(trials=trials, max_dim=args.dim, seed=args.seed), {}
     if args.kind == "zigzag":
-        return lagrangian.duality_zigzag_check(args.dim), {}
+        return lagrangian.duality_zigzag_check(_at_least(0, args.dim, "--dim")), {}
     raise SpanlabError(f"unknown lagrangian check {args.kind!r}")
 
 
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_request(argv) -> tuple[dict, int]:
     """Run one CLI-style request, returning (report, exit code); never
-    raises for check-level failures."""
+    raises: an unexpected exception is an exit-3 error report."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -366,11 +366,14 @@ def run_request(argv) -> tuple[dict, int]:
         verdict, extra = _RUNNERS[args.command](args)
     except ResourceError as exc:
         verdict, extra = Verdict.inconclusive(witness={"reason": str(exc)}), {}
-    except SpanlabError as exc:
+    except Exception as exc:
+        # anything but a SpanlabError is a fault of the program; it is
+        # still one report, named by its type, and never a traceback
+        error = str(exc) if isinstance(exc, SpanlabError) else f"{type(exc).__name__}: {exc}"
         report = _report(
             args.command,
             _request_echo(args),
-            Verdict("error", witness={"error": str(exc)}),
+            Verdict("error", witness={"error": error}),
             {},
             time.monotonic() - start,
         )

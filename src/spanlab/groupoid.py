@@ -37,6 +37,8 @@ class FinGroupoid:
     """A finite groupoid given by its objects and four functions on
     morphism components: hom(x, y) lists the components of the morphisms
     x -> y, and compose(g, f), inverse(m) and identity(x) act on components.
+    An optional key is an isomorphism invariant: objects with different
+    keys have no morphisms between them, and hom is never called on them.
 
     A morphism is the triple (x, y, component).  Homs are computed one
     source row at a time, on first use, and memoised by object position;
@@ -46,14 +48,16 @@ class FinGroupoid:
     without hashing it.
     """
 
-    def __init__(self, objects, hom, compose, inverse, identity):
+    def __init__(self, objects, hom, compose, inverse, identity, key=None):
         self.objects = list(objects)
         self._hom = hom
         self._compose = compose
         self._inverse = inverse
         self._identity = identity
+        self._key = key
         self._position = positions(self.objects)
         self._rows = [None] * len(self.objects)
+        self._peers = None
 
     def _row(self, i):
         """The nonempty homs out of object i, keyed by target position in
@@ -61,12 +65,25 @@ class FinGroupoid:
         row = self._rows[i]
         if row is None:
             x, row = self.objects[i], {}
-            for j, y in enumerate(self.objects):
+            for j in self._peers_of(i):
+                y = self.objects[j]
                 ms = tuple((x, y, c) for c in self._hom(x, y))
                 if ms:
                     row[j] = ms
             self._rows[i] = row
         return row
+
+    def _peers_of(self, i):
+        """The positions of the objects that share object i's key, in
+        object order."""
+        if self._key is None:
+            return range(len(self.objects))
+        if self._peers is None:
+            groups = {}
+            self._peers = [groups.setdefault(self._key(x), []) for x in self.objects]
+            for j, group in enumerate(self._peers):
+                group.append(j)
+        return self._peers[i]
 
     def hom(self, x, y):
         i, j = self._position(x), self._position(y)
@@ -191,12 +208,6 @@ def one_object_group(elements, mul, unit, inv) -> FinGroupoid:
     )
 
 
-def cyclic_group_groupoid(n: int) -> FinGroupoid:
-    els = list(range(n))
-    mul = {(g, f): (g + f) % n for g in els for f in els}
-    return one_object_group(els, mul, 0, {g: (-g) % n for g in els})
-
-
 # ---------------------------------------------------------------------------
 # equivalence of groupoids
 
@@ -282,18 +293,6 @@ def groups_isomorphic(els1, mul1, unit1, els2, mul2, unit2) -> bool:
         return False
 
     return backtrack(0, {unit1: unit2}, {unit2})
-
-
-def pi0_aut_profile(G: FinGroupoid):
-    """Sorted multiset of (morphism count in the component, automorphism
-    group order at a representative); equal profiles are necessary for
-    equivalence."""
-    out = []
-    for comp in G.components():
-        rep = comp[0]
-        n_mor = sum(len(G.hom(x, y)) for x in comp for y in comp)
-        out.append((n_mor, len(G.aut(rep))))
-    return sorted(out)
 
 
 def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
@@ -402,4 +401,5 @@ def full_subgroupoid(G: FinGroupoid, keep) -> FinGroupoid:
         G._compose,
         G._inverse,
         G._identity,
+        G._key,
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spanlab import cli
 from spanlab.cli import main, run_request
 
 
@@ -50,6 +51,23 @@ class TestBasics:
         assert code == 2
         assert report["verdict"] == "inconclusive"
         assert report["details"]["data_checked"] == 0
+
+    @pytest.mark.parametrize(
+        "base, bound, enumerated",
+        [("finset:2", "5", 2), ("finset:2", "1", 1), ("table", "5", None)],
+        ids=["above-base", "below-base", "table-base"],
+    )
+    def test_check_segal_reports_the_enumerated_bound(self, tmp_path, base, bound, enumerated):
+        """finset:N enumerates no object above N, and a table base
+        enumerates all its objects whatever the bound."""
+        if base == "table":
+            base = str(tmp_path / "point.json")
+            point = {"objects": ["*"], "morphisms": [{"id": "1", "src": "*", "tgt": "*"}],
+                     "identities": {"*": "1"}, "compose": [["1", "1", "1"]]}
+            (tmp_path / "point.json").write_text(json.dumps(point))
+        report, code = run(["check", "segal", "--base", base, "--arities", "2", "--bound", bound])
+        assert code == 0
+        assert report["details"]["bound"] == enumerated
 
     def test_check_complete_integer_labels(self, tmp_path):
         """Category JSON labelled by integers: the divisor lattice of 12."""
@@ -196,11 +214,12 @@ class TestErrors:
             ["certify", "dual", "--base", "finset:2", "-X", "-1"],
             ["certify", "adjoint", "--base", "finset:2", "--bound", "-1", "--trials", "3"],
             ["check", "mapping", "--base", "finset:2", "-X", "-1", "-Y", "1"],
+            ["lag", "check", "--kind", "zigzag", "--dim", "-2"],
         ],
         ids=[
             "arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim",
             "pairs-trials", "adjoint-trials", "dual-negative-X", "adjoint-no-objects",
-            "mapping-negative-X",
+            "mapping-negative-X", "zigzag-dim",
         ],
     )
     def test_malformed_input_is_a_usage_error(self, argv):
@@ -208,6 +227,28 @@ class TestErrors:
         assert code == 3
         assert report["verdict"] == "error"
         assert json.loads(json.dumps(report)) == report
+        if "--dim" in argv:
+            assert "--dim" in report["witness"]["error"]
+
+    def test_unexpected_exception_is_an_error_report(self, monkeypatch, tmp_path):
+        """A fault of the program is an exit-3 report naming the exception
+        type, alone and inside a suite, never a traceback."""
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "shapes", boom)
+        report, code = run(["shapes", "sigma", "2"])
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert report["witness"] == {"error": "RuntimeError: boom"}
+        f = tmp_path / "suite.json"
+        f.write_text(json.dumps([["shapes", "sigma", "2"], ["lag", "check", "--kind", "zigzag", "--dim", "2"]]))
+        report, code = run(["suite", "--config", str(f)])
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert [r["verdict"] for r in report["reports"]] == ["error", "verified"]
+        assert report["reports"][0]["witness"] == {"error": "RuntimeError: boom"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,4 @@
-"""Finite groupoids: equivalences, invariant profiles, iso-comma squares."""
+"""Finite groupoids: equivalences, keyed homs, iso-comma squares."""
 import itertools
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from spanlab.fincat import Functor
 from spanlab.groupoid import (
     FinGroupoid,
-    cyclic_group_groupoid,
     discrete_groupoid,
     full_subgroupoid,
     groupoids_equivalent,
@@ -14,7 +13,6 @@ from spanlab.groupoid import (
     equivalent,
     iso_comma,
     one_object_group,
-    pi0_aut_profile,
 )
 from spanlab.fincat import core, finset
 from spanlab.verdict import ResourceError
@@ -23,6 +21,12 @@ from spanlab.verdict import ResourceError
 def codiscrete_groupoid(labels):
     """Exactly one morphism between every ordered pair of objects."""
     return FinGroupoid(labels, lambda x, y: [()], lambda g, f: (), lambda m: (), lambda x: ())
+
+
+def cyclic_group_groupoid(n):
+    els = list(range(n))
+    mul = {(g, f): (g + f) % n for g in els for f in els}
+    return one_object_group(els, mul, 0, {g: (-g) % n for g in els})
 
 
 def klein_four():
@@ -103,8 +107,6 @@ class TestIsoComma:
         C, _, _ = iso_comma(_point_into(G), _point_into(G))
         assert len(C.objects) == 2
         assert C.validate()
-        # and it is discrete: everything is connected only to itself trivially
-        assert pi0_aut_profile(C) == [(1, 1), (1, 1)]
 
     def test_along_identity_recovers_source(self):
         G = core(finset(2))
@@ -145,18 +147,12 @@ class TestIsoComma:
 
 
 class TestProfiles:
-    def test_core_finset3_profile(self):
-        assert pi0_aut_profile(core(finset(3))) == [(1, 1), (1, 1), (2, 2), (6, 6)]
-
-    def test_profile_of_cyclic(self):
-        assert pi0_aut_profile(cyclic_group_groupoid(4)) == [(4, 4)]
-
     def test_bz4_vs_klein_four(self):
-        """Same profile, inequivalent groupoids: the profile alone cannot
-        distinguish them but the group-isomorphism matching can."""
+        """One object with four automorphisms on both sides, yet
+        inequivalent: the group-isomorphism matching tells them apart."""
         A = cyclic_group_groupoid(4)
         B = klein_four()
-        assert pi0_aut_profile(A) == pi0_aut_profile(B)
+        assert len(A.aut("*")) == len(B.aut("*")) == 4
         v = groupoids_equivalent(A, B)
         assert not v
 
@@ -247,6 +243,29 @@ class TestLazySurface:
             lambda x: None,
         )
         assert G.components() == [[1, 3], [0, 2]]
+
+    def test_key_limits_hom_to_objects_sharing_it(self):
+        calls = []
+
+        def hom(x, y):
+            calls.append((x, y))
+            return [()] if x % 2 == y % 2 else []
+
+        G = FinGroupoid(range(5), hom, lambda g, f: (), lambda m: (), lambda x: (), key=lambda x: x % 2)
+        assert len(G.all_morphisms()) == 13
+        assert sorted(calls) == sorted((x, y) for x in range(5) for y in range(5) if x % 2 == y % 2)
+        assert G.components() == [[0, 2, 4], [1, 3]]
+
+    def test_full_subgroupoid_keeps_the_key(self):
+        G = FinGroupoid(
+            range(5), lambda x, y: [()], lambda g, f: (), lambda m: (), lambda x: (), key=lambda x: x % 2
+        )
+        H = full_subgroupoid(G, lambda x: x < 4)
+        pairs = []
+        hom = G.hom
+        G.hom = lambda x, y: pairs.append((x, y)) or hom(x, y)
+        assert len(H.all_morphisms()) == 8
+        assert sorted(pairs) == [(0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)]
 
     def test_validate_catches_a_wrong_composite(self):
         G = FinGroupoid([0], lambda x, y: [0, 1], lambda g, f: 0, lambda m: m, lambda x: 0)

@@ -1,5 +1,6 @@
 """Span diagrams: Kan extension, Cartesian certificates, levels, the Segal
 comparison, invertibility, completeness, and mapping fibers."""
+import functools
 import itertools
 import random
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanlab.fincat import FinCategory, FinFunction, core, finset
-from spanlab.groupoid import groupoids_equivalent
+from spanlab import spans as spans_module
+from spanlab.fincat import FinCategory, FinFunction, core, finset, slice_over_pair
+from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
 from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
@@ -35,7 +37,7 @@ from spanlab.spans import (
     span_to_diagram,
     underlying_2fold_level,
 )
-from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError
+from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError
 
 
 V = lambda i, j: ((i, j),)  # one-direction cell shorthand
@@ -325,7 +327,7 @@ class TestInverseSearch:
         assert NoLimitError in got and True in got and False in got
 
     @given(st.sampled_from(all_spans(finset(3))), st.one_of(st.none(), st.integers(-1, 3)))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_finset3_spans(self, s, bound):
         base = finset(3)
         assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound)
@@ -424,3 +426,121 @@ class TestRestriction:
         outer = restrict_along(sigma_shape(1), SimplexMap(1, 2, (0, 2)), ext)
         s = diagram_to_span(outer)
         assert (s.left, s.apex, s.right) == (2, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the level from canonical forms against the pairwise oracle
+
+
+def pairwise_level(base, arities, bound=None):
+    """The level groupoid as a search over every ordered pair of diagrams:
+    each hom lists the natural Lambda families that natural_families finds,
+    each extended to the full shape (the slow oracle of span_level)."""
+    shape = sigma_shape(arities)
+    diagrams = {}
+    for lo, lm in enumerate_lambda_data(shape, base, bound):
+        d = kan_extend(shape, base, lo, lm)
+        diagrams[d.key] = d
+    keys = sorted(diagrams)
+    listed, at = [diagrams[k] for k in keys], positions(keys)
+
+    def hom(k1, k2):
+        d1, d2 = listed[at(k1)], listed[at(k2)]
+        if any(d1.obj[c] != d2.obj[c] and not base.isos(d1.obj[c], d2.obj[c]) for c in d1.obj):
+            return []
+        fulls = (
+            extend_natural_family(d1, d2, fam)
+            for fam in natural_families(base, shape, shape.lambda_cells, d1, d2)
+        )
+        return [tuple(sorted(full.items())) for full in fulls if full is not None]
+
+    return FinGroupoid(keys, hom, None, None, None)
+
+
+def two_isomorphic_objects():
+    """Objects a and b, isomorphic, each with automorphism group Z/2 (the
+    morphism xyk: x -> y carries k mod 2), and one map from each into c."""
+    morphs = {f"{x}{y}{k}": (x, y) for x in "ab" for y in "ab" for k in "01"}
+    morphs.update({"ac": ("a", "c"), "bc": ("b", "c"), "cc": ("c", "c")})
+    comp = {}
+    for g, (gs, gt) in morphs.items():
+        for f, (fs, ft) in morphs.items():
+            if ft != gs:
+                continue
+            if gt == "c":
+                comp[(g, f)] = "cc" if fs == "c" else fs + "c"
+            else:
+                comp[(g, f)] = f"{fs}{gt}{(int(g[2]) + int(f[2])) % 2}"
+    return FinCategory(["a", "b", "c"], morphs, {"a": "aa0", "b": "bb0", "c": "cc"}, comp)
+
+
+class TestCanonicalLevel:
+    @pytest.mark.parametrize(
+        "base, arities, sizes",
+        [
+            (lambda: finset(1), (1,), (5, 5, 5)),
+            (lambda: finset(1), (2,), (13, 13, 13)),
+            (lambda: finset(1), (2, 1), (518, 518, 518)),
+            (lambda: finset(1), (1, 1), (48, 48, 48)),
+            (lambda: finset(2), (1,), (43, 203, 22)),
+            (lambda: divisor_lattice(12), (1,), (70, 70, 70)),
+            (two_isomorphic_objects, (1,), (51, 2313, 5)),
+            (lambda: slice_over_pair(finset(2), 1, 2), (1,), (205, 1023, 87)),
+        ],
+        ids=["finset1-1", "finset1-2", "finset1-2-1", "finset1-1-1", "finset2-1", "lattice12-1",
+             "isomorphic-objects", "slice"],
+    )
+    def test_same_groupoid_as_the_pairwise_oracle(self, base, arities, sizes):
+        """Same objects, morphisms in the same order, same components."""
+        base = base()
+        assert base.validate()
+        level, oracle = span_level(base, arities), pairwise_level(base, arities)
+        morphisms, components = level.all_morphisms(), level.components()
+        assert level.objects == oracle.objects
+        assert morphisms == oracle.all_morphisms()
+        assert components == oracle.components()
+        assert (len(level.objects), len(morphisms), len(components)) == sizes
+
+    def test_finset2_arity2_counts(self):
+        level, _ = _finset2_arity2()
+        assert len(level.objects) == 971
+        assert len(level.all_morphisms()) == 15537
+        assert len(level.components()) == 219
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_finset2_arity2_homs_sampled(self, data):
+        """Homs between members of one component, or of two, against the
+        pairwise hom on the shared finset:2 level at arity 2."""
+        level, oracle = _finset2_arity2()
+        components = level.components()
+        first = data.draw(st.sampled_from(components))
+        second = data.draw(st.sampled_from([first, *components[:5]]))
+        x, y = data.draw(st.sampled_from(first)), data.draw(st.sampled_from(second))
+        assert level.hom(x, y) == oracle.hom(x, y)
+
+    def test_hom_is_only_searched_inside_buckets(self, monkeypatch):
+        """On a poset every bucket is one diagram: one hom call per object,
+        and the identity family is never extended."""
+        level = span_level(finset(1), (5,))
+        calls, hom = [], level._hom
+        level._hom = lambda x, y: calls.append((x, y)) or hom(x, y)
+        extended, extend = [], spans_module.extend_natural_family
+        monkeypatch.setattr(spans_module, "extend_natural_family", lambda *a: extended.append(a) or extend(*a))
+        assert len(level.all_morphisms()) == len(level.objects) == 233
+        assert calls == [(x, x) for x in level.objects]
+        assert extended == []
+
+    def test_failed_extension_raises(self, monkeypatch):
+        """A transport that fails to extend is an error, never a dropped
+        morphism."""
+        monkeypatch.setattr(spans_module, "extend_natural_family", lambda d1, d2, fam: None)
+        level = span_level(finset(2), (1,))
+        with pytest.raises(SpanlabError, match="fails to extend"):
+            level.all_morphisms()
+
+
+@functools.lru_cache(maxsize=None)
+def _finset2_arity2():
+    """The finset:2 level at arity 2 and its pairwise oracle, built once."""
+    return span_level(finset(2), (2,)), pairwise_level(finset(2), (2,))
