@@ -499,12 +499,12 @@ def _canonical_form(base, shape, reps, d: SpanDiagram):
 
 def _extend(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     """The natural isomorphism d1 -> d2 extending a natural Lambda family,
-    as its components in cell order, or None for the identity family,
-    which extends to the identity (see span_level).  Any other family that
-    fails to extend is an error: between Cartesian diagrams it extends."""
+    as its components in cell order.  The identity family extends to the
+    identity (see span_level), so it is not extended.  A family that fails
+    to extend is an error: between Cartesian diagrams it extends."""
     base = d1.base
     if all(g == base.identity(d1.obj[c]) for c, g in fam.items()):
-        return None
+        return tuple(base.identity(d1.obj[c]) for c in d1.shape.objects)
     full = extend_natural_family(d1, d2, fam)
     if full is None:
         raise SpanlabError("a natural Lambda family between Cartesian diagrams fails to extend")
@@ -529,7 +529,8 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
       bucket whose first diagram is r, let phi_d be the transport of d to
       the form and psi_d: r -> d the extension of phi_d^-1 . phi_r; then
       hom(d1, d2) = {psi_d2 . a . psi_d1^-1 : a in Aut(r)}, with Aut(r)
-      found once per bucket by natural_families.
+      found once per bucket by natural_families.  psi_r is the identity,
+      so hom(r, r) is Aut(r) itself.
 
     Each hom lists its morphisms in the order natural_families finds them:
     by the position of each Lambda component in base.isos, cells in fill
@@ -559,33 +560,29 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
     reps = _iso_class_reps(base, base.objects_within(bound))
 
     buckets, bucket, firsts, phis = {}, [], [], []
-    transports = []  # phi_d^-1 . phi_r on the Lambda cells, None for r
     for i, d in enumerate(listed):
         form, phi = _canonical_form(base, shape, reps, d)
         b = buckets.setdefault(form, len(buckets))
         if b == len(firsts):
             firsts.append(i)
-            phis.append(phi)
-            transports.append(None)
-        else:
-            transports.append({c: base.compose(base.inverse(phi[c]), phis[b][c]) for c in lam})
         bucket.append(b)
-    psis = [None] * len(listed)  # (psi_d, psi_d^-1), each None for the identity
+        phis.append(phi)
+    psis = [None] * len(listed)  # (psi_d, psi_d^-1)
     auts = [None] * len(firsts)
     ranks = {}  # (x, y) -> position of each iso in base.isos(x, y)
 
     def psi(i):
         if psis[i] is None:
-            fam = transports[i]
-            full = fam and _extend(listed[firsts[bucket[i]]], listed[i], fam)
-            psis[i] = full, full and tuple(map(base.inverse, full))
+            r = firsts[bucket[i]]
+            fam = {c: base.compose(base.inverse(phis[i][c]), phis[r][c]) for c in lam}
+            full = _extend(listed[r], listed[i], fam)
+            psis[i] = full, tuple(map(base.inverse, full))
         return psis[i]
 
     def aut(b):
         if auts[b] is None:
             r = listed[firsts[b]]
-            ident = tuple(base.identity(r.obj[c]) for c in cells)
-            auts[b] = [_extend(r, r, fam) or ident for fam in natural_families(base, shape, lam, r, r)]
+            auts[b] = [_extend(r, r, fam) for fam in natural_families(base, shape, lam, r, r)]
         return auts[b]
 
     def rank(x, y):
@@ -596,16 +593,14 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
     def hom(k1, k2):
         # called only inside a bucket: the groupoid's key is the bucket
         i, j = at(k1), at(k2)
-        homs = aut(bucket[i])
+        b = bucket[i]
+        if i == j == firsts[b]:  # Aut(r), found in the natural_families order
+            return [tuple(zip(cells, a)) for a in aut(b)]
         (_, inv1), (psi2, _) = psi(i), psi(j)
-        if inv1 or psi2:
-            if inv1:
-                homs = [tuple(map(base.compose, a, inv1)) for a in homs]
-            if psi2:
-                homs = [tuple(map(base.compose, psi2, a)) for a in homs]
-            d1, d2 = listed[i], listed[j]
-            orders = [(rank(d1.obj[c], d2.obj[c]), n) for c, n in zip(lam, lam_at)]
-            homs.sort(key=lambda m: tuple(order[m[n]] for order, n in orders))
+        homs = [tuple(map(base.compose, psi2, map(base.compose, a, inv1))) for a in aut(b)]
+        d1, d2 = listed[i], listed[j]
+        orders = [(rank(d1.obj[c], d2.obj[c]), n) for c, n in zip(lam, lam_at)]
+        homs.sort(key=lambda m: tuple(order[m[n]] for order, n in orders))
         return [tuple(zip(cells, m)) for m in homs]
 
     # a component is a family sorted by cell, so families zip cell by cell

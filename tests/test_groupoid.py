@@ -107,6 +107,9 @@ class TestIsoComma:
         C, _, _ = iso_comma(_point_into(G), _point_into(G))
         assert len(C.objects) == 2
         assert C.validate()
+        # and it is discrete: two components, each with only its identity
+        assert sorted(map(len, C.components())) == [1, 1]
+        assert all(len(C.aut(x)) == 1 for x in C.objects)
 
     def test_along_identity_recovers_source(self):
         G = core(finset(2))
@@ -147,6 +150,17 @@ class TestIsoComma:
 
 
 class TestProfiles:
+    def test_core_finset3_profile(self):
+        G = core(finset(3))
+        assert sorted(map(len, G.components())) == [1, 1, 1, 1]
+        assert sorted(len(G.aut(x)) for x in G.objects) == [1, 1, 2, 6]
+        assert len(G.all_morphisms()) == 10
+
+    def test_profile_of_cyclic(self):
+        G = cyclic_group_groupoid(4)
+        assert G.components() == [["*"]]
+        assert len(G.aut("*")) == len(G.all_morphisms()) == 4
+
     def test_bz4_vs_klein_four(self):
         """One object with four automorphisms on both sides, yet
         inequivalent: the group-isomorphism matching tells them apart."""

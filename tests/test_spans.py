@@ -327,7 +327,7 @@ class TestInverseSearch:
         assert NoLimitError in got and True in got and False in got
 
     @given(st.sampled_from(all_spans(finset(3))), st.one_of(st.none(), st.integers(-1, 3)))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_finset3_spans(self, s, bound):
         base = finset(3)
         assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound)
