@@ -163,6 +163,8 @@ def _run_level(args) -> tuple[Verdict, dict]:
     }
     if args.json:
         extra["groupoid"] = _jsonable(lvl.to_json())
+    if not lvl.objects:
+        return Verdict.inconclusive(witness={"reason": "no diagrams within the bound"}), extra
     return Verdict.verified(witness={"objects": extra["objects"], "morphisms": extra["morphisms"]}), extra
 
 

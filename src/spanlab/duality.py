@@ -64,8 +64,8 @@ class AdjunctionWitness:
     def to_json(self) -> dict:
         return {
             "span": repr(self.span),
-            "unit_pullback": self.base.obj_label(self.PB),
-            "counit_pullback": self.base.obj_label(self.PA),
+            "unit_pullback": self.PB,
+            "counit_pullback": self.PA,
             "unit_map": repr(self.unit_map),
             "counit_map": repr(self.counit_map),
         }
@@ -127,8 +127,8 @@ def _one_triangle(base, s: Span, PB, b1, b2, unit_map, PA, a1, a2, counit_map) -
         return Verdict.refuted(
             witness={
                 "reason": "composite 2-cell is not the identity",
-                "composite_apex": base.obj_label(T),
-                "expected_apex": base.obj_label(M),
+                "composite_apex": T,
+                "expected_apex": M,
             }
         )
     # independent oracle: the W-shaped limit with identity upper legs
@@ -150,14 +150,14 @@ def _one_triangle(base, s: Span, PB, b1, b2, unit_map, PA, a1, a2, counit_map) -
     W, wlegs = base.limit_of_diagram(node_w, arrows_w)
     if not base.isos(W, M) and W != M:
         return Verdict.refuted(
-            witness={"reason": "collapse limit differs from the apex", "limit": base.obj_label(W)}
+            witness={"reason": "collapse limit differs from the apex", "limit": W}
         )
     if not base.is_iso(wlegs["w2"]):
         return Verdict.refuted(witness={"reason": "collapse limit projection not invertible"})
     return Verdict.verified(
         witness={
-            "composite_apex": base.obj_label(T),
-            "collapse_apex": base.obj_label(W),
+            "composite_apex": T,
+            "collapse_apex": W,
         }
     )
 
@@ -180,25 +180,6 @@ def triangle_check(w: AdjunctionWitness) -> Verdict:
     return Verdict.verified(
         witness={"first": first.witness, "second": mirrored.witness}
     )
-
-
-class DualityWitness:
-    def __init__(self, base, X, ev, coev, zig, zag):
-        self.base = base
-        self.X = X
-        self.ev = ev
-        self.coev = coev
-        self.zig = zig
-        self.zag = zag
-
-    def to_json(self) -> dict:
-        return {
-            "object": self.base.obj_label(self.X),
-            "ev": repr(self.ev),
-            "coev": repr(self.coev),
-            "zig_apex": self.base.obj_label(self.zig.apex),
-            "zag_apex": self.base.obj_label(self.zag.apex),
-        }
 
 
 def tensor_spans(base, s: Span, t: Span) -> Span:
@@ -235,7 +216,7 @@ def object_duality_check(base, X) -> Verdict:
     u2 = base.product(one, X)[2]  # 1*X -> X
     w1 = base.product(X, one)[1]  # X*1 -> X
     assoc = _assoc(base, X, X, X)  # (X*X)*X -> X*(X*X)
-    unassoc = _unassoc(base, X, X, X)
+    unassoc = base.inverse(assoc)  # X*(X*X) -> (X*X)*X
 
     # zig: X ~ 1*X --coev x id--> (X*X)*X ~ X*(X*X) --id x ev--> X*1 ~ X
     a = tensor_spans(base, coev, id_x)
@@ -245,8 +226,8 @@ def object_duality_check(base, X) -> Verdict:
         Span(X, base.compose(u2, a.lleg), a.apex, base.compose(assoc, a.rleg), b.left),
         Span(b.left, b.lleg, b.apex, base.compose(w1, b.rleg), X),
     )
-    if not _iso_to_identity(base, zig, X):
-        return Verdict.refuted(witness={"zigzag": "first", "apex": base.obj_label(zig.apex)})
+    if not iso_to_identity_span(base, zig):
+        return Verdict.refuted(witness={"zigzag": "first", "apex": zig.apex})
 
     # zag: X ~ X*1 --id x coev--> X*(X*X) ~ (X*X)*X --ev x id--> 1*X ~ X
     c = tensor_spans(base, id_x, coev)
@@ -256,20 +237,14 @@ def object_duality_check(base, X) -> Verdict:
         Span(X, base.compose(w1, c.lleg), c.apex, base.compose(unassoc, c.rleg), d.left),
         Span(d.left, d.lleg, d.apex, base.compose(u2, d.rleg), X),
     )
-    if not _iso_to_identity(base, zag, X):
-        return Verdict.refuted(witness={"zigzag": "second", "apex": base.obj_label(zag.apex)})
-    return Verdict.verified(witness=DualityWitness(base, X, ev, coev, zig, zag).to_json())
-
-
-def _unassoc(base, x, y, z):
-    """Canonical re-association x*(y*z) -> (x*y)*z."""
-    YZ, r1, r2 = base.product(y, z)
-    _, q1, q2 = base.product(x, YZ)
-    inner = _pair(base, q1, base.compose(r1, q2))  # (x, y) component
-    return _pair(base, inner, base.compose(r2, q2))
-
-
-def _iso_to_identity(base, s: Span, X) -> bool:
-    if s.left != X or s.right != X:
-        return False
-    return iso_to_identity_span(base, s)
+    if not iso_to_identity_span(base, zag):
+        return Verdict.refuted(witness={"zigzag": "second", "apex": zag.apex})
+    return Verdict.verified(
+        witness={
+            "object": X,
+            "ev": repr(ev),
+            "coev": repr(coev),
+            "zig_apex": zig.apex,
+            "zag_apex": zag.apex,
+        }
+    )

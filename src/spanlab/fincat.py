@@ -73,9 +73,6 @@ class FinCategory:
     def isos(self, x, y):
         return [m for m in self.hom(x, y) if self.is_iso(m)]
 
-    def obj_label(self, x):
-        return x
-
     def random_hom(self, x, y, rng):
         homs = self.hom(x, y)
         return rng.choice(homs) if homs else None
@@ -345,9 +342,6 @@ class FinSetCategory:
             FinFunction(x, x, perm) for perm in itertools.permutations(range(x))
         ]
 
-    def obj_label(self, x):
-        return x
-
     def random_hom(self, x, y, rng):
         if y == 0:
             return FinFunction(0, 0, ()) if x == 0 else None
@@ -440,24 +434,6 @@ class FinSetCategory:
 
     def validate(self) -> Verdict:
         return Verdict.verified()
-
-    def to_fincategory(self) -> FinCategory:
-        """Materialize the tables up to max_size (for oracle comparisons)."""
-        morphs = {}
-        for x in self.objects_within():
-            for y in self.objects_within():
-                for m in self.hom(x, y):
-                    morphs[("f", x, y, m.values)] = (x, y)
-        ident = {x: ("f", x, x, tuple(range(x))) for x in self.objects_within()}
-        comp = {}
-        for gl, (gs, gt) in morphs.items():
-            for fl, (fs, ft) in morphs.items():
-                if ft == gs:
-                    g = FinFunction(gs, gt, gl[3])
-                    f = FinFunction(fs, ft, fl[3])
-                    h = self.compose(g, f)
-                    comp[(gl, fl)] = ("f", fs, gt, h.values)
-        return FinCategory(self.objects_within(), morphs, ident, comp)
 
 
 # ---------------------------------------------------------------------------

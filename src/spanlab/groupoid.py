@@ -199,15 +199,6 @@ def discrete_groupoid(labels) -> FinGroupoid:
     )
 
 
-def one_object_group(elements, mul, unit, inv) -> FinGroupoid:
-    """Deloop a finite group given by tables: one object '*', one morphism
-    per element."""
-    elements = tuple(elements)
-    return FinGroupoid(
-        ["*"], lambda x, y: elements, lambda g, f: mul[(g, f)], inv.__getitem__, lambda x: unit
-    )
-
-
 # ---------------------------------------------------------------------------
 # equivalence of groupoids
 

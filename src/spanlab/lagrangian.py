@@ -117,9 +117,6 @@ class SymplecticSpace:
     def negated(self) -> "SymplecticSpace":
         return SymplecticSpace(self.dim, [[-v for v in row] for row in self.omega])
 
-    def form(self, u, v):
-        return apply_form(self.omega, u, v)
-
     def __eq__(self, other):
         return (
             isinstance(other, SymplecticSpace)
@@ -215,12 +212,6 @@ class LagrangianCorrespondence:
             f"LagrangianCorrespondence({self.source.dim}->{self.target.dim}, "
             f"rank {len(self.basis)})"
         )
-
-    def transpose(self) -> "LagrangianCorrespondence":
-        """The reversed correspondence Y -> X."""
-        dx, dy = self.source.dim, self.target.dim
-        rows = [tuple(v[dx:]) + tuple(v[:dx]) for v in self.basis]
-        return LagrangianCorrespondence(self.target, self.source, rows)
 
     def to_json(self) -> dict:
         return {
@@ -364,13 +355,6 @@ def _transvected(omega, dim, coords, rounds, rng: random.Random):
             pushed.append(tuple(a + f * b for a, b in zip(x, v)))
         basis = pushed
     return basis
-
-
-def random_lagrangian(omega, dim, rng: random.Random):
-    """A random Lagrangian subspace: the coordinate-block starting Lagrangian
-    pushed through random symplectic transvections of the form."""
-    n = dim // 2
-    return canonical_subspace(_transvected(omega, dim, range(n), 2 * n + 2, rng))
 
 
 def random_correspondence(

@@ -48,11 +48,6 @@ class SimplexMap:
     def identity(cls, n: int) -> "SimplexMap":
         return cls(n, n, tuple(range(n + 1)))
 
-    @classmethod
-    def interval_inclusion(cls, i: int, j: int, n: int) -> "SimplexMap":
-        """The inert map [j-i] -> [n] sending t to i+t."""
-        return cls(j - i, n, tuple(range(i, j + 1)))
-
     def compose(self, other: "SimplexMap") -> "SimplexMap":
         """self after other."""
         if other.target_size != self.source_size:
@@ -60,11 +55,6 @@ class SimplexMap:
         return SimplexMap(
             other.source_size, self.target_size, tuple(self.values[v] for v in other.values)
         )
-
-    @property
-    def is_inert(self) -> bool:
-        """True when the map includes a subinterval: values[i] = values[0] + i."""
-        return all(v == self.values[0] + i for i, v in enumerate(self.values))
 
 
 def _all_intervals(n: int):
@@ -232,7 +222,8 @@ class SigmaShape:
 
 @dataclass(frozen=True)
 class LambdaShape:
-    """The wide sub-poset of a SigmaShape on intervals of length <= 1."""
+    """The wide sub-poset of a SigmaShape on intervals of length <= 1,
+    written as JSON by the same code as its parent shape."""
 
     parent: SigmaShape
     objects: tuple = field(init=False)
@@ -243,12 +234,18 @@ class LambdaShape:
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
 
+    @property
+    def arities(self) -> tuple:
+        return self.parent.arities
+
     def cover_relations(self):
         return [
             (a, b)
             for a, b in self.parent.cover_relations()
             if self.parent.is_lambda_object(a) and self.parent.is_lambda_object(b)
         ]
+
+    to_json = SigmaShape.to_json
 
 
 # One shared SigmaShape per arity tuple, so its tables are built once per

@@ -30,19 +30,18 @@ def enumeration_ceiling() -> int:
 
 
 class SpanDiagram:
-    """A functor from (a sub-poset of) a SigmaShape into the base.
+    """A functor from a SigmaShape into the base.
 
     obj maps cells to base objects; mor maps strictly comparable cell pairs
     (a, b) with a <= b to base morphisms.  Hashable on its data so level
     groupoids can deduplicate on the nose.
     """
 
-    __slots__ = ("shape", "base", "cells", "obj", "mor", "key")
+    __slots__ = ("shape", "base", "obj", "mor", "key")
 
-    def __init__(self, shape: SigmaShape, base, obj: dict, mor: dict, cells=None):
+    def __init__(self, shape: SigmaShape, base, obj: dict, mor: dict):
         self.shape = shape
         self.base = base
-        self.cells = tuple(cells) if cells is not None else shape.objects
         self.obj = dict(obj)
         self.mor = dict(mor)
         self.key = (
@@ -66,7 +65,7 @@ class SpanDiagram:
         return self.mor[(a, b)]
 
     def comparable_pairs(self):
-        return self.shape.arrows_among(self.cells)
+        return self.shape.arrows_among(self.shape.objects)
 
     def validate(self) -> Verdict:
         """Functoriality: morphisms present on every comparable pair and
@@ -79,7 +78,7 @@ class SpanDiagram:
                 return Verdict.refuted(witness={"pair": (a, b), "reason": "wrong endpoints"})
         order = self.shape.order
         for a, b in self.comparable_pairs():
-            for c in self.cells:
+            for c in self.shape.objects:
                 if c != b and c != a and (b, c) in order:
                     if self.base.compose(self.mor[(b, c)], self.mor[(a, b)]) != self.mor[(a, c)]:
                         return Verdict.refuted(
@@ -237,7 +236,7 @@ def is_cartesian(d: SpanDiagram) -> Verdict:
             return Verdict.refuted(
                 witness={"cell": c, "reason": "comparison to the limit is not invertible"}
             )
-        certificate[c] = {"limit_size": base.obj_label(L)}
+        certificate[c] = {"limit_size": L}
     return Verdict.verified(witness={"certificate": certificate})
 
 
@@ -333,7 +332,7 @@ def transport_diagram(d: SpanDiagram, fam: dict) -> SpanDiagram:
     mor = {}
     for (a, b), m in d.mor.items():
         mor[(a, b)] = base.compose(fam[b], base.compose(m, base.inverse(fam[a])))
-    return SpanDiagram(d.shape, base, d.obj, mor, d.cells)
+    return SpanDiagram(d.shape, base, d.obj, mor)
 
 
 def random_natural_family(base, shape, cells, d: SpanDiagram, rng, tries=12):
@@ -409,37 +408,6 @@ def all_spans(base, bound=None):
         for l in base.hom(A, X)
         for r in base.hom(A, Y)
     ]
-
-
-def span_to_diagram(base, s: Span) -> SpanDiagram:
-    shape = sigma_shape((1,))
-    obj = {((0, 0),): s.left, ((0, 1),): s.apex, ((1, 1),): s.right}
-    mor = {((((0, 1),)), ((0, 0),)): s.lleg, ((((0, 1),)), ((1, 1),)): s.rleg}
-    return SpanDiagram(shape, base, obj, mor)
-
-
-def diagram_to_span(d: SpanDiagram) -> Span:
-    return Span(
-        d.obj[((0, 0),)],
-        d.mor[(((0, 1),), ((0, 0),))],
-        d.obj[((0, 1),)],
-        d.mor[(((0, 1),), ((1, 1),))],
-        d.obj[((1, 1),)],
-    )
-
-
-def span_isos(base, s: Span, t: Span):
-    """Natural isomorphisms of spans as (left, apex, right) component
-    triples."""
-    out = []
-    for gl in base.isos(s.left, t.left):
-        for h in base.isos(s.apex, t.apex):
-            if base.compose(t.lleg, h) != base.compose(gl, s.lleg):
-                continue
-            for gr in base.isos(s.right, t.right):
-                if base.compose(t.rleg, h) == base.compose(gr, s.rleg):
-                    out.append((gl, h, gr))
-    return out
 
 
 def iso_to_identity_span(base, s: Span) -> bool:
@@ -699,10 +667,7 @@ def _check_twist(shape, base, ext, dirs, rng):
     back = transport_diagram(twisted, {c: base.inverse(full[c]) for c in full})
     if back.key != piece.key:
         return Verdict.refuted(witness={"reason": "transport does not normalize back"})
-    vt = piece.validate() if piece.cells else Verdict.verified()
-    if not vt:
-        return vt
-    return Verdict.verified()
+    return piece.validate()
 
 
 def segal_check(base, arities, bound=None, seed=0, samples=24, ceiling=None) -> Verdict:

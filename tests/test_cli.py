@@ -19,6 +19,21 @@ class TestBasics:
         assert report["verdict"] == "verified"
         assert report["witness"]["object_count"] == 6
 
+    def test_shapes_lambda_two(self):
+        """The Lambda poset of [2] in the layout of shapes sigma: vertices
+        (0,0), (1,1), (2,2) and edges (0,1), (1,2), each edge covering its
+        two ends."""
+        report, code = run(["shapes", "lambda", "2"])
+        assert code == 0
+        assert report["verdict"] == "verified"
+        witness = report["witness"]
+        assert witness["object_count"] == 5
+        assert witness["arities"] == [2]
+        assert witness["objects"] == [[[0, 0]], [[0, 1]], [[1, 1]], [[1, 2]], [[2, 2]]]
+        assert sorted(witness["cover_relations"]) == [[1, 0], [1, 2], [3, 2], [3, 4]]
+        sigma = run(["shapes", "sigma", "2"])[0]["witness"]
+        assert sigma.keys() == witness.keys()
+
     def test_wedge(self):
         report, code = run(["shapes", "wedge", "3"])
         assert code == 0
@@ -303,6 +318,15 @@ class TestErrors:
         assert code == 2
         assert report["verdict"] == "inconclusive"
         assert report["details"] == details
+
+    def test_empty_level_inconclusive(self):
+        """No object within --bound -1: a level with nothing in it is not
+        verified."""
+        report, code = run(["level", "--base", "finset:2", "--arities", "1", "--bound", "-1"])
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["witness"] == {"reason": "no diagrams within the bound"}
+        assert (report["objects"], report["morphisms"]) == (0, 0)
 
     @pytest.mark.parametrize(
         "extra, code",

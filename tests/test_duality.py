@@ -6,6 +6,8 @@ import pytest
 
 from spanlab.duality import (
     AdjunctionWitness,
+    _assoc,
+    _pair,
     _pair_into_pullback,
     build_adjunction,
     object_duality_check,
@@ -14,7 +16,8 @@ from spanlab.duality import (
     triangle_check,
 )
 from spanlab.fincat import FinFunction, finset
-from spanlab.spans import Span, all_spans, identity_span, span_isos
+from spanlab.spans import Span, all_spans, identity_span
+from test_spans import divisor_lattice, span_isos
 
 
 def random_span(base, rng):
@@ -141,6 +144,28 @@ class TestObjectDuality:
     def test_witness_shape(self):
         v = object_duality_check(finset(4), 2)
         assert v.details.get("object", v.witness) is not None
+
+
+def reassociation(base, x, y, z):
+    """x*(y*z) -> (x*y)*z paired from the product projections: the oracle
+    for the inverse of _assoc that object_duality_check takes."""
+    YZ, r1, r2 = base.product(y, z)
+    _, q1, q2 = base.product(x, YZ)
+    return _pair(base, _pair(base, q1, base.compose(r1, q2)), base.compose(r2, q2))
+
+
+class TestReassociation:
+    @pytest.mark.parametrize(
+        "base, triples",
+        [
+            (finset(4), [(x, x, x) for x in range(5)] + [(1, 2, 3), (2, 0, 3), (3, 2, 1)]),
+            (divisor_lattice(12), [(x, x, x) for x in (1, 2, 3, 4, 6, 12)] + [(2, 3, 4), (4, 6, 1)]),
+        ],
+        ids=["finset4", "divisors12"],
+    )
+    def test_inverse_of_assoc_is_the_paired_reassociation(self, base, triples):
+        for x, y, z in triples:
+            assert base.inverse(_assoc(base, x, y, z)) == reassociation(base, x, y, z)
 
 
 class TestTensor:

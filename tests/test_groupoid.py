@@ -12,15 +12,24 @@ from spanlab.groupoid import (
     groups_isomorphic,
     equivalent,
     iso_comma,
-    one_object_group,
 )
 from spanlab.fincat import core, finset
 from spanlab.verdict import ResourceError
+from test_fincat import finset_table
 
 
 def codiscrete_groupoid(labels):
     """Exactly one morphism between every ordered pair of objects."""
     return FinGroupoid(labels, lambda x, y: [()], lambda g, f: (), lambda m: (), lambda x: ())
+
+
+def one_object_group(elements, mul, unit, inv):
+    """Deloop a finite group given by tables: one object '*', one morphism
+    per element."""
+    elements = tuple(elements)
+    return FinGroupoid(
+        ["*"], lambda x, y: elements, lambda g, f: mul[(g, f)], inv.__getitem__, lambda x: unit
+    )
 
 
 def cyclic_group_groupoid(n):
@@ -309,7 +318,7 @@ def _rewritten_builders():
         "discrete_groupoid": lambda: discrete_groupoid(["a", "b"]),
         "one_object_group": klein_four,
         "core": lambda: core(finset(2)),
-        "core_of_table": lambda: core(finset(1).to_fincategory()),
+        "core_of_table": lambda: core(finset_table(finset(1))),
         "full_subgroupoid": lambda: full_subgroupoid(core(finset(2)), lambda x: x > 0),
         "product_groupoid": lambda: product_groupoid(core(finset(2)), cyclic_group_groupoid(2)),
         "iso_comma": lambda: iso_comma(_point_into(bz2_group), _point_into(bz2_group))[0],

@@ -21,7 +21,6 @@ from spanlab.lagrangian import (
     is_lagrangian,
     kernel_basis,
     random_correspondence,
-    random_lagrangian,
     random_pair_check,
     rank,
     rref,
@@ -176,12 +175,6 @@ class TestComposition:
         rhs = compose_lagrangian(L, compose_lagrangian(M, N))
         assert lhs == rhs
 
-    def test_transpose_involution(self):
-        rng = random.Random(4)
-        L = random_correspondence(standard_symplectic(2), standard_symplectic(4), rng)
-        assert L.transpose().transpose() == L
-        assert L.transpose().validate()
-
     def test_middle_mismatch(self):
         X = standard_symplectic(2)
         Y = standard_symplectic(4)
@@ -210,13 +203,6 @@ class TestDuality:
 
 
 class TestRandomSampling:
-    def test_random_lagrangian_valid(self):
-        rng = random.Random(9)
-        for dim in (2, 4, 6):
-            omega = standard_symplectic(dim).omega
-            rows = random_lagrangian(omega, dim, rng)
-            assert is_lagrangian(omega, rows, dim)
-
     def test_random_correspondence_valid(self):
         rng = random.Random(10)
         for dx, dy in ((2, 2), (2, 4), (4, 6)):

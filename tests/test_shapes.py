@@ -107,11 +107,6 @@ class TestSimplexMap:
         with pytest.raises(ShapeSpecError):
             SimplexMap(1, 2, (0,))  # wrong length
 
-    def test_interval_inclusion_is_inert(self):
-        phi = SimplexMap.interval_inclusion(1, 2, 3)
-        assert phi.values == (1, 2)
-        assert phi.is_inert
-
     def test_composition(self):
         phi = SimplexMap(1, 2, (0, 2))
         psi = SimplexMap(2, 3, (0, 1, 3))
@@ -153,7 +148,7 @@ class TestSigmaMap:
             src = sigma_shape(1)
             lam_src = lambda_shape(1)
             for i in range(n):
-                phi = SimplexMap.interval_inclusion(i, i + 1, n)
+                phi = SimplexMap(1, n, (i, i + 1))
                 mapping = sigma_map(phi, src)
                 tgt = sigma_shape(n)
                 assert all(
@@ -162,7 +157,7 @@ class TestSigmaMap:
 
     def test_non_inert_map_breaks_lambda(self):
         phi = SimplexMap(1, 2, (0, 2))
-        assert not phi.is_inert
+        assert phi(1) != phi(0) + 1  # not the inclusion of a subinterval
         mapping = sigma_map(phi, sigma_shape(1))
         tgt = sigma_shape(2)
         assert not tgt.is_lambda_object(mapping[((0, 1),)])
