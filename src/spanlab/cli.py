@@ -13,7 +13,7 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 
 from . import __version__, duality, lagrangian, locsys, shapes, spans
 from .fincat import FinCategory, FinFunction, FinSetCategory, finset
@@ -157,11 +157,15 @@ def _run_shapes(args) -> tuple[Verdict, dict]:
 def _run_level(args) -> tuple[Verdict, dict]:
     base = _parse_base(args.base)
     lvl = spans.span_level(base, _int_list(args.arities), bound=args.bound)
-    extra = {
-        "objects": len(lvl.objects),
-        "morphisms": len(list(lvl.all_morphisms())),
-    }
+    morphs = lvl.all_morphisms()
+    extra = {"objects": len(lvl.objects), "morphisms": len(morphs)}
     if args.json:
+        # the composition table pairs each f with every g out of its target
+        out_degree = Counter(x for x, _, _ in morphs)
+        pairs = sum(out_degree[y] for _, y, _ in morphs)
+        ceiling = spans.enumeration_ceiling()
+        if pairs > ceiling:
+            raise ResourceError(f"the composition table of {pairs} pairs exceeds the ceiling {ceiling}")
         extra["groupoid"] = _jsonable(lvl.to_json())
     if not lvl.objects:
         return Verdict.inconclusive(witness={"reason": "no diagrams within the bound"}), extra
@@ -283,7 +287,7 @@ def _report(check_name, request, verdict: Verdict, extra, elapsed) -> dict:
 
 
 def _request_echo(args) -> dict:
-    skip = {"command", "out", "func", "json"}
+    skip = {"command", "out", "json"}
     return {
         k: (list(v) if isinstance(v, (list, tuple)) else v)
         for k, v in sorted(vars(args).items())
@@ -407,8 +411,7 @@ def _run_suite(args) -> tuple[dict, int]:
             "reports": [],
             "worst_exit": worst,
         }, worst
-    with ThreadPoolExecutor(max_workers=min(8, len(requests))) as pool:
-        results = list(pool.map(run_request, requests))
+    results = [run_request(r) for r in requests]
     worst = max(code for _, code in results)
     verdict = next(k for k, v in EXIT_CODES.items() if v == worst)
     summary = {
@@ -421,16 +424,23 @@ def _run_suite(args) -> tuple[dict, int]:
     return summary, worst
 
 
+def _out_path(argv):
+    """The --out file in argv, or None, read by the request parser's rules
+    (--out FILE, --out=FILE or a prefix such as --ou FILE).  It is read
+    apart from the request, so that a usage-error report is written too."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    p.add_argument("--out")
+    try:
+        return p.parse_known_args(argv)[0].out
+    except argparse.ArgumentError:
+        return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     report, code = run_request(argv)
     text = json.dumps(report, sort_keys=True, indent=2)
-    out = None
-    for flag in ("--out",):
-        if flag in argv:
-            i = argv.index(flag)
-            if i + 1 < len(argv):
-                out = argv[i + 1]
+    out = _out_path(argv)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

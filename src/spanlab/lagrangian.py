@@ -220,17 +220,6 @@ class LagrangianCorrespondence:
             "basis": [[str(v) for v in row] for row in self.basis],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LagrangianCorrespondence":
-        try:
-            return cls(
-                standard_symplectic(data["source_dim"]),
-                standard_symplectic(data["target_dim"]),
-                [[Fraction(v) for v in row] for row in data["basis"]],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpanlabError(f"malformed correspondence JSON: {exc}") from exc
-
 
 def _diagonal_rows(dim: int):
     """A basis of the diagonal {(v, v)} in Q^dim (+) Q^dim."""

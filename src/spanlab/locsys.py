@@ -12,7 +12,7 @@ import itertools
 
 from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
-from .spans import Span, inverse_candidates, identity_span, iso_to_identity_span, reverse_span
+from .spans import Span, inverse_candidates, identity_span, iso_to_identity_span
 from .verdict import FootMismatchError, SpanlabError, Verdict
 
 
@@ -320,38 +320,27 @@ def locsys_span_isos(C: InternalCategory, base, s: LocalSystemSpan, t: LocalSyst
     return out
 
 
-def locsys_level(base: FinSetCategory, C: InternalCategory, arities, bound=None) -> FinGroupoid:
-    """Level groupoids for labeled spans; the shipped arities are () -> 0
-    (labeled sets) and 1 (labeled spans)."""
-    arities = tuple(arities)
-    if arities not in ((0,), (1,)):
-        raise SpanlabError("labeled levels are shipped for arities (0,) and (1,) only")
-    if arities == (0,):
-        return FinGroupoid(
-            [
-                (X, xi)
-                for X in base.objects_within(bound)
-                for xi in itertools.product(range(C.C0), repeat=X)
-            ],
-            lambda x, y: labeled_bijections(C, base, *x, *y),
-            lambda g, f: compose_labeled_bij(C, base, g, f),
-            lambda m: invert_labeled_bij(C, base, m),
-            lambda x: identity_labeled_bij(C, base, *x),
-        )
-    objs = all_locsys_spans(C, base, bound)
-    keys = [o.key for o in objs]
-    at = positions(keys)
-    gpd = _two_cell_groupoid(C, base, keys, lambda k: objs[at(k)])
-    gpd.spans = dict(zip(keys, objs))
-    return gpd
+def locsys_level(base: FinSetCategory, C: InternalCategory, bound=None) -> FinGroupoid:
+    """The groupoid of labeled sets (X, xi) within bound and the labeled
+    bijections between them."""
+    return FinGroupoid(
+        [
+            (X, xi)
+            for X in base.objects_within(bound)
+            for xi in itertools.product(range(C.C0), repeat=X)
+        ],
+        lambda x, y: labeled_bijections(C, base, *x, *y),
+        lambda g, f: compose_labeled_bij(C, base, g, f),
+        lambda m: invert_labeled_bij(C, base, m),
+        lambda x: identity_labeled_bij(C, base, *x),
+    )
 
 
-def _two_cell_groupoid(C, base, objects, span_of) -> FinGroupoid:
-    """Labeled spans, each read off its object by span_of, and the 2-cells
-    (bl, h, br) between them, composed and inverted componentwise."""
+def _two_cell_groupoid(C, base, spans) -> FinGroupoid:
+    """The labeled spans and the 2-cells (bl, h, br) between them, composed
+    and inverted componentwise."""
 
-    def identity(x):
-        s = span_of(x)
+    def identity(s):
         return (
             identity_labeled_bij(C, base, s.span.left, s.xi),
             base.identity(s.span.apex),
@@ -359,8 +348,8 @@ def _two_cell_groupoid(C, base, objects, span_of) -> FinGroupoid:
         )
 
     return FinGroupoid(
-        objects,
-        lambda x, y: locsys_span_isos(C, base, span_of(x), span_of(y)),
+        spans,
+        lambda s, t: locsys_span_isos(C, base, s, t),
         lambda g, f: (
             compose_labeled_bij(C, base, g[0], f[0]),
             base.compose(g[1], f[1]),
@@ -473,8 +462,8 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
             invertible.append(s)
         checked += 1
 
-    level0 = locsys_level(base, C, (0,), bound)
-    eq = _two_cell_groupoid(C, base, invertible, lambda s: s)
+    level0 = locsys_level(base, C, bound)
+    eq = _two_cell_groupoid(C, base, invertible)
 
     def on_mor(m):
         x, y, b = m
@@ -485,14 +474,6 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
     if not ve:
         return Verdict.refuted(witness={"stage": "degeneracy", "inner": ve.witness})
     return Verdict.verified(spans_checked=checked, invertible=len(invertible))
-
-
-def locsys_dual(C: InternalCategory, s: LocalSystemSpan) -> LocalSystemSpan:
-    """Reversed span with labels inverted through the internal inverse
-    table; defined for internal groupoids."""
-    if C.inv is None:
-        raise SpanlabError("dual labels need an internal groupoid")
-    return LocalSystemSpan(reverse_span(s.span), s.eta, s.xi, [C.inv[m] for m in s.a])
 
 
 # ---------------------------------------------------------------------------

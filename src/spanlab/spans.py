@@ -335,11 +335,11 @@ def transport_diagram(d: SpanDiagram, fam: dict) -> SpanDiagram:
     return SpanDiagram(d.shape, base, d.obj, mor)
 
 
-def random_natural_family(base, shape, cells, d: SpanDiagram, rng, tries=12):
+def random_natural_family(base, shape, cells, d: SpanDiagram, rng):
     """A seeded random natural automorphism family on the given cells; falls
     back to the identity family when sampling keeps dead-ending."""
     order = _cells_by_length(shape, cells)
-    for _ in range(tries):
+    for _ in range(12):
         fam = {}
         ok = True
         for c in order:
@@ -479,7 +479,7 @@ def _extend(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     return tuple(full[c] for c in d1.shape.objects)
 
 
-def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
+def span_level(base, arities, bound=None) -> FinGroupoid:
     """The groupoid of Cartesian diagrams of the given arities with objects
     within bound; morphisms are natural isomorphisms, each a tuple of
     (cell, component) pairs in cell order.
@@ -509,7 +509,7 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
     """
     arities = tuple(arities)
     shape = sigma_shape(arities)
-    ceiling = enumeration_ceiling() if ceiling is None else ceiling
+    ceiling = enumeration_ceiling()
     data = list(itertools.islice(enumerate_lambda_data(shape, base, bound), ceiling + 1))
     if len(data) > ceiling:
         raise ResourceError(
@@ -584,13 +584,13 @@ def span_level(base, arities, bound=None, ceiling=None) -> FinGroupoid:
     return gpd
 
 
-def underlying_2fold_level(base, pq, bound=None, ceiling=None) -> FinGroupoid:
+def underlying_2fold_level(base, pq, bound=None) -> FinGroupoid:
     """The sub-groupoid of the (p,q) level on diagrams whose second-direction
     spans over first-direction vertices are degenerate (identity legs)."""
     from .groupoid import full_subgroupoid
 
     p, q = pq
-    level = span_level(base, (p, q), bound, ceiling)
+    level = span_level(base, (p, q), bound)
     shape = sigma_shape((p, q))
 
     def degenerate(key):
@@ -670,7 +670,7 @@ def _check_twist(shape, base, ext, dirs, rng):
     return piece.validate()
 
 
-def segal_check(base, arities, bound=None, seed=0, samples=24, ceiling=None) -> Verdict:
+def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     """Decide the Segal comparison for the given arities at the given bound.
 
     Exhaustive over all free data when the enumeration fits under the
@@ -681,7 +681,7 @@ def segal_check(base, arities, bound=None, seed=0, samples=24, ceiling=None) -> 
     dirs = [r for r, n in enumerate(arities) if n >= 2]
     if not dirs:
         return Verdict.verified(note="comparison map is an identity at arities <= 1")
-    ceiling = enumeration_ceiling() if ceiling is None else ceiling
+    ceiling = enumeration_ceiling()
     # Exhaustiveness is gated on total work (free data x cells to fill),
     # not the raw datum count, so large shapes degrade to sampling too.
     per_datum = len(shape.objects)
@@ -842,7 +842,7 @@ def completeness_check(base, bound=None) -> Verdict:
 # mapping categories
 
 
-def mapping_fiber(base, X, Y, bound=None, ceiling=None, arities=()):
+def mapping_fiber(base, X, Y, bound=None, arities=()):
     """Homotopy fiber over the pair (X, Y) of the objects level, computed
     as an iso-comma over the point: of the one-span level, or for arities
     (k,) of the underlying (1, k) level, whose feet are the first-direction
@@ -853,10 +853,10 @@ def mapping_fiber(base, X, Y, bound=None, ceiling=None, arities=()):
     if len(arities) > 1:
         raise SpanlabError("mapping fibers are shipped for at most one arity")
     if arities:
-        level = underlying_2fold_level(base, (1, *arities), bound, ceiling)
+        level = underlying_2fold_level(base, (1, *arities), bound)
         left, right = ((0, 0), (0, 0)), ((1, 1), (0, 0))
     else:
-        level = span_level(base, (1,), bound, ceiling)
+        level = span_level(base, (1,), bound)
         left, right = ((0, 0),), ((1, 1),)
     L0 = core(base, bound)
     L00 = product_groupoid(L0, L0)
@@ -877,7 +877,7 @@ def mapping_fiber(base, X, Y, bound=None, ceiling=None, arities=()):
     return fiber
 
 
-def mapping_category_check(base, X, Y, arities=(), bound=None, ceiling=None) -> Verdict:
+def mapping_category_check(base, X, Y, arities=(), bound=None) -> Verdict:
     """Compare the homotopy fiber of spans with feet (X, Y) against the span
     construction over the slice by the product X x Y."""
     from .fincat import core, slice_over_pair
@@ -888,10 +888,10 @@ def mapping_category_check(base, X, Y, arities=(), bound=None, ceiling=None) -> 
     if X not in within or Y not in within:
         # the level holds no span with these feet, so the fiber is empty
         return Verdict.inconclusive(witness={"reason": f"feet ({X}, {Y}) exceed the bound"})
-    fiber = mapping_fiber(base, X, Y, bound, ceiling, arities)
+    fiber = mapping_fiber(base, X, Y, bound, arities)
     sl = slice_over_pair(base, X, Y, bound)
     if arities:
-        other = span_level(sl, arities, None, ceiling)
+        other = span_level(sl, arities)
     else:
         other = core(sl)
     v = groupoids_equivalent(fiber, other)

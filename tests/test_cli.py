@@ -1,6 +1,7 @@
 """The command-line surface: reports, exit codes, suites, determinism."""
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -366,6 +367,20 @@ class TestResourceCeiling:
         assert code == 2
         assert report["verdict"] == "inconclusive"
 
+    def test_level_table_over_the_ceiling_is_inconclusive(self, monkeypatch):
+        """The level's 43 data fit under the ceiling, but its composition
+        table of 1,273 composable pairs does not."""
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "1000")
+        argv = ["level", "--base", "finset:2", "--arities", "1"]
+        report, code = run(argv)
+        assert code == 0
+        assert report["objects"] == 43
+        report, code = run([*argv, "--json"])
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert "1273 pairs" in report["witness"]["reason"]
+        assert "groupoid" not in report
+
 
 class TestSuite:
     def test_empty_suite(self, tmp_path):
@@ -397,6 +412,19 @@ class TestSuite:
         assert len(report["reports"]) == 2
         assert report["reports"][0]["verdict"] == "verified"
         assert report["reports"][1]["verdict"] == "refuted"
+
+    def test_runs_requests_in_order(self, tmp_path):
+        """Requests run one after another: the reports come back in request
+        order, and their timings add up to no more than the suite's wall."""
+        zigzag = ["lag", "check", "--kind", "zigzag", "--dim", "12"]
+        f = tmp_path / "suite.json"
+        f.write_text(json.dumps([[*zigzag, "--seed", "1"], [*zigzag, "--seed", "2"]]))
+        start = time.monotonic()
+        report, code = run(["suite", "--config", str(f)])
+        wall = time.monotonic() - start
+        assert code == 0
+        assert [r["seed"] for r in report["reports"]] == [1, 2]
+        assert sum(r["timing"] for r in report["reports"]) <= wall
 
     def test_bare_list_config(self, tmp_path):
         f = tmp_path / "bare.json"
@@ -494,3 +522,17 @@ class TestMain:
         printed = capsys.readouterr().out
         assert json.loads(printed)["verdict"] == "verified"
         assert json.loads(out.read_text())["verdict"] == "verified"
+
+    @pytest.mark.parametrize("spelling", [["--out={}"], ["--ou", "{}"]], ids=["equals", "prefix"])
+    def test_out_spellings(self, tmp_path, capsys, spelling):
+        """Every spelling of --out that the parser accepts writes the file."""
+        out = tmp_path / "report.json"
+        code = main(["shapes", "sigma", "1", *(a.format(out) for a in spelling)])
+        assert code == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_usage_error_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["shapes", "nosuchkind", "1", "--out", str(out)])
+        assert code == 3
+        assert json.loads(out.read_text())["verdict"] == "error"

@@ -325,13 +325,13 @@ def _rewritten_builders():
         "span_level": lambda: span_level(finset(2), (1,)),
         "mapping_fiber": lambda: mapping_fiber(finset(2), 1, 1),
         "invertible_span_groupoid": lambda: invertible_span_groupoid(finset(2)),
-        "locsys_level_0": lambda: locsys_level(b1, bz2, (0,), 1),
-        "locsys_level_1": lambda: locsys_level(b1, bz2, (1,), 1),
+        "locsys_level_0": lambda: locsys_level(b1, bz2, 1),
+        "locsys_level_1": lambda: _two_cell_groupoid(bz2, b1, labeled),
         "strict_fiber": lambda: _strict_fiber_groupoid(
             bz2, b1, [s for s in labeled if s.span.left == s.span.right == 1]
         ),
         "invertible_labeled_spans": lambda: _two_cell_groupoid(
-            bz2, b1, [s for s in labeled if locsys_invertible_predicate(bz2, b1, s)], lambda s: s
+            bz2, b1, [s for s in labeled if locsys_invertible_predicate(bz2, b1, s)]
         ),
         "sets_over": lambda: sets_over(FinSetCategory(2), 2, 2),
     }

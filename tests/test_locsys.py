@@ -1,5 +1,5 @@
 """Labeled spans: internal coefficient categories, composition, levels,
-classification of invertibles, duals, and mapping fibers."""
+classification of invertibles and mapping fibers."""
 import functools
 
 import pytest
@@ -12,6 +12,7 @@ from spanlab.locsys import (
     LocalSystemSpan,
     _apex_labels,
     _strict_fiber_groupoid,
+    _two_cell_groupoid,
     all_locsys_spans,
     comma_set,
     compose_labeled_bij,
@@ -23,7 +24,6 @@ from spanlab.locsys import (
     invert_labeled_bij,
     labeled_bijections,
     locsys_battery_check,
-    locsys_dual,
     locsys_equivalence_check,
     locsys_invertible_predicate,
     locsys_invertible_search,
@@ -31,7 +31,6 @@ from spanlab.locsys import (
     locsys_level,
     locsys_mapping_fiber_check,
     locsys_span_isos,
-    locsys_spans_isomorphic,
     validate_internal,
     walking_arrow_internal,
 )
@@ -174,25 +173,22 @@ class TestLabeledBijections:
 
 class TestLevels:
     def test_labeled_sets_level_count(self):
-        G = locsys_level(FinSetCategory(1), discrete_internal(2), (0,), 1)
+        G = locsys_level(FinSetCategory(1), discrete_internal(2), 1)
         assert len(G.objects) == 3  # empty set plus two labeled points
         assert G.validate()
 
     def test_trivial_coefficients_match_plain_level(self):
         base = FinSetCategory(1)
-        G = locsys_level(base, POINT, (1,), 1)
+        G = _two_cell_groupoid(POINT, base, all_locsys_spans(POINT, base, 1))
         plain = span_level(base, (1,))
         assert len(G.objects) == len(plain.objects) == 5
         assert groupoids_equivalent(G, plain)
 
     def test_bz2_span_level_count(self):
-        G = locsys_level(FinSetCategory(1), BZ2, (1,), 1)
+        base = FinSetCategory(1)
+        G = _two_cell_groupoid(BZ2, base, all_locsys_spans(BZ2, base, 1))
         assert len(G.objects) == 6
         assert G.validate()
-
-    def test_unshipped_arities_rejected(self):
-        with pytest.raises(SpanlabError):
-            locsys_level(FinSetCategory(1), BZ2, (2,), 1)
 
 
 class TestBatteries:
@@ -271,33 +267,6 @@ def invertible_search_oracle(C, base, s: LocalSystemSpan, bound) -> bool:
                     ) and locsys_iso_to_identity(C, base, compose_locsys(C, base, t, s)):
                         return True
     return False
-
-
-class TestDuals:
-    def test_self_inverse_label(self):
-        base = FinSetCategory(1)
-        s = point_span(base, 1)
-        assert locsys_dual(BZ2, s).a == (1,)
-
-    def test_bz3_label_inverts(self):
-        base = FinSetCategory(1)
-        s = point_span(base, 1, C=BZ3)
-        assert locsys_dual(BZ3, s).a == (2,)
-
-    def test_needs_internal_groupoid(self):
-        base = FinSetCategory(1)
-        s = point_span(base, 0, C=ARROW, xi=(0,), eta=(0,))
-        with pytest.raises(SpanlabError):
-            locsys_dual(ARROW, s)
-
-    def test_dual_composite_collapses(self):
-        base = FinSetCategory(1)
-        s = point_span(base, 1, C=BZ3)
-        d = locsys_dual(BZ3, s)
-        assert compose_locsys(BZ3, base, s, d).a == (0,)
-        assert locsys_spans_isomorphic(
-            BZ3, base, compose_locsys(BZ3, base, s, d), identity_locsys(BZ3, base, 1, (0,))
-        )
 
 
 class TestMappingFibers:

@@ -204,9 +204,10 @@ class TestLevels:
         for lo, lm in enumerate_lambda_data(shape, base):
             assert is_cartesian(kan_extend(shape, base, lo, lm))
 
-    def test_ceiling_raises(self):
+    def test_ceiling_raises(self, monkeypatch):
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "2")
         with pytest.raises(ResourceError):
-            span_level(finset(1), (1,), ceiling=2)
+            span_level(finset(1), (1,))
 
     def test_level_over_a_base_without_products(self):
         """In the poset p, q <= x, y neither x and y nor p and q have a
@@ -244,8 +245,9 @@ class TestSegal:
         assert v
         assert v.details["mode"] == "exhaustive"
 
-    def test_sampled_mode_reported(self):
-        v = segal_check(finset(2), (2, 2), samples=3, ceiling=100)
+    def test_sampled_mode_reported(self, monkeypatch):
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "100")
+        v = segal_check(finset(2), (2, 2), samples=3)
         assert v
         assert v.details["mode"] == "sampled"
         assert v.details["data_checked"] == 3
