@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -444,7 +445,11 @@ def main(argv=None) -> int:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early: send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -12,7 +12,14 @@ import itertools
 
 from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
-from .spans import Span, inverse_candidates, identity_span, iso_to_identity_span
+from .spans import (
+    Span,
+    all_spans,
+    both_legs_iso,
+    identity_span,
+    inverse_candidates,
+    iso_to_identity_span,
+)
 from .verdict import FootMismatchError, SpanlabError, Verdict
 
 
@@ -236,18 +243,15 @@ def _apex_labels(C: InternalCategory, l, r, xi, eta):
 
 
 def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
-    out = []
-    for X in base.objects_within(bound):
-        for Y in base.objects_within(bound):
-            for A in base.objects_within(bound):
-                for l in base.hom(A, X):
-                    for r in base.hom(A, Y):
-                        span = Span(X, l, A, r, Y)
-                        for xi in itertools.product(range(C.C0), repeat=X):
-                            for eta in itertools.product(range(C.C0), repeat=Y):
-                                for a in _apex_labels(C, l, r, xi, eta):
-                                    out.append(LocalSystemSpan(span, xi, eta, a))
-    return out
+    """Every labeled span within bound: the plain spans of all_spans, each
+    with every labeling of its feet and apex."""
+    return [
+        LocalSystemSpan(sp, xi, eta, a)
+        for sp in all_spans(base, bound)
+        for xi in itertools.product(range(C.C0), repeat=sp.left)
+        for eta in itertools.product(range(C.C0), repeat=sp.right)
+        for a in _apex_labels(C, sp.lleg, sp.rleg, xi, eta)
+    ]
 
 
 def invertible_between(C: InternalCategory, x, y):
@@ -433,12 +437,7 @@ def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None) -> bool:
 def locsys_invertible_predicate(C, base, s: LocalSystemSpan) -> bool:
     """Trivial underlying span (both legs invertible) with internally
     invertible labels."""
-    sp = s.span
-    return (
-        base.is_iso(sp.lleg)
-        and base.is_iso(sp.rleg)
-        and all(C.is_invertible(m) for m in s.a)
-    )
+    return both_legs_iso(base, s.span) and all(C.is_invertible(m) for m in s.a)
 
 
 def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:

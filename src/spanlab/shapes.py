@@ -16,10 +16,14 @@ its order.  Nothing is built at import time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .verdict import ShapeSpecError, Verdict
+from .verdict import ResourceError, ShapeSpecError, Verdict
+
+# Cap on the pairs of a shape's order: C(n + 4, 4) per direction of arity n.
+SHAPE_ORDER_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,9 @@ class SigmaShape:
             raise ShapeSpecError("arity list must be non-empty")
         if any(n < 0 for n in self.arities):
             raise ShapeSpecError(f"negative arity in {self.arities}")
+        pairs = math.prod(math.comb(n + 4, 4) for n in self.arities)
+        if pairs > SHAPE_ORDER_BOUND:
+            raise ResourceError(f"the order of {self.arities} has {pairs} pairs, over {SHAPE_ORDER_BOUND}")
         object.__setattr__(self, "arities", tuple(self.arities))
         objs = tuple(
             itertools.product(*[_all_intervals(n) for n in self.arities])

@@ -37,7 +37,7 @@ class SpanDiagram:
     groupoids can deduplicate on the nose.
     """
 
-    __slots__ = ("shape", "base", "obj", "mor", "key")
+    __slots__ = ("shape", "base", "obj", "mor", "key", "comparisons")
 
     def __init__(self, shape: SigmaShape, base, obj: dict, mor: dict):
         self.shape = shape
@@ -49,6 +49,7 @@ class SpanDiagram:
             tuple(sorted(self.obj.items())),
             tuple(sorted(self.mor.items())),
         )
+        self.comparisons = {}
 
     def __eq__(self, other):
         return isinstance(other, SpanDiagram) and self.key == other.key
@@ -107,6 +108,18 @@ def _cell_limit(shape: SigmaShape, base, c, obj, mor):
     node_obj, arrows = _cell_diagram(shape, c, obj, mor)
     L, legs = base.limit_of_diagram(node_obj, arrows)
     return node_obj, L, legs
+
+
+def _cell_comparison(d: SpanDiagram, c):
+    """The canonical limit presentation (node_obj, L, legs) of cell c of d
+    and the comparison map from d's cone at c into L, kept in d.comparisons.
+    Raises NoLimitError when there is no limit or the cone does not factor."""
+    if c not in d.comparisons:
+        node_obj, L, legs = _cell_limit(d.shape, d.base, c, d.obj, d.mor)
+        cone = {b: d.mor[(c, b)] for b in node_obj}
+        u = d.base.factor_through_limit(L, legs, d.obj[c], cone, node_obj)
+        d.comparisons[c] = node_obj, L, legs, u
+    return d.comparisons[c]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +240,7 @@ def is_cartesian(d: SpanDiagram) -> Verdict:
         if c in lam:
             continue
         try:
-            node_obj, L, legs = _cell_limit(shape, base, c, d.obj, d.mor)
-            cone = {b: d.mor[(c, b)] for b in node_obj}
-            h = base.factor_through_limit(L, legs, d.obj[c], cone, node_obj)
+            _, L, _, h = _cell_comparison(d, c)
         except NoLimitError:
             return Verdict.refuted(witness={"cell": c, "reason": "cone does not factor"})
         if not base.is_iso(h):
@@ -253,23 +264,22 @@ def restrict_along(small: SigmaShape, phis, d: SpanDiagram) -> SpanDiagram:
 # natural families of isomorphisms
 
 
+def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g) -> bool:
+    """Is g: d1.obj[c] -> d2.obj[c] natural with the components of fam on
+    every arrow from c to a cell of fam?  The cells of fam come before c in
+    fill order, which lists every cell after the cells above it, so no
+    arrow runs from a cell of fam to c."""
+    rel = shape.order
+    for b in fam:
+        if (c, b) in rel and base.compose(d2.mor_at(c, b), g) != base.compose(fam[b], d1.mor_at(c, b)):
+            return False
+    return True
+
+
 def natural_families(base, shape, cells, d1: SpanDiagram, d2: SpanDiagram):
     """All families of isomorphisms over the given cells, natural for every
     comparable pair (backtracking, vertices first)."""
     order = _cells_by_length(shape, cells)
-    rel = shape.order
-
-    def natural_with(fam, c, g):
-        for b in fam:
-            if b == c:
-                continue
-            if (c, b) in rel:
-                if base.compose(d2.mor_at(c, b), g) != base.compose(fam[b], d1.mor_at(c, b)):
-                    return False
-            elif (b, c) in rel:
-                if base.compose(g, d1.mor_at(b, c)) != base.compose(d2.mor_at(b, c), fam[b]):
-                    return False
-        return True
 
     def rec(i, fam):
         if i == len(order):
@@ -277,7 +287,7 @@ def natural_families(base, shape, cells, d1: SpanDiagram, d2: SpanDiagram):
             return
         c = order[i]
         for g in base.isos(d1.obj[c], d2.obj[c]):
-            if natural_with(fam, c, g):
+            if natural_with(base, shape, d1, d2, fam, c, g):
                 fam[c] = g
                 yield from rec(i + 1, fam)
                 del fam[c]
@@ -307,9 +317,7 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
         if c in lam:
             continue
         try:
-            node_obj, L, legs = _cell_limit(shape, base, c, d2.obj, d2.mor)
-            cone2 = {b: d2.mor[(c, b)] for b in node_obj}
-            u2 = base.factor_through_limit(L, legs, d2.obj[c], cone2, node_obj)
+            node_obj, L, legs, u2 = _cell_comparison(d2, c)
             if not base.is_iso(u2):
                 return None
             cone1 = {b: base.compose(full[b], d1.mor[(c, b)]) for b in node_obj}
@@ -325,34 +333,20 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     return full
 
 
-def transport_diagram(d: SpanDiagram, fam: dict) -> SpanDiagram:
-    """Conjugate a diagram by a natural family of automorphisms (skeletal
-    base: objects stay put, morphisms get twisted)."""
-    base = d.base
-    mor = {}
-    for (a, b), m in d.mor.items():
-        mor[(a, b)] = base.compose(fam[b], base.compose(m, base.inverse(fam[a])))
-    return SpanDiagram(d.shape, base, d.obj, mor)
-
-
 def random_natural_family(base, shape, cells, d: SpanDiagram, rng):
     """A seeded random natural automorphism family on the given cells; falls
     back to the identity family when sampling keeps dead-ending."""
     order = _cells_by_length(shape, cells)
     for _ in range(12):
         fam = {}
-        ok = True
         for c in order:
             cands = [
-                g
-                for g in base.isos(d.obj[c], d.obj[c])
-                if is_natural_family(base, shape, list(fam) + [c], d, d, {**fam, c: g})
+                g for g in base.isos(d.obj[c], d.obj[c]) if natural_with(base, shape, d, d, fam, c, g)
             ]
             if not cands:
-                ok = False
                 break
             fam[c] = rng.choice(cands)
-        if ok:
+        else:
             return fam
     return {c: base.identity(d.obj[c]) for c in cells}
 
@@ -650,23 +644,18 @@ def _check_one_datum(shape, base, lo, lm, dirs):
 
 
 def _check_twist(shape, base, ext, dirs, rng):
-    """Transport battery: twist one edge piece by a random natural
-    automorphism, normalize back, and confirm the twisted piece is linked to
-    the strict one by a verified natural isomorphism."""
+    """Twist battery: a random natural automorphism family on the free cells
+    of a random edge piece extends to the piece, which is a functor.  No
+    transport is checked: extend_natural_family returns only families natural
+    on every arrow m: a -> b, and for automorphisms that says fam[b] . m .
+    fam[a]^-1 = m, so twisting the piece by the family gives back the piece."""
     r = rng.choice(dirs)
     i = rng.randrange(1, shape.arities[r] + 1)
     piece = _edge_piece(ext, r, i)
     small = piece.shape
     fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
-    full = extend_natural_family(piece, piece, fam)
-    if full is None:
+    if extend_natural_family(piece, piece, fam) is None:
         return Verdict.refuted(witness={"reason": "twist family fails to extend"})
-    twisted = transport_diagram(piece, full)
-    if not is_natural_family(base, small, small.objects, piece, twisted, full):
-        return Verdict.refuted(witness={"reason": "transport is not a natural isomorphism"})
-    back = transport_diagram(twisted, {c: base.inverse(full[c]) for c in full})
-    if back.key != piece.key:
-        return Verdict.refuted(witness={"reason": "transport does not normalize back"})
     return piece.validate()
 
 
@@ -769,13 +758,7 @@ def invertible_span_check(base, bound=None) -> Verdict:
     checked = 0
     for s in all_spans(base, bound):
         pred = both_legs_iso(base, s)
-        if pred:
-            t = reverse_span(s)
-            found = iso_to_identity_span(base, compose_spans(base, s, t)) and iso_to_identity_span(
-                base, compose_spans(base, t, s)
-            )
-        else:
-            found = _has_inverse(base, s, bound)
+        found = _has_inverse(base, s, bound)
         if found != pred:
             return Verdict.refuted(
                 witness={

@@ -1,7 +1,11 @@
 """The command-line surface: reports, exit codes, suites, determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -381,6 +385,21 @@ class TestResourceCeiling:
         assert "1273 pairs" in report["witness"]["reason"]
         assert "groupoid" not in report
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["shapes", "wedge", "400"], ["check", "segal", "--base", "finset:1", "--arities", "120"]],
+        ids=["wedge", "segal"],
+    )
+    def test_shape_over_the_order_bound_is_inconclusive(self, argv):
+        """A shape whose order would hold more than 10^6 pairs is refused
+        before it is built."""
+        start = time.monotonic()
+        report, code = run(argv)
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert "pairs" in report["witness"]["reason"]
+
 
 class TestSuite:
     def test_empty_suite(self, tmp_path):
@@ -530,6 +549,26 @@ class TestMain:
         code = main(["shapes", "sigma", "1", *(a.format(out) for a in spelling)])
         assert code == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_closed_pipe_ends_quietly(self):
+        """A reader that closes stdout after 100 bytes of a 15 MB report
+        gets no traceback on stderr, and the exit code is a verdict's."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["level", "--base", "finset:2", "--arities", "1", "--json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spanlab.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+        assert b"Traceback" not in err
+        assert code in (0, 1, 2, 3)
 
     def test_usage_error_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -13,7 +13,7 @@ from spanlab.shapes import (
     sigma_map,
     sigma_shape,
 )
-from spanlab.verdict import ShapeSpecError
+from spanlab.verdict import ResourceError, ShapeSpecError
 
 
 def monotone_maps(n, m):
@@ -59,6 +59,17 @@ class TestSigmaShape:
     def test_negative_arity_rejected(self):
         with pytest.raises(ShapeSpecError):
             sigma_shape((-1,))
+
+    def test_order_over_the_bound_raises(self):
+        """C(72, 4) = 1,028,790 pairs at arity 68 exceed the bound of 10^6,
+        C(71, 4) = 971,635 at arity 67 do not; a negative arity is still a
+        ShapeSpecError, however large the others."""
+        with pytest.raises(ResourceError, match="1028790 pairs"):
+            sigma_shape((68,))
+        with pytest.raises(ResourceError):
+            sigma_shape((12, 12))
+        with pytest.raises(ShapeSpecError):
+            sigma_shape((-1, 400))
 
     def test_order_laws(self):
         s = sigma_shape((2, 2))

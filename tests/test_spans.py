@@ -1,6 +1,7 @@
 """Span diagrams: Kan extension, Cartesian certificates, levels, the Segal
 comparison, invertibility, completeness, and mapping fibers."""
 import functools
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,9 @@ from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
     SpanDiagram,
+    _check_one_datum,
+    _check_twist,
+    _edge_piece,
     _has_inverse,
     all_spans,
     completeness_check,
@@ -24,12 +28,15 @@ from spanlab.spans import (
     invertible_span_check,
     iso_to_identity_span,
     is_cartesian,
+    is_natural_family,
     kan_extend,
     mapping_category_check,
     mapping_fiber,
     natural_families,
     extend_natural_family,
+    random_natural_family,
     restrict_along,
+    sample_lambda_data,
     segal_check,
     span_level,
     underlying_2fold_level,
@@ -65,6 +72,35 @@ def two_span_lambda_data():
         (V(1, 2), V(2, 2)): FinFunction(3, 1, (0, 0, 0)),
     }
     return obj, mor
+
+
+def identity_lambda_data(shape, n):
+    """Free data with n points at every Lambda cell and identity arrows."""
+    lam = shape.lambda_cells
+    ident = FinFunction(n, n, tuple(range(n)))
+    return {c: n for c in lam}, {ab: ident for ab in shape.arrows_among(lam)}
+
+
+def random_natural_family_oracle(base, shape, cells, d, rng):
+    """The family search that checks each candidate with is_natural_family
+    over the partial family: the oracle of spans.random_natural_family."""
+    order = sorted(cells, key=shape.fill_rank.__getitem__)
+    for _ in range(12):
+        fam = {}
+        ok = True
+        for c in order:
+            cands = [
+                g
+                for g in base.isos(d.obj[c], d.obj[c])
+                if is_natural_family(base, shape, list(fam) + [c], d, d, {**fam, c: g})
+            ]
+            if not cands:
+                ok = False
+                break
+            fam[c] = rng.choice(cands)
+        if ok:
+            return fam
+    return {c: base.identity(d.obj[c]) for c in cells}
 
 
 class TestKanExtend:
@@ -264,6 +300,85 @@ class TestSegal:
         full = extend_natural_family(ext, ext, idfam)
         assert full is not None
         assert all(full[c] == base.identity(ext.obj[c]) for c in shape.objects)
+
+    def test_sampled_data_stream_pinned(self, monkeypatch):
+        """The free data a sampled run checks are pinned.  The twist battery
+        draws from the sampler's Random, so this also pins its draws."""
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "100")
+        seen, check = [], spans_module._check_one_datum
+
+        def record(shape, base, lo, lm, dirs):
+            seen.append((sorted(lo.items()), sorted(lm.items())))
+            return check(shape, base, lo, lm, dirs)
+
+        monkeypatch.setattr(spans_module, "_check_one_datum", record)
+        assert segal_check(finset(2), (2, 2), samples=6, seed=3)
+        assert len(seen) == 6
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+        assert digest == "3fa7b2662fc279ee3080ecec7067ca3d012ec383eae146f38be92bdeef6211dd"
+
+    def test_each_cell_limit_taken_once_per_diagram(self, monkeypatch):
+        """Kan extension and the Cartesian certificate each take the limit
+        of the one filled cell; the extensions of the free families reuse
+        the certificate's."""
+        base, shape = finset(2), sigma_shape(2)
+        obj, mor = identity_lambda_data(shape, 2)
+        calls, limit = [], base.limit_of_diagram
+        monkeypatch.setattr(base, "limit_of_diagram", lambda *a: calls.append(a) or limit(*a))
+        v, ext = _check_one_datum(shape, base, obj, mor, [0])
+        assert v
+        assert len(list(natural_families(base, shape, shape.lambda_cells, ext, ext))) == 2
+        assert len(calls) == 2
+        assert kan_extend(shape, base, obj, mor).comparisons == {}
+
+    def test_twist_refutes_a_non_functorial_piece(self):
+        """Identity spans on two points, with every arrow between filled
+        cells swapped: every natural family still extends (S2 is abelian),
+        and piece.validate() refutes the composites."""
+        base, shape = finset(2), sigma_shape((2, 2))
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, 2))
+        lam, swap = shape.lambda_set, FinFunction(2, 2, (1, 0))
+        mor = {ab: m if lam & set(ab) else swap for ab, m in ext.mor.items()}
+        bad = SpanDiagram(shape, base, ext.obj, mor)
+        for seed in range(4):
+            v = _check_twist(shape, base, bad, [0, 1], random.Random(seed))
+            assert v.status == "refuted"
+            assert v.witness["reason"] == "composition mismatch"
+        assert _check_twist(shape, base, ext, [0, 1], random.Random(0))
+
+    def test_twist_family_that_fails_to_extend(self, monkeypatch):
+        """A twist family that fails to extend refutes in mode twist."""
+        extend = spans_module.extend_natural_family
+
+        def extend_but_not_on_pieces(d1, d2, fam):
+            return None if d1.shape.arities == (1,) else extend(d1, d2, fam)
+
+        monkeypatch.setattr(spans_module, "extend_natural_family", extend_but_not_on_pieces)
+        v = segal_check(finset(1), (2,))
+        assert v.status == "refuted"
+        assert v.details == {"mode": "twist"}
+        assert v.witness == {"reason": "twist family fails to extend"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2,), (3,), (2, 2)]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    )
+    def test_random_family_matches_the_full_check(self, arities, data_seed, seed):
+        """random_natural_family against the search that checks each
+        candidate with is_natural_family over the partial family: the same
+        family, and the Random left in the same state."""
+        base, shape = finset(2), sigma_shape(arities)
+        draw = random.Random(data_seed)
+        ext = kan_extend(shape, base, *sample_lambda_data(shape, base, None, draw))
+        r = draw.choice([r for r, n in enumerate(arities) if n >= 2])
+        piece = _edge_piece(ext, r, draw.randrange(1, arities[r] + 1))
+        small = piece.shape
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
+        assert fam == random_natural_family_oracle(base, small, small.lambda_cells, piece, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestInvertibility:
