@@ -374,47 +374,47 @@ class FinSetCategory:
         return 1
 
     def limit_of_diagram(self, node_obj: dict, arrows):
-        """Canonical limit: compatible tuples over sorted nodes, lex order.
+        """Canonical limit: the tuples over the sorted nodes that every
+        arrow (a, b, m) satisfies, m(t[a]) = t[b], in lexicographic order;
+        leg n is coordinate n.  A self-loop (a, a, m) keeps the points that
+        m fixes.
 
-        Backtracks node by node; a node whose value is forced by an arrow
-        from an already-assigned node is not enumerated, so wide diagrams
-        stay cheap."""
+        If a node is empty, so is the limit.  Otherwise the tuples grow one
+        node at a time in root-first order (_root_first_order): every node
+        that is not a root is then placed after a node with an arrow into
+        it, so its value is forced instead of enumerated.  Each step tests
+        the new value against every arrow between the node and the nodes
+        placed so far, its own self-loops included; these arrows are sorted
+        by position once per diagram.  The finished tuples are put back in
+        sorted-node order and sorted."""
         nodes = sorted(node_obj)
-        if not nodes:
-            return 1, {}
-        into = {n: [] for n in nodes}
-        outof = {n: [] for n in nodes}
+        if any(node_obj[n] == 0 for n in nodes):
+            return 0, {n: FinFunction(0, node_obj[n], ()) for n in nodes}
+        order = _root_first_order(nodes, arrows)
+        at = {n: i for i, n in enumerate(order)}
+        # each arrow (a, b, m) is tested where its later end is placed, as
+        # (m, at[a], at[b]) on the grown row; the first arrow into the node
+        # from an earlier one forces the node's value instead
+        tests = [[] for _ in order]
         for a, b, m in arrows:
-            into[b].append((a, m))
-            outof[a].append((b, m))
-        tuples = []
-
-        def backtrack(i, vals):
-            if i == len(nodes):
-                tuples.append(tuple(vals[n] for n in nodes))
-                return
-            n = nodes[i]
-            forced = {m.values[vals[a]] for a, m in into[n] if a in vals}
-            if len(forced) > 1:
-                return
-            candidates = forced if forced else range(node_obj[n])
-            for v in candidates:
-                if v >= node_obj[n]:
-                    continue
-                if any(
-                    b in vals and m.values[v] != vals[b] for b, m in outof[n]
-                ):
-                    continue
-                vals[n] = v
-                backtrack(i + 1, vals)
-                del vals[n]
-
-        backtrack(0, {})
+            tests[max(at[a], at[b])].append((m.values, at[a], at[b]))
+        rows = [()]
+        for n, here in zip(order, tests):
+            forcing = next((t for t in here if t[1] < t[2]), None)
+            if forcing:
+                here.remove(forcing)
+                f, j, _ = forcing
+                grown = (row + (f[row[j]],) for row in rows)
+            else:
+                grown = (row + (v,) for row in rows for v in range(node_obj[n]))
+            if here:
+                rows = [r for r in grown if all(g[r[j]] == r[k] for g, j, k in here)]
+            else:
+                rows = list(grown)
+        tuples = sorted(tuple(row[at[n]] for n in nodes) for row in rows)
         apex = len(tuples)
-        legs = {
-            n: FinFunction(apex, node_obj[n], tuple(t[i] for t in tuples))
-            for i, n in enumerate(nodes)
-        }
+        columns = list(zip(*tuples)) or [()] * len(nodes)
+        legs = {n: FinFunction(apex, node_obj[n], col) for n, col in zip(nodes, columns)}
         return apex, legs
 
     def factor_through_limit(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
@@ -434,6 +434,34 @@ class FinSetCategory:
 
     def validate(self) -> Verdict:
         return Verdict.verified()
+
+
+def _root_first_order(nodes, arrows):
+    """The sorted nodes reordered so that each root (a node with no arrow
+    in from another node), in sorted order, comes before the nodes its
+    arrows reach, breadth first.  Nodes on a cycle that no root reaches
+    come last, each unplaced one in sorted order followed by what it
+    reaches."""
+    out = {n: [] for n in nodes}
+    has_in = set()
+    for a, b, _ in arrows:
+        if a != b:
+            out[a].append(b)
+            has_in.add(b)
+    order, seen = [], set()
+    for start in [n for n in nodes if n not in has_in] + nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        order.append(start)
+        i = len(order) - 1
+        while i < len(order):
+            for b in out[order[i]]:
+                if b not in seen:
+                    seen.add(b)
+                    order.append(b)
+            i += 1
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -279,20 +279,23 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
 def natural_families(base, shape, cells, d1: SpanDiagram, d2: SpanDiagram):
     """All families of isomorphisms over the given cells, natural for every
     comparable pair (backtracking, vertices first)."""
-    order = _cells_by_length(shape, cells)
+    yield from _natural_extensions(base, shape, _cells_by_length(shape, cells), d1, d2, 0, {})
 
-    def rec(i, fam):
-        if i == len(order):
-            yield dict(fam)
-            return
-        c = order[i]
-        for g in base.isos(d1.obj[c], d2.obj[c]):
-            if natural_with(base, shape, d1, d2, fam, c, g):
-                fam[c] = g
-                yield from rec(i + 1, fam)
-                del fam[c]
 
-    yield from rec(0, {})
+def _natural_extensions(base, shape, order, d1, d2, i, fam):
+    """The natural families that extend fam, given on order[:i], over the
+    rest of order.  A module function rather than a closure that calls
+    itself: such a closure is a reference cycle, which keeps every
+    family and diagram it saw alive until the cyclic collector runs."""
+    if i == len(order):
+        yield dict(fam)
+        return
+    c = order[i]
+    for g in base.isos(d1.obj[c], d2.obj[c]):
+        if natural_with(base, shape, d1, d2, fam, c, g):
+            fam[c] = g
+            yield from _natural_extensions(base, shape, order, d1, d2, i + 1, fam)
+            del fam[c]
 
 
 def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:

@@ -1,11 +1,12 @@
 """Finite categories, the skeletal finite-set base, limits, slices, cores."""
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanlab.duality import _pair
+from spanlab.duality import _pair, build_adjunction, triangle_check
 from spanlab.fincat import (
     FinCategory,
     FinFunction,
@@ -14,6 +15,7 @@ from spanlab.fincat import (
     finset,
     slice_over_pair,
 )
+from spanlab.spans import Span
 from spanlab.verdict import NoLimitError, SpanlabError
 
 
@@ -45,6 +47,86 @@ def finset_table(C: FinSetCategory) -> FinCategory:
                 h = C.compose(FinFunction(gs, gt, gl[3]), FinFunction(fs, ft, fl[3]))
                 comp[(gl, fl)] = ("f", fs, gt, h.values)
     return FinCategory(objects, morphs, ident, comp)
+
+
+def product_limit(node_obj, arrows):
+    """The canonical limit by brute force: every tuple of the product over
+    the sorted nodes, in lexicographic order, kept when every arrow holds
+    on it.  The differential oracle of FinSetCategory.limit_of_diagram."""
+    nodes = sorted(node_obj)
+    at = {n: i for i, n in enumerate(nodes)}
+    tuples = [
+        t
+        for t in itertools.product(*(range(node_obj[n]) for n in nodes))
+        if all(m.values[t[at[a]]] == t[at[b]] for a, b, m in arrows)
+    ]
+    legs = {n: FinFunction(len(tuples), node_obj[n], tuple(t[at[n]] for t in tuples)) for n in nodes}
+    return len(tuples), legs
+
+
+def sorted_order_limit(node_obj, arrows):
+    """The limit search FinSetCategory used before its root-first order:
+    backtracking over the nodes in sorted order, a node forced only by an
+    arrow from a node before it.  It never tests a self-loop, so it is an
+    oracle for diagrams without them."""
+    nodes = sorted(node_obj)
+    if not nodes:
+        return 1, {}
+    into = {n: [] for n in nodes}
+    outof = {n: [] for n in nodes}
+    for a, b, m in arrows:
+        into[b].append((a, m))
+        outof[a].append((b, m))
+    tuples = []
+
+    def backtrack(i, vals):
+        if i == len(nodes):
+            tuples.append(tuple(vals[n] for n in nodes))
+            return
+        n = nodes[i]
+        forced = {m.values[vals[a]] for a, m in into[n] if a in vals}
+        if len(forced) > 1:
+            return
+        for v in forced if forced else range(node_obj[n]):
+            if v < node_obj[n] and not any(b in vals and m.values[v] != vals[b] for b, m in outof[n]):
+                vals[n] = v
+                backtrack(i + 1, vals)
+                del vals[n]
+
+    backtrack(0, {})
+    legs = {
+        n: FinFunction(len(tuples), node_obj[n], tuple(t[i] for t in tuples))
+        for i, n in enumerate(nodes)
+    }
+    return len(tuples), legs
+
+
+class CountingValues(tuple):
+    """Function values that count how often they are looked up."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        CountingValues.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
+@st.composite
+def finset_diagrams(draw):
+    """Up to 6 nodes of sizes 0-3 under names whose sorted order is not
+    the drawing order, and up to 8 arrows between any two of them: self-
+    loops, parallel arrows and cycles included."""
+    names = draw(st.lists(st.sampled_from(["z", "m1", "a", "t12", "vl", "b", "w"]), max_size=6, unique=True))
+    node_obj = {n: draw(st.integers(0, 3)) for n in names}
+    arrows = []
+    if names:
+        for _ in range(draw(st.integers(0, 8))):
+            a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            if node_obj[a] and not node_obj[b]:
+                continue  # no function into the empty set
+            values = draw(st.tuples(*[st.integers(0, node_obj[b] - 1)] * node_obj[a]))
+            arrows.append((a, b, FinFunction(node_obj[a], node_obj[b], values)))
+    return node_obj, arrows
 
 
 class TestFinCategoryAxioms:
@@ -264,6 +346,70 @@ class TestLimits:
         M = finset_table(finset(2))
         with pytest.raises(NoLimitError):
             M.limit_of_diagram({"A": 2, "B": 2}, [])
+
+
+class TestCanonicalLimits:
+    """FinSetCategory.limit_of_diagram against the brute-force product
+    oracle and the old sorted-order search."""
+
+    @given(finset_diagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_product_oracle(self, diagram):
+        node_obj, arrows = diagram
+        assert finset(3).limit_of_diagram(node_obj, arrows) == product_limit(node_obj, arrows)
+        if all(a != b for a, b, _ in arrows):
+            assert sorted_order_limit(node_obj, arrows) == product_limit(node_obj, arrows)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_diagrams_match_the_oracle(self, data):
+        """Every limit certify adjoint takes on a span of finset:3, the
+        chain and collapse diagrams of duality._one_triangle among them."""
+        B = finset(3)
+        M, L, R = (data.draw(st.integers(1, 3)) for _ in range(3))
+        rng = random.Random(data.draw(st.integers(0, 999)))
+        s = Span(L, B.random_hom(M, L, rng), M, B.random_hom(M, R, rng), R)
+        seen, limit = [], FinSetCategory.limit_of_diagram
+
+        def spy(self, node_obj, arrows):
+            seen.append(sorted(node_obj))
+            assert limit(self, node_obj, arrows) == product_limit(node_obj, arrows)
+            return limit(self, node_obj, arrows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FinSetCategory, "limit_of_diagram", spy)
+            assert triangle_check(build_adjunction(B, s))
+        assert ["m1", "m2", "m3", "vl", "vr"] in seen
+        assert ["t12", "t23", "va", "vb", "w1", "w2", "w3"] in seen
+
+    @pytest.mark.parametrize(
+        "values, apex, fixed",
+        [((1, 0), 0, ()), ((0, 0), 1, (0,)), ((0, 1), 2, (0, 1))],
+        ids=["swap", "constant", "identity"],
+    )
+    def test_self_loop_keeps_the_fixed_points(self, values, apex, fixed):
+        """The limit of one node with an endomap m is the set of points m
+        fixes; the table base's cone search agrees."""
+        L, legs = finset(2).limit_of_diagram({"A": 2}, [("A", "A", FinFunction(2, 2, values))])
+        assert (L, legs["A"].values) == (apex, fixed)
+        T, tlegs = finset_table(finset(2)).limit_of_diagram({"A": 2}, [("A", "A", ("f", 2, 2, values))])
+        assert (T, tlegs["A"]) == (apex, ("f", apex, 2, fixed))
+
+    def test_wide_diagram_is_pinned_by_lookups(self):
+        """Eight 4-point nodes a0..a7, each mapped by the identity into z:
+        in sorted order no arrow prunes before z, so the old search builds
+        all 4^8 = 65,536 tuples; root-first, z follows a0 and prunes every
+        later node, so the map lookups stay in the low hundreds."""
+        ident = FinFunction(4, 4, CountingValues(range(4)))
+        node_obj = {f"a{k}": 4 for k in range(8)} | {"z": 4}
+        arrows = [(f"a{k}", "z", ident) for k in range(8)]
+        CountingValues.lookups = 0
+        L, legs = finset(4).limit_of_diagram(node_obj, arrows)
+        assert L == 4 and all(leg.values == (0, 1, 2, 3) for leg in legs.values())
+        assert CountingValues.lookups <= 200
+        CountingValues.lookups = 0
+        assert sorted_order_limit(node_obj, arrows)[0] == 4
+        assert CountingValues.lookups >= 4**8
 
 
 class TestSlice:

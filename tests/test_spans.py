@@ -1,8 +1,10 @@
 """Span diagrams: Kan extension, Cartesian certificates, levels, the Segal
 comparison, invertibility, completeness, and mapping fibers."""
 import functools
+import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -330,6 +332,16 @@ class TestSegal:
         assert len(list(natural_families(base, shape, shape.lambda_cells, ext, ext))) == 2
         assert len(calls) == 2
         assert kan_extend(shape, base, obj, mor).comparisons == {}
+
+    def test_family_search_leaves_no_reference_cycle(self):
+        """A finished natural-family search frees its families and
+        diagrams by reference counting alone."""
+        base, shape = finset(2), sigma_shape(2)
+        obj, mor = identity_lambda_data(shape, 2)
+        ext = kan_extend(shape, base, obj, mor)
+        gc.collect()
+        assert len(list(natural_families(base, shape, shape.lambda_cells, ext, ext))) == 2
+        assert gc.collect() == 0
 
     def test_twist_refutes_a_non_functorial_piece(self):
         """Identity spans on two points, with every arrow between filled
@@ -666,6 +678,26 @@ class TestCanonicalLevel:
         assert len(level.all_morphisms()) == len(level.objects) == 233
         assert calls == [(x, x) for x in level.objects]
         assert extended == []
+
+    @pytest.mark.parametrize(
+        "level, buckets",
+        [(lambda: _finset2_arity2()[0], 219), (lambda: span_level(finset(3), (1,)), 90)],
+        ids=["finset2-2", "finset3-1"],
+    )
+    def test_orbit_stabilizer_per_bucket(self, level, buckets):
+        """On skeletal finite sets a bucket is one orbit of the relabelling
+        group of its Lambda objects, so |bucket| . |Aut(r)| is the product
+        of |obj c|! over the Lambda cells c, r the bucket's first diagram.
+        A canonical form that split an orbit would break it."""
+        level = level()
+        members = {}
+        for k in level.objects:
+            members.setdefault(level._key(k), []).append(k)
+        assert len(members) == buckets
+        for ks in members.values():
+            r = level.diagrams[ks[0]]
+            relabellings = math.prod(math.factorial(r.obj[c]) for c in r.shape.lambda_cells)
+            assert len(ks) * len(level.hom(ks[0], ks[0])) == relabellings
 
     def test_failed_extension_raises(self, monkeypatch):
         """A transport that fails to extend is an error, never a dropped
