@@ -1,7 +1,7 @@
-"""Finite categories with explicit composition tables, plus the skeletal
-category of finite sets.
+"""Finite categories with explicit composition tables, the skeletal
+category of finite sets, and lazy slices of either.
 
-Two base flavours share one duck-typed surface (objects_within, hom, compose,
+The bases share one duck-typed surface (objects_within, hom, compose,
 identity, pullback, limit_of_diagram, ...):
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
@@ -11,6 +11,7 @@ identity, pullback, limit_of_diagram, ...):
   enumeration APIs list, but composites and limits may produce larger sets;
   pullbacks and limits are the canonical subset-of-product in lexicographic
   order, so span composition is deterministic and reports reproducible.
+* SliceCategory — a slice C/P computed from C on demand, with C's limits.
 """
 from __future__ import annotations
 
@@ -134,24 +135,7 @@ class FinCategory:
     def cones(self, apex, nodes, node_obj, arrows):
         """All cones with the given apex over the diagram, as leg dicts
         keyed by nodes, in the product order of the hom lists."""
-        def backtrack(i, legs):
-            if i == len(nodes):
-                yield dict(legs)
-                return
-            n = nodes[i]
-            for leg in self.hom(apex, node_obj[n]):
-                legs[n] = leg
-                ok = True
-                for a, b, m in arrows:
-                    if a in legs and b in legs:
-                        if self.composition[(m, legs[a])] != legs[b]:
-                            ok = False
-                            break
-                if ok:
-                    yield from backtrack(i + 1, legs)
-            legs.pop(n, None)
-
-        yield from backtrack(0, {})
+        yield from _cone_extensions(self, apex, nodes, node_obj, arrows, 0, {})
 
     def _factorizations(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
         return [
@@ -212,6 +196,20 @@ class FinCategory:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpanlabError(f"malformed category JSON: {exc}") from exc
+
+
+def _cone_extensions(C, apex, nodes, node_obj, arrows, i, legs):
+    """The cones that extend legs, given on nodes[:i], over the rest of
+    nodes.  Not a closure that calls itself: that is a reference cycle."""
+    if i == len(nodes):
+        yield dict(legs)
+        return
+    n = nodes[i]
+    for leg in C.hom(apex, node_obj[n]):
+        legs[n] = leg
+        if all(C.composition[(m, legs[a])] == legs[b] for a, b, m in arrows if a in legs and b in legs):
+            yield from _cone_extensions(C, apex, nodes, node_obj, arrows, i + 1, legs)
+    legs.pop(n, None)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +299,6 @@ class FinSetCategory:
 
     def hom(self, x, y):
         return [FinFunction(x, y, vals) for vals in itertools.product(range(y), repeat=x)]
-
-    def all_morphisms(self):
-        return [
-            m
-            for x in self.objects_within()
-            for y in self.objects_within()
-            for m in self.hom(x, y)
-        ]
 
     def src(self, m: FinFunction):
         return m.source
@@ -468,33 +458,81 @@ def _root_first_order(nodes, arrows):
 # derived constructions
 
 
-def slice_over_pair(C, X, Y, bound=None):
-    """The category of objects over the product X x Y.
+class _First:
+    """A diagram node that sorts before every other node."""
 
-    Objects are pairs (A, h: A -> XxY); morphisms are maps u: A -> A' with
-    h' . u = h.  For the finite-set base, bound limits the sizes of A
-    (defaults to the base's max_size).
-    """
-    P, _, _ = C.product(X, Y)
-    objs = []
-    for A in C.objects_within(bound):
-        for h in C.hom(A, P):
-            objs.append((A, h))
-    morphs = {}
-    ident = {}
-    comp = {}
-    for (A, h) in objs:
-        for (A2, h2) in objs:
-            for u in C.hom(A, A2):
-                if C.compose(h2, u) == h:
-                    morphs[((A, h), (A2, h2), u)] = ((A, h), (A2, h2))
-    for (A, h) in objs:
-        ident[(A, h)] = ((A, h), (A, h), C.identity(A))
-    for gl, (gs, gt) in morphs.items():
-        for fl, (fs, ft) in morphs.items():
-            if ft == gs:
-                comp[(gl, fl)] = (fs, gt, C.compose(gl[2], fl[2]))
-    return FinCategory(objs, morphs, ident, comp)
+    def __lt__(self, other):
+        return self is not other
+
+    def __gt__(self, other):
+        return False
+
+
+_OVER = _First()
+
+
+class SliceCategory:
+    """The slice C/P, lazily: objects (A, h: A -> P) for A in
+    C.objects_within(bound), morphisms (a, b, u) with h_b . u = h_a.  All
+    else is C's; limits, factorizations and cones are taken with P added as
+    a terminal node that sorts first, so on finite sets the apex's map to P
+    is sorted, as in the first universal cone a table search finds."""
+
+    def __init__(self, C, P):
+        self.C, self.P = C, P
+
+    def objects_within(self, bound=None):
+        return [(A, h) for A in self.C.objects_within(bound) for h in self.C.hom(A, self.P)]
+
+    def hom(self, a, b):
+        return [(a, b, u) for u in self.C.hom(a[0], b[0]) if self.C.compose(b[1], u) == a[1]]
+
+    def isos(self, a, b):
+        return [(a, b, u) for u in self.C.isos(a[0], b[0]) if self.C.compose(b[1], u) == a[1]]
+
+    def src(self, m):
+        return m[0]
+
+    def tgt(self, m):
+        return m[1]
+
+    def identity(self, a):
+        return a, a, self.C.identity(a[0])
+
+    def compose(self, g, f):
+        return f[0], g[1], self.C.compose(g[2], f[2])
+
+    def is_iso(self, m):
+        return self.C.is_iso(m[2])
+
+    def inverse(self, m):
+        u = self.C.inverse(m[2])
+        return None if u is None else (m[1], m[0], u)
+
+    def _in_base(self, node_obj, arrows):
+        """The diagram in C with P adjoined as a terminal node."""
+        objs = {_OVER: self.P, **{n: a[0] for n, a in node_obj.items()}}
+        return objs, [(a, b, m[2]) for a, b, m in arrows] + [(n, _OVER, a[1]) for n, a in node_obj.items()]
+
+    def limit_of_diagram(self, node_obj, arrows):
+        apex, legs = self.C.limit_of_diagram(*self._in_base(node_obj, arrows))
+        lim = apex, legs.pop(_OVER)
+        return lim, {n: (lim, node_obj[n], u) for n, u in legs.items()}
+
+    def factor_through_limit(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
+        lim = {_OVER: lim_apex[1], **{n: m[2] for n, m in lim_legs.items()}}
+        cone = {_OVER: cone_apex[1], **{n: m[2] for n, m in cone_legs.items()}}
+        u = self.C.factor_through_limit(lim_apex[0], lim, cone_apex[0], cone, self._in_base(node_obj, ())[0])
+        return cone_apex, lim_apex, u
+
+    def cones(self, apex, nodes, node_obj, arrows):
+        over = self.C.cones(apex[0], [_OVER, *nodes], *self._in_base(node_obj, arrows))
+        return ({n: (apex, node_obj[n], legs[n]) for n in nodes} for legs in over if legs[_OVER] == apex[1])
+
+
+def slice_over_pair(C, X, Y):
+    """The slice of C over the product X x Y."""
+    return SliceCategory(C, C.product(X, Y)[0])
 
 
 def core(C, bound=None):

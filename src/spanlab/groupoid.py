@@ -264,26 +264,24 @@ def groups_isomorphic(els1, mul1, unit1, els2, mul2, unit2) -> bool:
     if sorted(ord1.values()) != sorted(ord2.values()):
         return False
 
-    rest = [e for e in els1 if e != unit1]
+    return _extends_to_isomorphism((els1, mul1, ord1), (els2, mul2, ord2), {unit1: unit2}, {unit2})
 
-    def backtrack(i, phi, used):
-        if i == len(rest):
-            return all(
-                phi[mul1[(g, f)]] == mul2[(phi[g], phi[f])]
-                for g in els1
-                for f in els1
-            )
-        g = rest[i]
-        for h in els2:
-            if h in used or ord2[h] != ord1[g]:
-                continue
-            phi[g] = h
-            if backtrack(i + 1, phi, used | {h}):
-                return True
-            del phi[g]
-        return False
 
-    return backtrack(0, {unit1: unit2}, {unit2})
+def _extends_to_isomorphism(one, two, phi, used) -> bool:
+    """Does phi, a bijection onto used, extend to an isomorphism of groups given
+    as (elements, multiplication, orders)?  Not a closure: that is a reference cycle."""
+    (els1, mul1, ord1), (els2, mul2, ord2) = one, two
+    g = next((e for e in els1 if e not in phi), None)
+    if g is None:
+        return all(phi[mul1[(g, f)]] == mul2[(phi[g], phi[f])] for g in els1 for f in els1)
+    for h in els2:
+        if h in used or ord2[h] != ord1[g]:
+            continue
+        phi[g] = h
+        if _extends_to_isomorphism(one, two, phi, used | {h}):
+            return True
+        del phi[g]
+    return False
 
 
 def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
@@ -388,7 +386,7 @@ def iso_comma(F: Functor, G: Functor):
 def full_subgroupoid(G: FinGroupoid, keep) -> FinGroupoid:
     return FinGroupoid(
         [x for x in G.objects if keep(x)],
-        lambda x, y: [m[2] for m in G.hom(x, y)],
+        G._hom,
         G._compose,
         G._inverse,
         G._identity,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import FinSetCategory, Functor
+from .fincat import FinSetCategory, Functor, SliceCategory, core
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
 from .spans import (
     Span,
@@ -42,28 +42,20 @@ class InternalCategory:
         return self.comp[(g, f)]
 
     def is_invertible(self, m) -> bool:
-        if self.inv is not None:
-            return True
-        s, t = self.src[m], self.tgt[m]
-        return any(
-            self.comp.get((n, m)) == self.ident[s] and self.comp.get((m, n)) == self.ident[t]
-            for n in range(self.C1)
-            if self.src[n] == t and self.tgt[n] == s
-        )
+        return self.inv is not None or self._search_inverse(m) is not None
 
     def inverse(self, m):
-        if self.inv is not None:
-            return self.inv[m]
+        n = self.inv[m] if self.inv is not None else self._search_inverse(m)
+        if n is None:
+            raise SpanlabError(f"internal morphism {m} is not invertible")
+        return n
+
+    def _search_inverse(self, m):
+        """The first morphism n with n . m and m . n identities, or None."""
         s, t = self.src[m], self.tgt[m]
-        for n in range(self.C1):
-            if (
-                self.src[n] == t
-                and self.tgt[n] == s
-                and self.comp.get((n, m)) == self.ident[s]
-                and self.comp.get((m, n)) == self.ident[t]
-            ):
-                return n
-        raise SpanlabError(f"internal morphism {m} is not invertible")
+        ident = self.ident[s], self.ident[t]
+        candidates = (n for n in range(self.C1) if self.src[n] == t and self.tgt[n] == s)
+        return next((n for n in candidates if (self.comp.get((n, m)), self.comp.get((m, n))) == ident), None)
 
     def to_json(self) -> dict:
         data = {
@@ -510,24 +502,13 @@ def locsys_mapping_fiber_check(C: InternalCategory, X, xi, Y, eta, bound=1) -> V
     fiber = _strict_fiber_groupoid(C, base, fiber_objs)
 
     K = len(comma_set(C, X, xi, Y, eta))
-    other = sets_over(base, K, bound)
+    other = core(SliceCategory(base, K), bound)
     v = groupoids_equivalent(fiber, other)
     if v:
         return Verdict.verified(
             witness=v.witness, fiber_objects=len(fiber.objects), comma_size=K
         )
     return Verdict.refuted(witness=v.witness)
-
-
-def sets_over(base: FinSetCategory, K, bound=None) -> FinGroupoid:
-    """Finite sets (A, h: A -> K) within bound and the bijections over K."""
-    return FinGroupoid(
-        [(A, h) for A in base.objects_within(bound) for h in base.hom(A, K)],
-        lambda x, y: [u for u in base.isos(x[0], y[0]) if base.compose(y[1], u) == x[1]],
-        base.compose,
-        base.inverse,
-        lambda x: base.identity(x[0]),
-    )
 
 
 def _strict_fiber_groupoid(C, base, objs) -> FinGroupoid:

@@ -135,41 +135,42 @@ def enumerate_lambda_data(shape: SigmaShape, base, bound=None):
     which parametrizes exactly the compatible families.
     """
     order = _cells_by_length(shape, shape.lambda_cells)
-    objects = base.objects_within(bound)
+    yield from _lambda_extensions(shape, base, order, base.objects_within(bound), 0, {}, {})
 
-    def rec(i, obj, mor):
-        if i == len(order):
-            yield dict(obj), dict(mor)
-            return
-        c = order[i]
-        ups = shape.lambda_up[c]
-        if not ups:
-            for A in objects:
-                obj[c] = A
-                yield from rec(i + 1, obj, mor)
-            obj.pop(c, None)  # never set when no object is within the bound
-            return
-        node_obj, arrows = _cell_diagram(shape, c, obj, mor)
-        try:
-            L, legs = base.limit_of_diagram(node_obj, arrows)
-            for A in objects:
-                obj[c] = A
-                for h in base.hom(A, L):
-                    for b in ups:
-                        mor[(c, b)] = base.compose(legs[b], h)
-                    yield from rec(i + 1, obj, mor)
-        except NoLimitError:
-            for A in objects:
-                obj[c] = A
-                for legs_c in base.cones(A, ups, node_obj, arrows):
-                    for b in ups:
-                        mor[(c, b)] = legs_c[b]
-                    yield from rec(i + 1, obj, mor)
-        del obj[c]
-        for b in ups:
-            mor.pop((c, b), None)
 
-    yield from rec(0, {}, {})
+def _lambda_extensions(shape, base, order, objects, i, obj, mor):
+    """The functors that extend (obj, mor), given on order[:i], over the
+    rest of order.  Not a closure that calls itself: that is a reference cycle."""
+    if i == len(order):
+        yield dict(obj), dict(mor)
+        return
+    c = order[i]
+    ups = shape.lambda_up[c]
+    if not ups:
+        for A in objects:
+            obj[c] = A
+            yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
+        obj.pop(c, None)  # never set when no object is within the bound
+        return
+    node_obj, arrows = _cell_diagram(shape, c, obj, mor)
+    try:
+        L, legs = base.limit_of_diagram(node_obj, arrows)
+        for A in objects:
+            obj[c] = A
+            for h in base.hom(A, L):
+                for b in ups:
+                    mor[(c, b)] = base.compose(legs[b], h)
+                yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
+    except NoLimitError:
+        for A in objects:
+            obj[c] = A
+            for legs_c in base.cones(A, ups, node_obj, arrows):
+                for b in ups:
+                    mor[(c, b)] = legs_c[b]
+                yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
+    del obj[c]
+    for b in ups:
+        mor.pop((c, b), None)
 
 
 def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
@@ -491,15 +492,19 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     - Bucket lemma: hence two diagrams are isomorphic exactly when their
       Lambda data are, that is when their canonical forms agree.  Diagrams
       are bucketed by form and hom(d1, d2) is empty across buckets.  In a
-      bucket whose first diagram is r, let phi_d be the transport of d to
+      bucket with representative r, let phi_d be the transport of d to
       the form and psi_d: r -> d the extension of phi_d^-1 . phi_r; then
       hom(d1, d2) = {psi_d2 . a . psi_d1^-1 : a in Aut(r)}, with Aut(r)
       found once per bucket by natural_families.  psi_r is the identity,
       so hom(r, r) is Aut(r) itself.
+    - Order lemma: each hom is sorted by the position of each Lambda
+      component in base.isos, cells in fill order, as natural_families
+      finds Aut(r).  A morphism is fixed by its Lambda components, so the
+      order is total and no hom list depends on which member is r.
 
-    Each hom lists its morphisms in the order natural_families finds them:
-    by the position of each Lambda component in base.isos, cells in fill
-    order.
+    The key is a cheap invariant, the class representatives of the Lambda
+    objects in fill order.  A diagram gets its form when a row of its key
+    group first needs it; r is the first diagram canonicalised with a form.
 
     The returned groupoid carries a .diagrams dict from object keys to
     SpanDiagram values.
@@ -523,32 +528,31 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     lam = _cells_by_length(shape, shape.lambda_cells)
     lam_at = [cells.index(c) for c in lam]
     reps = _iso_class_reps(base, base.objects_within(bound))
-
-    buckets, bucket, firsts, phis = {}, [], [], []
-    for i, d in enumerate(listed):
-        form, phi = _canonical_form(base, shape, reps, d)
-        b = buckets.setdefault(form, len(buckets))
-        if b == len(firsts):
-            firsts.append(i)
-        bucket.append(b)
-        phis.append(phi)
+    firsts = {}  # canonical form -> position of r, its bucket's representative
+    canon = [None] * len(listed)  # (position of r, phi_d), once canonicalised
     psis = [None] * len(listed)  # (psi_d, psi_d^-1)
-    auts = [None] * len(firsts)
+    auts = {}  # position of r -> Aut(r)
     ranks = {}  # (x, y) -> position of each iso in base.isos(x, y)
+
+    def canonical(i):
+        if canon[i] is None:
+            form, phi = _canonical_form(base, shape, reps, listed[i])
+            canon[i] = firsts.setdefault(form, i), phi
+        return canon[i]
 
     def psi(i):
         if psis[i] is None:
-            r = firsts[bucket[i]]
-            fam = {c: base.compose(base.inverse(phis[i][c]), phis[r][c]) for c in lam}
+            r, phi = canonical(i)
+            fam = {c: base.compose(base.inverse(phi[c]), canon[r][1][c]) for c in lam}
             full = _extend(listed[r], listed[i], fam)
             psis[i] = full, tuple(map(base.inverse, full))
         return psis[i]
 
-    def aut(b):
-        if auts[b] is None:
-            r = listed[firsts[b]]
-            auts[b] = [_extend(r, r, fam) for fam in natural_families(base, shape, lam, r, r)]
-        return auts[b]
+    def aut(r):
+        if r not in auts:
+            d = listed[r]
+            auts[r] = [_extend(d, d, fam) for fam in natural_families(base, shape, lam, d, d)]
+        return auts[r]
 
     def rank(x, y):
         if (x, y) not in ranks:
@@ -556,13 +560,15 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
         return ranks[(x, y)]
 
     def hom(k1, k2):
-        # called only inside a bucket: the groupoid's key is the bucket
+        # called only inside a group of the cheap key, which buckets split
         i, j = at(k1), at(k2)
-        b = bucket[i]
-        if i == j == firsts[b]:  # Aut(r), found in the natural_families order
-            return [tuple(zip(cells, a)) for a in aut(b)]
+        r = canonical(i)[0]
+        if canonical(j)[0] != r:
+            return []
+        if i == j == r:  # Aut(r), found in the natural_families order
+            return [tuple(zip(cells, a)) for a in aut(r)]
         (_, inv1), (psi2, _) = psi(i), psi(j)
-        homs = [tuple(map(base.compose, psi2, map(base.compose, a, inv1))) for a in aut(b)]
+        homs = [tuple(map(base.compose, psi2, map(base.compose, a, inv1))) for a in aut(r)]
         d1, d2 = listed[i], listed[j]
         orders = [(rank(d1.obj[c], d2.obj[c]), n) for c, n in zip(lam, lam_at)]
         homs.sort(key=lambda m: tuple(order[m[n]] for order, n in orders))
@@ -575,7 +581,7 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
         lambda g, f: tuple((c, base.compose(gc, fc)) for (c, gc), (_, fc) in zip(g, f)),
         lambda m: tuple((c, base.inverse(mc)) for c, mc in m),
         lambda k: tuple((c, base.identity(x)) for c, x in sorted(listed[at(k)].obj.items())),
-        key=lambda k: bucket[at(k)],
+        key=lambda k: tuple(reps[listed[at(k)].obj[c]] for c in lam),
     )
     gpd.diagrams = diagrams
     return gpd
@@ -875,11 +881,8 @@ def mapping_category_check(base, X, Y, arities=(), bound=None) -> Verdict:
         # the level holds no span with these feet, so the fiber is empty
         return Verdict.inconclusive(witness={"reason": f"feet ({X}, {Y}) exceed the bound"})
     fiber = mapping_fiber(base, X, Y, bound, arities)
-    sl = slice_over_pair(base, X, Y, bound)
-    if arities:
-        other = span_level(sl, arities)
-    else:
-        other = core(sl)
+    sl = slice_over_pair(base, X, Y)
+    other = span_level(sl, arities, bound) if arities else core(sl, bound)
     v = groupoids_equivalent(fiber, other)
     if v:
         return Verdict.verified(

@@ -501,6 +501,10 @@ class TestByteStability:
                 "eefeb4ec70de52d9bf7c15cca8d9422671cab9f80e7b57e86db6f845bb8a0234",
             ),
             (
+                ["check", "mapping", "--base", "finset:3", "-X", "2", "-Y", "1"],
+                "6e652bd75a706c335b2ce1c1ec6551a40d73c4a287aad6968cffad382d0bb592",
+            ),
+            (
                 ["check", "complete", "--base", "finset:3"],
                 "d076795262b0c921de01263e7d8f4b4ddf45c223b50459b5b51a0c3bc04f12da",
             ),
@@ -521,7 +525,7 @@ class TestByteStability:
                 "fff9a39603e7d3001096f18ff9ae250ae41474022f869c6232620086493bed1f",
             ),
         ],
-        ids=["mapping", "complete", "dual", "battery", "equivalence", "pairs"],
+        ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs"],
     )
     def test_report_hash(self, argv, digest):
         """Reports of the functor, pairing, pullback, reversal and

@@ -1,4 +1,6 @@
 """Finite categories, the skeletal finite-set base, limits, slices, cores."""
+import functools
+import gc
 import itertools
 import random
 
@@ -11,6 +13,7 @@ from spanlab.fincat import (
     FinCategory,
     FinFunction,
     FinSetCategory,
+    SliceCategory,
     core,
     finset,
     slice_over_pair,
@@ -47,6 +50,42 @@ def finset_table(C: FinSetCategory) -> FinCategory:
                 h = C.compose(FinFunction(gs, gt, gl[3]), FinFunction(fs, ft, fl[3]))
                 comp[(gl, fl)] = ("f", fs, gt, h.values)
     return FinCategory(objects, morphs, ident, comp)
+
+
+def slice_table(C, P, bound=None) -> FinCategory:
+    """The slice C/P materialized as tables over C.objects_within(bound):
+    every morphism and every composable pair, with limits by cone search.
+    The differential oracle of SliceCategory."""
+    objs = [(A, h) for A in C.objects_within(bound) for h in C.hom(A, P)]
+    morphs = {}
+    for a in objs:
+        for b in objs:
+            for u in C.hom(a[0], b[0]):
+                if C.compose(b[1], u) == a[1]:
+                    morphs[(a, b, u)] = (a, b)
+    ident = {a: (a, a, C.identity(a[0])) for a in objs}
+    comp = {}
+    for gl, (gs, gt) in morphs.items():
+        for fl, (fs, ft) in morphs.items():
+            if ft == gs:
+                comp[(gl, fl)] = (fs, gt, C.compose(gl[2], fl[2]))
+    return FinCategory(objs, morphs, ident, comp)
+
+
+def as_table(S) -> FinCategory:
+    """A lazy base tabulated through its own hom, identity and compose, so
+    that FinCategory.validate checks its laws."""
+    objs = S.objects_within()
+    homs = {(x, y): S.hom(x, y) for x in objs for y in objs}
+    comp = {
+        (g, f): S.compose(g, f)
+        for (y, _), gs in homs.items()
+        for (_, y2), fs in homs.items()
+        if y == y2
+        for g in gs
+        for f in fs
+    }
+    return FinCategory(objs, {m: xy for xy, ms in homs.items() for m in ms}, {x: S.identity(x) for x in objs}, comp)
 
 
 def product_limit(node_obj, arrows):
@@ -347,6 +386,14 @@ class TestLimits:
         with pytest.raises(NoLimitError):
             M.limit_of_diagram({"A": 2, "B": 2}, [])
 
+    def test_cone_search_leaves_no_reference_cycle(self):
+        """A finished cone search frees its cones by reference counting
+        alone."""
+        C = finset_table(finset(2))
+        gc.collect()
+        assert len(list(C.cones(2, ["a", "b"], {"a": 2, "b": 2}, []))) == 16
+        assert gc.collect() == 0
+
 
 class TestCanonicalLimits:
     """FinSetCategory.limit_of_diagram against the brute-force product
@@ -415,24 +462,100 @@ class TestCanonicalLimits:
 class TestSlice:
     def test_slice_over_terminal_pair(self):
         S = slice_over_pair(finset(2), 1, 1)
-        assert len(S.objects) == 3
-        assert S.validate()
+        assert len(S.objects_within()) == 3
+        assert as_table(S).validate()
 
     def test_slice_over_two_element_product(self):
         S = slice_over_pair(finset(2), 1, 2)
-        assert len(S.objects) == 7  # 1 + 2 + 4 maps A -> 2
+        assert len(S.objects_within()) == 7  # 1 + 2 + 4 maps A -> 2
 
     def test_slice_over_empty_left_foot(self):
         S = slice_over_pair(finset(2), 0, 1)
-        assert len(S.objects) == 1
+        assert len(S.objects_within()) == 1
 
     def test_slice_over_terminal_matches_base_homs(self):
         B = finset(2)
         S = slice_over_pair(B, 1, 1)
-        by_size = {A: (A, h) for (A, h) in S.objects}
+        by_size = {A: (A, h) for (A, h) in S.objects_within()}
         for A in range(3):
             for B2 in range(3):
                 assert len(S.hom(by_size[A], by_size[B2])) == len(B.hom(A, B2))
+
+    def test_limits_beyond_the_bound(self):
+        """Over 1 x 1 the pullback of 2 -> 1 <- 2 has 4 points, above the
+        bound 2: the table has no such limit, the lazy slice computes it."""
+        C = finset(2)
+        S, table = slice_over_pair(C, 1, 1), slice_table(C, 1)
+        two = (2, FinFunction(2, 1, (0, 0)))
+        one = (1, FinFunction(1, 1, (0,)))
+        f = (two, one, FinFunction(2, 1, (0, 0)))
+        diagram = {"A": two, "B": two, "X": one}, [("A", "X", f), ("B", "X", f)]
+        (apex, h), legs = S.limit_of_diagram(*diagram)
+        assert apex == 4 and h.values == (0, 0, 0, 0)
+        assert [leg[2].values for leg in (legs["A"], legs["B"])] == [(0, 0, 1, 1), (0, 1, 0, 1)]
+        with pytest.raises(NoLimitError):
+            table.limit_of_diagram(*diagram)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_table_oracle(self, data):
+        """On finset:2 over every foot pair X, Y <= 2: objects, homs and
+        isomorphisms, then composites and inverses, then limits and
+        factorizations wherever the table has the limit."""
+        X, Y = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        S, table = slice_over_pair(finset(2), X, Y), _slice_table(X, Y)
+        objs = S.objects_within()
+        assert objs == table.objects_within()
+        for x in objs:
+            for y in objs:
+                assert S.hom(x, y) == table.hom(x, y)
+                assert S.isos(x, y) == table.isos(x, y)
+        x, y, z = (data.draw(st.sampled_from(objs)) for _ in range(3))
+        for f in S.hom(x, y):
+            assert S.inverse(f) == table.inverse(f)
+            for g in S.hom(y, z):
+                assert S.compose(g, f) == table.compose(g, f)
+        names = data.draw(st.lists(st.sampled_from(["p", "b", "a"]), min_size=1, max_size=3, unique=True))
+        node_obj = {n: data.draw(st.sampled_from(objs)) for n in names}
+        arrows = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))
+            if table.hom(node_obj[a], node_obj[b]):
+                arrows.append((a, b, data.draw(st.sampled_from(table.hom(node_obj[a], node_obj[b])))))
+        try:
+            expected = table.limit_of_diagram(node_obj, arrows)
+        except NoLimitError:
+            return
+        assert S.limit_of_diagram(node_obj, arrows) == expected
+        apex = data.draw(st.sampled_from(objs))
+        for cone in itertools.islice(table.cones(apex, sorted(node_obj), node_obj, arrows), 5):
+            assert S.factor_through_limit(*expected, apex, cone, node_obj) == table.factor_through_limit(
+                *expected, apex, cone, node_obj
+            )
+
+    def test_cones_match_the_table_where_limits_are_missing(self):
+        """Over a table base the slice's cones come from the base's cone
+        search, in the table's order, also where the base has no limit."""
+        C = finset_table(finset(2))
+        S, table = SliceCategory(C, 1), slice_table(C, 1)
+        objs = S.objects_within()
+        missing = 0
+        for x, y in itertools.product(objs, repeat=2):
+            node_obj = {"a": x, "b": y}
+            try:
+                S.limit_of_diagram(node_obj, [])
+            except NoLimitError:
+                missing += 1
+            for apex in objs:
+                assert list(S.cones(apex, ["a", "b"], node_obj, [])) == list(
+                    table.cones(apex, ["a", "b"], node_obj, [])
+                )
+        assert missing == 1  # 2 x 2 has 4 points, above the bound
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_table(X, Y):
+    return slice_table(finset(2), finset(2).product(X, Y)[0])
 
 
 class TestCore:

@@ -1,4 +1,5 @@
 """Finite groupoids: equivalences, keyed homs, iso-comma squares."""
+import gc
 import itertools
 
 import pytest
@@ -202,6 +203,15 @@ class TestGroupsIsomorphic:
         mul3 = {(g, f): (g + f) % 3 for g in els3 for f in els3}
         assert not groups_isomorphic(els2, mul2, 0, els3, mul3, 0)
 
+    def test_search_leaves_no_reference_cycle(self):
+        """A finished isomorphism search frees its tables by reference
+        counting alone."""
+        els = list(range(6))
+        mul = {(g, f): (g + f) % 6 for g in els for f in els}
+        gc.collect()
+        assert groups_isomorphic(els, mul, 0, els, mul, 0)
+        assert gc.collect() == 0
+
     def test_bound_enforced(self):
         els = list(range(30))
         mul = {(g, f): (g + f) % 30 for g in els for f in els}
@@ -280,13 +290,16 @@ class TestLazySurface:
         assert G.components() == [[0, 2, 4], [1, 3]]
 
     def test_full_subgroupoid_keeps_the_key(self):
-        G = FinGroupoid(
-            range(5), lambda x, y: [()], lambda g, f: (), lambda m: (), lambda x: (), key=lambda x: x % 2
-        )
-        H = full_subgroupoid(G, lambda x: x < 4)
+        """The subgroupoid calls G's hom function on its own objects only,
+        and only on pairs that share a key."""
         pairs = []
-        hom = G.hom
-        G.hom = lambda x, y: pairs.append((x, y)) or hom(x, y)
+
+        def hom(x, y):
+            pairs.append((x, y))
+            return [()]
+
+        G = FinGroupoid(range(5), hom, lambda g, f: (), lambda m: (), lambda x: (), key=lambda x: x % 2)
+        H = full_subgroupoid(G, lambda x: x < 4)
         assert len(H.all_morphisms()) == 8
         assert sorted(pairs) == [(0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)]
 
@@ -298,7 +311,7 @@ class TestLazySurface:
 
 
 def _rewritten_builders():
-    from spanlab.fincat import FinSetCategory
+    from spanlab.fincat import FinSetCategory, SliceCategory
     from spanlab.groupoid import product_groupoid
     from spanlab.locsys import (
         _strict_fiber_groupoid,
@@ -307,7 +320,6 @@ def _rewritten_builders():
         cyclic_internal,
         locsys_invertible_predicate,
         locsys_level,
-        sets_over,
     )
     from spanlab.spans import invertible_span_groupoid, mapping_fiber, span_level
 
@@ -333,7 +345,7 @@ def _rewritten_builders():
         "invertible_labeled_spans": lambda: _two_cell_groupoid(
             bz2, b1, [s for s in labeled if locsys_invertible_predicate(bz2, b1, s)]
         ),
-        "sets_over": lambda: sets_over(FinSetCategory(2), 2, 2),
+        "sets_over": lambda: core(SliceCategory(FinSetCategory(2), 2), 2),
     }
 
 

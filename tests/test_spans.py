@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanlab import spans as spans_module
-from spanlab.fincat import FinCategory, FinFunction, core, finset, slice_over_pair
+from spanlab.fincat import FinCategory, FinFunction, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
 from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
@@ -44,6 +44,7 @@ from spanlab.spans import (
     underlying_2fold_level,
 )
 from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError
+from test_fincat import slice_table
 
 
 V = lambda i, j: ((i, j),)  # one-direction cell shorthand
@@ -333,6 +334,13 @@ class TestSegal:
         assert len(calls) == 2
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
+    def test_data_enumeration_leaves_no_reference_cycle(self):
+        """A finished free-data enumeration frees its data by reference
+        counting alone."""
+        gc.collect()
+        assert len(list(enumerate_lambda_data(sigma_shape(2), finset(1)))) == 13
+        assert gc.collect() == 0
+
     def test_family_search_leaves_no_reference_cycle(self):
         """A finished natural-family search frees its families and
         diagrams by reference counting alone."""
@@ -507,6 +515,17 @@ class TestCompleteness:
 
 
 class TestMapping:
+    def test_fiber_canonicalises_only_its_feet(self, monkeypatch):
+        """On finset:3 the fiber over (1, 1) computes canonical forms only
+        for the diagrams with feet (1, 1), each at most once, rather than
+        for all 1,544 diagrams of the level."""
+        seen, form = [], spans_module._canonical_form
+        monkeypatch.setattr(spans_module, "_canonical_form", lambda *a: seen.append(a[-1].key) or form(*a))
+        assert mapping_category_check(finset(3), 1, 1)
+        feet = [(dict(k[1])[V(0, 0)], dict(k[1])[V(1, 1)]) for k in seen]
+        assert seen and set(feet) == {(1, 1)}
+        assert len(seen) == len(set(seen)) == 4
+
     def test_point_pair_over_finset2(self):
         fiber = mapping_fiber(finset(2), 1, 1)
         assert len(fiber.components()) == 3
@@ -639,15 +658,23 @@ class TestCanonicalLevel:
              "isomorphic-objects", "slice"],
     )
     def test_same_groupoid_as_the_pairwise_oracle(self, base, arities, sizes):
-        """Same objects, morphisms in the same order, same components."""
+        """Same objects, morphisms in the same order, same components.  A
+        lazy slice is validated through its oracle table."""
         base = base()
-        assert base.validate()
+        assert (slice_table(base.C, base.P) if isinstance(base, SliceCategory) else base).validate()
         level, oracle = span_level(base, arities), pairwise_level(base, arities)
         morphisms, components = level.all_morphisms(), level.components()
         assert level.objects == oracle.objects
         assert morphisms == oracle.all_morphisms()
         assert components == oracle.components()
         assert (len(level.objects), len(morphisms), len(components)) == sizes
+
+    def test_hom_lists_do_not_depend_on_the_representative(self):
+        """Rows asked for in reverse object order make the last diagram of
+        each bucket its representative; every hom list stays the oracle's."""
+        level, oracle = span_level(finset(2), (1,)), pairwise_level(finset(2), (1,))
+        rows = [(x, {y: level.hom(x, y) for y in level.objects}) for x in reversed(level.objects)]
+        assert [(x, {y: oracle.hom(x, y) for y in oracle.objects}) for x in reversed(oracle.objects)] == rows
 
     def test_finset2_arity2_counts(self):
         level, _ = _finset2_arity2()
@@ -690,14 +717,44 @@ class TestCanonicalLevel:
         of |obj c|! over the Lambda cells c, r the bucket's first diagram.
         A canonical form that split an orbit would break it."""
         level = level()
+        reps = {x: x for x in range(4)}  # finite sets are skeletal
         members = {}
         for k in level.objects:
-            members.setdefault(level._key(k), []).append(k)
+            d = level.diagrams[k]
+            members.setdefault(spans_module._canonical_form(d.base, d.shape, reps, d)[0], []).append(k)
         assert len(members) == buckets
         for ks in members.values():
             r = level.diagrams[ks[0]]
             relabellings = math.prod(math.factorial(r.obj[c]) for c in r.shape.lambda_cells)
             assert len(ks) * len(level.hom(ks[0], ks[0])) == relabellings
+
+    @pytest.mark.parametrize(
+        "base, X, Y, arities",
+        [(finset(2), 1, 2, (1,)), (finset(1), 1, 1, (2,)), (finset(1), 1, 1, (1, 1))],
+        ids=["finset2-1", "finset1-2", "finset1-1-1"],
+    )
+    def test_slice_level_matches_the_table_slice(self, base, X, Y, arities):
+        """The level over the lazy slice and over its table: same objects,
+        morphisms in the same order, same components."""
+        lazy = span_level(slice_over_pair(base, X, Y), arities)
+        table = span_level(slice_table(base, base.product(X, Y)[0]), arities)
+        assert lazy.objects == table.objects
+        assert lazy.all_morphisms() == table.all_morphisms()
+        assert lazy.components() == table.components()
+
+    def test_slice_without_a_limit_enumerates_by_cones(self, monkeypatch):
+        """Over a category file with no product a x a, the slice over its
+        terminal object c has no such limit either: the level enumerates
+        through the cones fallback and matches the table slice."""
+        C = two_isomorphic_objects()
+        calls, cones = [], SliceCategory.cones
+        monkeypatch.setattr(SliceCategory, "cones", lambda S, *a: calls.append(a) or cones(S, *a))
+        lazy = span_level(slice_over_pair(C, "c", "c"), (1,))
+        table = span_level(slice_table(C, "c"), (1,))
+        assert calls
+        assert lazy.objects == table.objects
+        assert lazy.all_morphisms() == table.all_morphisms()
+        assert (len(lazy.objects), len(lazy.all_morphisms()), len(lazy.components())) == (51, 2313, 5)
 
     def test_failed_extension_raises(self, monkeypatch):
         """A transport that fails to extend is an error, never a dropped
