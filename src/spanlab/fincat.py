@@ -16,7 +16,6 @@ identity, pullback, limit_of_diagram, ...):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .verdict import NoLimitError, SpanlabError, Verdict
 
@@ -249,16 +248,53 @@ class Functor:
 # the skeletal category of finite sets
 
 
-@dataclass(frozen=True, order=True)
 class FinFunction:
-    """A function {0..source-1} -> {0..target-1} as a value tuple; ordered
-    lexicographically so enumerations sort deterministically.  The
-    constructor trusts its arguments; values from outside the program go
-    through FinFunction.checked."""
+    """A function {0..source-1} -> {0..target-1} as a value tuple.
 
-    source: int
-    target: int
-    values: tuple
+    A slotted value class, immutable by convention: no code assigns to
+    source, target or values after construction.  Two functions are equal
+    when their (source, target, values) triples are, hash as that triple,
+    and order lexicographically by it, so enumerations sort
+    deterministically.  The constructor trusts its arguments; values from
+    outside the program go through FinFunction.checked."""
+
+    __slots__ = ("source", "target", "values")
+
+    def __init__(self, source: int, target: int, values: tuple):
+        self.source = source
+        self.target = target
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return self.values == other.values and self.source == other.source and self.target == other.target
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.values))
+
+    def __lt__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return (self.source, self.target, self.values) < (other.source, other.target, other.values)
+
+    def __le__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return (self.source, self.target, self.values) <= (other.source, other.target, other.values)
+
+    def __gt__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return (self.source, self.target, self.values) > (other.source, other.target, other.values)
+
+    def __ge__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return (self.source, self.target, self.values) >= (other.source, other.target, other.values)
+
+    def __repr__(self):
+        return f"FinFunction(source={self.source!r}, target={self.target!r}, values={self.values!r})"
 
     @classmethod
     def checked(cls, source, target, values) -> "FinFunction":
@@ -312,7 +348,9 @@ class FinSetCategory:
     def compose(self, g: FinFunction, f: FinFunction) -> FinFunction:
         if f.target != g.source:
             raise SpanlabError("finite-set functions not composable")
-        return FinFunction(f.source, g.target, tuple(g.values[v] for v in f.values))
+        gv = g.values
+        # tuple() sizes a list once, but guesses and resizes for a generator
+        return FinFunction(f.source, g.target, tuple([gv[v] for v in f.values]))
 
     def is_iso(self, m: FinFunction) -> bool:
         return m.is_bijection
@@ -342,16 +380,17 @@ class FinSetCategory:
         f(a) = g(b), in lexicographic order."""
         if f.target != g.target:
             raise SpanlabError("cospan legs must share a target")
-        pairs = [
-            (a, b)
-            for a in range(f.source)
-            for b in range(g.source)
-            if f.values[a] == g.values[b]
-        ]
-        apex = len(pairs)
-        p = FinFunction(apex, f.source, tuple(a for a, _ in pairs))
-        q = FinFunction(apex, g.source, tuple(b for _, b in pairs))
-        return apex, p, q
+        fibers = {}  # x -> the points b with g(b) = x, in order
+        for b, x in enumerate(g.values):
+            fibers.setdefault(x, []).append(b)
+        ps, qs = [], []
+        for a, x in enumerate(f.values):
+            bs = fibers.get(x)
+            if bs:
+                ps += [a] * len(bs)
+                qs += bs
+        apex = len(ps)
+        return apex, FinFunction(apex, f.source, tuple(ps)), FinFunction(apex, g.source, tuple(qs))
 
     def product(self, x, y):
         pairs = list(itertools.product(range(x), range(y)))
@@ -408,16 +447,18 @@ class FinSetCategory:
         return apex, legs
 
     def factor_through_limit(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
-        """The unique factorization of a cone through the canonical limit."""
+        """The unique factorization of a cone through the canonical limit:
+        each cone row, read across the sorted nodes' legs, is looked up
+        among the limit's rows."""
         nodes = sorted(node_obj)
-        index = {}
-        for i in range(lim_apex):
-            index[tuple(lim_legs[n].values[i] for n in nodes)] = i
+        if nodes:
+            lim_rows = zip(*[lim_legs[n].values for n in nodes])
+            cone_rows = zip(*[cone_legs[n].values for n in nodes])
+        else:  # zip() of no columns has no rows; each row is ()
+            lim_rows, cone_rows = [()] * lim_apex, [()] * cone_apex
+        index = {row: i for i, row in enumerate(lim_rows)}
         try:
-            vals = tuple(
-                index[tuple(cone_legs[n].values[j] for n in nodes)]
-                for j in range(cone_apex)
-            )
+            vals = tuple([index[row] for row in cone_rows])
         except KeyError as exc:
             raise NoLimitError("cone does not factor through the limit") from exc
         return FinFunction(cone_apex, lim_apex, vals)

@@ -322,7 +322,7 @@ def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
 # groupoids on pairs of morphisms
 
 
-def _pairwise(A: FinGroupoid, B: FinGroupoid, objects, hom) -> FinGroupoid:
+def _pairwise(A: FinGroupoid, B: FinGroupoid, objects, hom, key=None) -> FinGroupoid:
     """A groupoid whose objects start with a pair (a, b) of objects of A and
     B and whose components are pairs (m, n) of their morphisms, composed,
     inverted and made identities componentwise."""
@@ -332,6 +332,7 @@ def _pairwise(A: FinGroupoid, B: FinGroupoid, objects, hom) -> FinGroupoid:
         lambda g, f: (A.compose(g[0], f[0]), B.compose(g[1], f[1])),
         lambda m: (A.inverse(m[0]), B.inverse(m[1])),
         lambda x: (A.identity(x[0]), B.identity(x[1])),
+        key,
     )
 
 
@@ -356,6 +357,10 @@ def iso_comma(F: Functor, G: Functor):
     morphism F a -> G b in K; morphisms are pairs (m, n) with
     alpha' . F m = G n . alpha.  Returns the groupoid together with the two
     projection functors.
+
+    Its key pairs A's key of a with B's key of b, None for a side without
+    one: a morphism of the iso-comma projects to morphisms a -> a' and
+    b -> b', so objects whose keys differ have none between them.
     """
     if F.target is not G.target:
         raise SpanlabError("iso-comma needs a shared target")
@@ -377,7 +382,12 @@ def iso_comma(F: Functor, G: Functor):
             if K.compose(al2, F.on_mor(m)) == K.compose(G.on_mor(n), al1)
         ]
 
-    gpd = _pairwise(A, B, objs, hom)
+    key_a, key_b = A._key, B._key
+
+    def key(o):
+        return (key_a and key_a(o[0]), key_b and key_b(o[1]))
+
+    gpd = _pairwise(A, B, objs, hom, key)
     proj_a = Functor(gpd, A, lambda o: o[0], lambda m: m[2][0])
     proj_b = Functor(gpd, B, lambda o: o[1], lambda m: m[2][1])
     return gpd, proj_a, proj_b

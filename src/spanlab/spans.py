@@ -269,10 +269,12 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
     """Is g: d1.obj[c] -> d2.obj[c] natural with the components of fam on
     every arrow from c to a cell of fam?  The cells of fam come before c in
     fill order, which lists every cell after the cells above it, so no
-    arrow runs from a cell of fam to c."""
+    arrow runs from a cell of fam to c.  Precondition: c is not a cell of
+    fam, so every arrow c -> b is between distinct cells and is read
+    straight from mor."""
     rel = shape.order
     for b in fam:
-        if (c, b) in rel and base.compose(d2.mor_at(c, b), g) != base.compose(fam[b], d1.mor_at(c, b)):
+        if (c, b) in rel and base.compose(d2.mor[(c, b)], g) != base.compose(fam[b], d1.mor[(c, b)]):
             return False
     return True
 
@@ -300,12 +302,15 @@ def _natural_extensions(base, shape, order, d1, d2, i, fam):
 
 
 def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
+    """Is fam, over the given cells, a family of isomorphisms natural on
+    every arrow among them?  arrows_among lists only pairs of distinct
+    cells, so each arrow is read straight from mor."""
     for c in cells:
         g = fam[c]
         if not base.is_iso(g) or base.src(g) != d1.obj[c] or base.tgt(g) != d2.obj[c]:
             return False
     for a, b in shape.arrows_among(cells):
-        if base.compose(d2.mor_at(a, b), fam[a]) != base.compose(fam[b], d1.mor_at(a, b)):
+        if base.compose(d2.mor[(a, b)], fam[a]) != base.compose(fam[b], d1.mor[(a, b)]):
             return False
     return True
 

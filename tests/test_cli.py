@@ -524,12 +524,21 @@ class TestByteStability:
                 ["lag", "check", "--kind", "pairs", "--trials", "20", "--dim", "6", "--seed", "0"],
                 "fff9a39603e7d3001096f18ff9ae250ae41474022f869c6232620086493bed1f",
             ),
+            (
+                ["certify", "adjoint", "--base", "finset:4", "--trials", "200", "--seed", "0"],
+                "063d55f106ddb5fbfdf070c65f3065da945551ada0a60eb505973d435d32a9f1",
+            ),
+            (
+                ["check", "segal", "--base", "finset:2", "--arities", "2", "2", "--samples", "48", "--seed", "0"],
+                "d445dd716b239d5998ebcb9818c6fbd18b27f913b6497dc0110e9e728ccfb402",
+            ),
         ],
-        ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs"],
+        ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "adjoint",
+             "segal-sampled"],
     )
     def test_report_hash(self, argv, digest):
-        """Reports of the functor, pairing, pullback, reversal and
-        Lagrangian paths, pinned byte for byte."""
+        """Reports of the functor, pairing, pullback, reversal, limit and
+        factorization, and Lagrangian paths, pinned byte for byte."""
         report, code = run(argv)
         assert code == 0
         report.pop("timing")

@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,70 @@ def sorted_order_limit(node_obj, arrows):
     return len(tuples), legs
 
 
+@dataclass(frozen=True, order=True)
+class DataclassFinFunction:
+    """FinFunction as the frozen dataclass it was before it became a
+    slotted class: the oracle of its equality, hash, order, repr and
+    is_bijection.  Its qualified name is FinFunction's, so that its repr
+    reads the same."""
+
+    __qualname__ = "FinFunction"
+
+    source: int
+    target: int
+    values: tuple
+
+    @property
+    def is_bijection(self) -> bool:
+        return self.source == self.target and len(set(self.values)) == self.source
+
+
+def compose_oracle(g, f):
+    """FinSetCategory.compose as it was: one lookup per point."""
+    if f.target != g.source:
+        raise SpanlabError("finite-set functions not composable")
+    return FinFunction(f.source, g.target, tuple(g.values[v] for v in f.values))
+
+
+def pullback_oracle(f, g):
+    """FinSetCategory.pullback as it was: every pair (a, b) tested, in
+    lexicographic order."""
+    if f.target != g.target:
+        raise SpanlabError("cospan legs must share a target")
+    pairs = [(a, b) for a in range(f.source) for b in range(g.source) if f.values[a] == g.values[b]]
+    apex = len(pairs)
+    return apex, FinFunction(apex, f.source, tuple(a for a, _ in pairs)), FinFunction(apex, g.source, tuple(b for _, b in pairs))
+
+
+def factor_oracle(lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
+    """FinSetCategory.factor_through_limit as it was: the limit's rows and
+    the cone's rows read point by point."""
+    nodes = sorted(node_obj)
+    index = {}
+    for i in range(lim_apex):
+        index[tuple(lim_legs[n].values[i] for n in nodes)] = i
+    try:
+        vals = tuple(index[tuple(cone_legs[n].values[j] for n in nodes)] for j in range(cone_apex))
+    except KeyError as exc:
+        raise NoLimitError("cone does not factor through the limit") from exc
+    return FinFunction(cone_apex, lim_apex, vals)
+
+
+def triple(f):
+    return f.source, f.target, f.values
+
+
+@st.composite
+def finfunctions(draw, source=None, target=None):
+    """A function with sizes 0-4, or the given ones, as its value triple;
+    never a map of a nonempty set into the empty one."""
+    if target is None:
+        target = draw(st.integers(1 if source else 0, 4))
+    if source is None:
+        source = draw(st.integers(0, 4)) if target else 0
+    return source, target, tuple(draw(st.integers(0, target - 1)) for _ in range(source))
+
+
 class CountingValues(tuple):
     """Function values that count how often they are looked up."""
 
@@ -223,6 +288,32 @@ class TestFinFunction:
         assert f == FinFunction(3, 2, (0, 1, 1))
         assert repr(f) == "FinFunction(source=3, target=2, values=(0, 1, 1))"
         assert FinFunction.checked(0, 0, []) == finset(0).identity(0)
+
+    def test_has_no_instance_dict(self):
+        f = FinFunction(2, 2, (1, 0))
+        assert not hasattr(f, "__dict__")
+        with pytest.raises(AttributeError):
+            f.label = "swap"
+
+    @given(st.lists(finfunctions(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dataclass_oracle(self, triples):
+        """Equality, hash, the four comparisons, sorted order, repr and
+        is_bijection are the frozen dataclass's, pair by pair; any other
+        type is NotImplemented, so == is False and < raises TypeError."""
+        fs = [FinFunction(*t) for t in triples]
+        oracles = [DataclassFinFunction(*t) for t in triples]
+        for f, o in zip(fs, oracles):
+            assert (repr(f), hash(f), f.is_bijection) == (repr(o), hash(o), o.is_bijection)
+            assert f == FinFunction(*triple(f)) and f != triple(f) and f != o
+            for method in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(f, method)(triple(f)) is NotImplemented
+            with pytest.raises(TypeError):
+                f < triple(f)
+            for g, p in zip(fs, oracles):
+                assert (f == g, f != g, f < g, f <= g, f > g, f >= g) == (o == p, o != p, o < p, o <= p, o > p, o >= p)
+        assert [triple(f) for f in sorted(fs)] == [triple(o) for o in sorted(oracles)]
+        assert len(set(fs)) == len(set(oracles))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -586,6 +677,72 @@ class TestCore:
 
 
 class TestFinSetCategory:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_the_oracles(self, data):
+        """compose, pullback and factor_through_limit, on functions with
+        sizes 0-4 and random finite-set diagrams, agree with the point-by-
+        point versions they replaced, errors included: a cone that does
+        not factor raises NoLimitError in both."""
+        B = finset(4)
+        f = FinFunction(*data.draw(finfunctions()))
+        g = FinFunction(*data.draw(finfunctions(source=f.target)))
+        assert triple(B.compose(g, f)) == triple(compose_oracle(g, f))
+        h = FinFunction(*data.draw(finfunctions()))
+        if h.source != f.target:
+            for compose in (B.compose, compose_oracle):
+                with pytest.raises(SpanlabError):
+                    compose(h, f)
+        k = FinFunction(*data.draw(finfunctions(target=f.target)))
+        apex, p, q = B.pullback(f, k)
+        oracle_apex, oracle_p, oracle_q = pullback_oracle(f, k)
+        assert (apex, triple(p), triple(q)) == (oracle_apex, triple(oracle_p), triple(oracle_q))
+        if h.target != f.target:
+            for pullback in (B.pullback, pullback_oracle):
+                with pytest.raises(SpanlabError):
+                    pullback(f, h)
+        node_obj, arrows = data.draw(finset_diagrams())
+        L, legs = B.limit_of_diagram(node_obj, arrows)
+        w = data.draw(st.integers(0, 4)) if all(node_obj.values()) else 0
+        if (L or not w) and data.draw(st.booleans()):
+            u = FinFunction(*data.draw(finfunctions(source=w, target=L)))
+            cone = {n: B.compose(legs[n], u) for n in node_obj}
+        else:  # a random cone, which may not factor
+            cone = {n: FinFunction(*data.draw(finfunctions(source=w, target=x))) for n, x in node_obj.items()}
+        try:
+            expected = triple(factor_oracle(L, legs, w, cone, node_obj))
+        except NoLimitError:
+            with pytest.raises(NoLimitError):
+                B.factor_through_limit(L, legs, w, cone, node_obj)
+        else:
+            assert triple(B.factor_through_limit(L, legs, w, cone, node_obj)) == expected
+
+    @pytest.mark.parametrize("lim_apex", [0, 1, 2])
+    @pytest.mark.parametrize("cone_apex", [0, 1, 3])
+    def test_factoring_over_the_empty_diagram(self, lim_apex, cone_apex):
+        """With no nodes every row is (), for the limit and the cone alike:
+        the factorization is the oracle's, and an empty apex takes only
+        the empty cone."""
+        try:
+            expected = triple(factor_oracle(lim_apex, {}, cone_apex, {}, {}))
+        except NoLimitError:
+            assert lim_apex == 0 < cone_apex
+            with pytest.raises(NoLimitError):
+                finset(2).factor_through_limit(lim_apex, {}, cone_apex, {}, {})
+        else:
+            assert triple(finset(2).factor_through_limit(lim_apex, {}, cone_apex, {}, {})) == expected
+        L, legs = finset(2).limit_of_diagram({}, [])
+        assert finset(2).factor_through_limit(L, legs, cone_apex, {}, {}) == FinFunction(cone_apex, 1, (0,) * cone_apex)
+
+    def test_cone_outside_the_limit_does_not_factor(self):
+        B = finset(2)
+        node_obj = {"a": 2, "b": 2}
+        L, legs = B.limit_of_diagram(node_obj, [("a", "b", B.identity(2))])
+        cone = {"a": FinFunction(1, 2, (0,)), "b": FinFunction(1, 2, (1,))}
+        for factor in (B.factor_through_limit, factor_oracle):
+            with pytest.raises(NoLimitError):
+                factor(L, legs, 1, cone, node_obj)
+
     def test_hom_count(self):
         B = finset(3)
         assert len(B.hom(2, 3)) == 9

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanlab import groupoid as groupoid_module
 from spanlab import spans as spans_module
 from spanlab.fincat import FinCategory, FinFunction, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
@@ -526,6 +527,24 @@ class TestMapping:
         assert seen and set(feet) == {(1, 1)}
         assert len(seen) == len(set(seen)) == 4
 
+    def test_fiber_asks_for_homs_inside_buckets_only(self, monkeypatch):
+        """The iso-comma keys its objects by the level's key, so the
+        components of the fiber over (2, 2) on finset:3 take 69,904
+        iso-comma hom calls, where a keyless one asks for all 340^2 =
+        115,600."""
+        calls, iso_comma = [], groupoid_module.iso_comma
+
+        def counted(F, G):
+            gpd, proj_a, proj_b = iso_comma(F, G)
+            hom = gpd._hom
+            gpd._hom = lambda x, y: calls.append(1) or hom(x, y)
+            return gpd, proj_a, proj_b
+
+        monkeypatch.setattr(groupoid_module, "iso_comma", counted)
+        v = mapping_category_check(finset(3), 2, 2)
+        assert v and v.details["fiber_objects"] == 340
+        assert len(calls) == 69904
+
     def test_point_pair_over_finset2(self):
         fiber = mapping_fiber(finset(2), 1, 1)
         assert len(fiber.components()) == 3
@@ -708,16 +727,25 @@ class TestCanonicalLevel:
 
     @pytest.mark.parametrize(
         "level, buckets",
-        [(lambda: _finset2_arity2()[0], 219), (lambda: span_level(finset(3), (1,)), 90)],
-        ids=["finset2-2", "finset3-1"],
+        [
+            (lambda: _finset2_arity2()[0], 219),
+            (lambda: span_level(finset(3), (1,)), 90),
+            (lambda: span_level(divisor_lattice(12), (2,)), 910),
+            (lambda: span_level(slice_over_pair(finset(2), 1, 1), (1,)), 22),
+        ],
+        ids=["finset2-2", "finset3-1", "lattice12-2", "slice1x1-1"],
     )
     def test_orbit_stabilizer_per_bucket(self, level, buckets):
-        """On skeletal finite sets a bucket is one orbit of the relabelling
-        group of its Lambda objects, so |bucket| . |Aut(r)| is the product
-        of |obj c|! over the Lambda cells c, r the bucket's first diagram.
-        A canonical form that split an orbit would break it."""
+        """On a skeletal base a bucket is one orbit of the relabelling
+        group of its Lambda objects, the product over the Lambda cells c of
+        isos(obj c, obj c), so |bucket| . |Aut(r)| is the order of that
+        group, r the bucket's first diagram: the product of |obj c|! on
+        finite sets, 1 on a poset.  A canonical form that split an orbit
+        would break it."""
         level = level()
-        reps = {x: x for x in range(4)}  # finite sets are skeletal
+        base = level.diagrams[level.objects[0]].base
+        reps = spans_module._iso_class_reps(base, base.objects_within())
+        assert all(reps[x] == x for x in reps)  # skeletal: one object per class
         members = {}
         for k in level.objects:
             d = level.diagrams[k]
@@ -725,7 +753,7 @@ class TestCanonicalLevel:
         assert len(members) == buckets
         for ks in members.values():
             r = level.diagrams[ks[0]]
-            relabellings = math.prod(math.factorial(r.obj[c]) for c in r.shape.lambda_cells)
+            relabellings = math.prod(len(base.isos(r.obj[c], r.obj[c])) for c in r.shape.lambda_cells)
             assert len(ks) * len(level.hom(ks[0], ks[0])) == relabellings
 
     @pytest.mark.parametrize(
