@@ -245,6 +245,8 @@ def _run_locsys(args) -> tuple[Verdict, dict]:
 
 
 def _run_lag(args) -> tuple[Verdict, dict]:
+    if args.dim % 2:
+        raise SpanlabError(f"--dim must be even (a symplectic dimension), got {args.dim}")
     if args.kind == "pairs":
         if args.dim < 2:
             raise SpanlabError("--dim must be at least 2 for pairs")

@@ -3,14 +3,17 @@
 A shadow of the span calculus in linear symplectic geometry: objects are
 finite-dimensional symplectic vector spaces, morphisms are Lagrangian
 subspaces of the product with one form negated, and composition matches the
-middle coordinates and projects to the outer ones.  All arithmetic is exact
-(fractions), and every subspace is stored by its reduced-row-echelon basis,
-so equality of correspondences is literal equality of canonical data.
+middle coordinates and projects to the outer ones.  All arithmetic is exact:
+elimination, transvections and composition run in integers (fraction-free
+elimination with gcd reduction; Bareiss, Math. Comp. 22, 1968), and every
+subspace is stored by its canonical rational reduced-row-echelon basis, so
+equality of correspondences is literal equality of canonical data.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .verdict import SpanlabError, Verdict
 
@@ -22,66 +25,109 @@ One = Fraction(1)
 # exact linear algebra
 
 
-def _frac_rows(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+def _rationals(row):
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = _frac_rows(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _integer_rows(rows):
+    """Each row times the lcm of its own denominators: integer rows with
+    the same row span.  Entries that are not int or Fraction are read as
+    Fraction(v)."""
+    out = []
+    for row in rows:
+        row = _rationals(row)
+        m = lcm(*[v.denominator for v in row])
+        out.append([v.numerator * (m // v.denominator) for v in row])
+    return out
+
+
+def _integer_form(omega):
+    """The form times one common denominator M of all its entries, in
+    integers.  Every pairing is multiplied by the same M, so its zeros do
+    not move; scaling each row by its own denominator would change them."""
+    rows = [_rationals(row) for row in omega]
+    m = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (m // v.denominator) for v in row] for row in rows], m
+
+
+def _echelon(rows):
+    """Reduced echelon form in integers: (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan elimination: the pivot of column c is the
+    first nonzero entry at or below the current row r, and every other row
+    i becomes p . row_i - f . row_r (p the pivot, f = row_i[c]), divided
+    by the gcd of its entries.  Row k is its pivot times the k-th row of
+    the canonical rational RREF."""
+    mat = _integer_rows(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = One / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
+
+
+def rref(rows):
+    """Reduced row echelon form, the canonical rational basis of the row
+    span; returns (nonzero rows as Fraction tuples with pivot 1, pivot
+    columns)."""
+    ech, pivots = _echelon(rows)
+    red = [
+        tuple([Fraction(v, row[c]) if v else Zero for v in row])
+        for row, c in zip(ech, pivots)
+    ]
+    return red, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix, from the RREF free columns."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Integer vectors spanning the right kernel of the matrix, one per
+    free column c of its echelon form: v[c] is the lcm m of the pivots of
+    the rows with an entry in column c, and v[p_i] = -row_i[c] . m / p_i
+    at the pivot column p_i of row i."""
+    ech, pivots = _echelon(rows)
     basis = []
-    for c in free:
-        v = [Zero] * ncols
-        v[c] = One
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][c]
+    for c in [c for c in range(ncols) if c not in pivots]:
+        hits = [(row[p], row[c], p) for row, p in zip(ech, pivots) if row[c]]
+        m = lcm(*[piv for piv, _, _ in hits])
+        v = [0] * ncols
+        v[c] = m
+        for piv, f, p in hits:
+            v[p] = -f * (m // piv)
         basis.append(tuple(v))
     return basis
 
 
 def apply_form(omega, u, v):
     """u^T . omega . v, summed over the nonzero entries of u, omega and v
-    only (the standard and direct-sum forms hold one nonzero per row)."""
+    only (the standard and direct-sum forms hold one nonzero per row), in
+    the type of the entries, and returned as a Fraction."""
     support = [(j, b) for j, b in enumerate(v) if b]
-    total = Zero
+    total = 0
     for a, row in zip(u, omega):
         if a:
             for j, b in support:
                 w = row[j]
                 if w:
                     total += a * w * b
-    return total
+    return Fraction(total)
 
 
 def canonical_subspace(rows):
@@ -159,18 +205,24 @@ def correspondence_form(X: SymplecticSpace, Y: SymplecticSpace):
 
 
 def is_lagrangian(omega, rows, dim) -> Verdict:
-    """Is the row span a Lagrangian subspace for the given form on Q^dim?"""
-    red, _ = rref(rows)
-    if len(red) != dim // 2:
+    """Is the row span a Lagrangian subspace for the given form on Q^dim?
+
+    The pairings are tested on the integer echelon rows against the form
+    scaled by one common denominator: each is a nonzero multiple of the
+    pairing of the canonical rows, so it is zero exactly when that one
+    is.  A refutation names the first nonzero pair and its pairing on the
+    canonical rows."""
+    ech, _ = _echelon(rows)
+    if len(ech) != dim // 2:
         return Verdict.refuted(
-            witness={"reason": "wrong dimension", "got": len(red), "want": dim // 2}
+            witness={"reason": "wrong dimension", "got": len(ech), "want": dim // 2}
         )
-    for i, u in enumerate(red):
-        for j, v in enumerate(red):
-            if j < i:
-                continue
-            val = apply_form(omega, u, v)
-            if val != 0:
+    form, _ = _integer_form(omega)
+    for i, u in enumerate(ech):
+        for j in range(i, len(ech)):
+            if apply_form(form, u, ech[j]):
+                red, _ = rref(rows)
+                val = apply_form(omega, red[i], red[j])
                 return Verdict.refuted(witness={"pair": (i, j), "pairing": str(val)})
     return Verdict.verified()
 
@@ -240,22 +292,25 @@ def compose_lagrangian(
     L: LagrangianCorrespondence, M: LagrangianCorrespondence
 ) -> LagrangianCorrespondence:
     """M after L: match the middle coordinates and project to the outer
-    ones, then re-certify the result."""
+    ones, then re-certify the result.  The work is in integers, on the
+    bases scaled row by row, which span the same subspaces; the canonical
+    basis of the result does not depend on that choice."""
     if L.target != M.source:
         raise SpanlabError("middle spaces differ")
     dx, dy, dz = L.source.dim, L.target.dim, M.target.dim
-    k, l = len(L.basis), len(M.basis)
+    Lb, Mb = _integer_rows(L.basis), _integer_rows(M.basis)
+    k, l = len(Lb), len(Mb)
     # constraint rows: for each middle coordinate, sum_i a_i L_i[y] = sum_j b_j M_j[y]
     constraints = [
-        [L.basis[i][dx + c] for i in range(k)] + [-M.basis[j][c] for j in range(l)]
+        [Lb[i][dx + c] for i in range(k)] + [-Mb[j][c] for j in range(l)]
         for c in range(dy)
     ]
     rows = []
     for vec in kernel_basis(constraints, k + l):
         a, b = vec[:k], vec[k:]
-        x = [sum((a[i] * L.basis[i][c] for i in range(k)), Zero) for c in range(dx)]
-        z = [sum((b[j] * M.basis[j][dy + c] for j in range(l)), Zero) for c in range(dz)]
-        rows.append(tuple(x) + tuple(z))
+        x = [sum([a[i] * Lb[i][c] for i in range(k)]) for c in range(dx)]
+        z = [sum([b[j] * Mb[j][dy + c] for j in range(l)]) for c in range(dz)]
+        rows.append(x + z)
     out = LagrangianCorrespondence(L.source, M.target, rows)
     v = out.validate()
     if not v:
@@ -329,19 +384,27 @@ def duality_zigzag_check(dim: int) -> Verdict:
 
 
 def _transvected(omega, dim, coords, rounds, rng: random.Random):
-    """The coordinate vectors at coords in Q^dim, pushed through rounds
-    random symplectic transvections x |-> x + c * omega(x, v) * v of the
-    form (a draw of v = 0 skips its round)."""
-    basis = [tuple(One if k == i else Zero for k in range(dim)) for i in coords]
+    """Integer vectors spanning the lines of the coordinate vectors at
+    coords in Q^dim, pushed through rounds random symplectic transvections
+    x |-> x + c * omega(x, v) * v of the form (a draw of v = 0 skips its
+    round).  With c = p/q and the form scaled to integers by one common
+    denominator M, the push of x is q.M.x + p.(M omega)(x, v).v, that
+    transvection times q.M, divided by the gcd of its entries; the draws
+    are those of the rational push."""
+    form, m = _integer_form(omega)
+    basis = [[int(k == i) for k in range(dim)] for i in coords]
     for _ in range(rounds):
-        v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
-        if all(a == 0 for a in v):
+        v = [rng.randint(-2, 2) for _ in range(dim)]
+        if not any(v):
             continue
-        c = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        p = rng.randint(1, 3)
+        qm = rng.randint(1, 3) * m
         pushed = []
         for x in basis:
-            f = c * apply_form(omega, x, v)
-            pushed.append(tuple(a + f * b for a, b in zip(x, v)))
+            f = p * apply_form(form, x, v).numerator
+            y = [qm * a + f * b for a, b in zip(x, v)]
+            g = gcd(*y)
+            pushed.append([a // g for a in y] if g > 1 else y)
         basis = pushed
     return basis
 

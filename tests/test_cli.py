@@ -235,11 +235,13 @@ class TestErrors:
             ["certify", "adjoint", "--base", "finset:2", "--bound", "-1", "--trials", "3"],
             ["check", "mapping", "--base", "finset:2", "-X", "-1", "-Y", "1"],
             ["lag", "check", "--kind", "zigzag", "--dim", "-2"],
+            ["lag", "check", "--kind", "pairs", "--dim", "3", "--trials", "2"],
+            ["lag", "check", "--kind", "zigzag", "--dim", "3"],
         ],
         ids=[
             "arity", "segal-arity", "coeff-size", "dual-no-X", "mapping-no-XY", "samples", "dim",
             "pairs-trials", "adjoint-trials", "dual-negative-X", "adjoint-no-objects",
-            "mapping-negative-X", "zigzag-dim",
+            "mapping-negative-X", "zigzag-dim", "pairs-odd-dim", "zigzag-odd-dim",
         ],
     )
     def test_malformed_input_is_a_usage_error(self, argv):
@@ -525,6 +527,10 @@ class TestByteStability:
                 "fff9a39603e7d3001096f18ff9ae250ae41474022f869c6232620086493bed1f",
             ),
             (
+                ["lag", "check", "--kind", "zigzag", "--dim", "12"],
+                "d6273f813e5e011d78957f6cce7c6c09ec280fbfe00cb736da417d9ef77473ba",
+            ),
+            (
                 ["certify", "adjoint", "--base", "finset:4", "--trials", "200", "--seed", "0"],
                 "063d55f106ddb5fbfdf070c65f3065da945551ada0a60eb505973d435d32a9f1",
             ),
@@ -533,8 +539,8 @@ class TestByteStability:
                 "d445dd716b239d5998ebcb9818c6fbd18b27f913b6497dc0110e9e728ccfb402",
             ),
         ],
-        ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "adjoint",
-             "segal-sampled"],
+        ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "zigzag",
+             "adjoint", "segal-sampled"],
     )
     def test_report_hash(self, argv, digest):
         """Reports of the functor, pairing, pullback, reversal, limit and

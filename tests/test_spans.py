@@ -1,5 +1,6 @@
 """Span diagrams: Kan extension, Cartesian certificates, levels, the Segal
 comparison, invertibility, completeness, and mapping fibers."""
+import collections
 import functools
 import gc
 import hashlib
@@ -726,26 +727,32 @@ class TestCanonicalLevel:
         assert extended == []
 
     @pytest.mark.parametrize(
-        "level, buckets",
+        "level, buckets, skeletal",
         [
-            (lambda: _finset2_arity2()[0], 219),
-            (lambda: span_level(finset(3), (1,)), 90),
-            (lambda: span_level(divisor_lattice(12), (2,)), 910),
-            (lambda: span_level(slice_over_pair(finset(2), 1, 1), (1,)), 22),
+            (lambda: _finset2_arity2()[0], 219, True),
+            (lambda: span_level(finset(3), (1,)), 90, True),
+            (lambda: span_level(divisor_lattice(12), (2,)), 910, True),
+            (lambda: span_level(slice_over_pair(finset(2), 1, 1), (1,)), 22, True),
+            (lambda: span_level(two_isomorphic_objects(), (1,)), 5, False),
         ],
-        ids=["finset2-2", "finset3-1", "lattice12-2", "slice1x1-1"],
+        ids=["finset2-2", "finset3-1", "lattice12-2", "slice1x1-1", "isomorphic-objects-1"],
     )
-    def test_orbit_stabilizer_per_bucket(self, level, buckets):
-        """On a skeletal base a bucket is one orbit of the relabelling
-        group of its Lambda objects, the product over the Lambda cells c of
-        isos(obj c, obj c), so |bucket| . |Aut(r)| is the order of that
-        group, r the bucket's first diagram: the product of |obj c|! on
-        finite sets, 1 on a poset.  A canonical form that split an orbit
-        would break it."""
+    def test_orbit_stabilizer_per_bucket(self, level, buckets, skeletal):
+        """A bucket is one orbit of the relabelling of its Lambda objects:
+        each cell c may move by any isomorphism out of obj c, onto any
+        object of its isomorphism class, so |bucket| . |Aut(r)| is the
+        product over the Lambda cells c of |class(obj c)| . |Aut(obj c)|,
+        r the bucket's first diagram.  On a skeletal base every class is
+        one object and this is the product of |obj c|! on finite sets, 1
+        on a poset.  The base with two isomorphic objects is not skeletal,
+        so the class sizes count there; each case asserts whether its base
+        is skeletal.  A canonical form that split an orbit would break
+        it."""
         level = level()
         base = level.diagrams[level.objects[0]].base
         reps = spans_module._iso_class_reps(base, base.objects_within())
-        assert all(reps[x] == x for x in reps)  # skeletal: one object per class
+        assert all(reps[x] == x for x in reps) == skeletal  # skeletal: one object per class
+        class_size = collections.Counter(reps.values())
         members = {}
         for k in level.objects:
             d = level.diagrams[k]
@@ -753,8 +760,31 @@ class TestCanonicalLevel:
         assert len(members) == buckets
         for ks in members.values():
             r = level.diagrams[ks[0]]
-            relabellings = math.prod(len(base.isos(r.obj[c], r.obj[c])) for c in r.shape.lambda_cells)
+            relabellings = math.prod(
+                class_size[reps[r.obj[c]]] * len(base.isos(r.obj[c], r.obj[c]))
+                for c in r.shape.lambda_cells
+            )
             assert len(ks) * len(level.hom(ks[0], ks[0])) == relabellings
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations([1, 2, 3, 5, 6, 10, 15, 30]))
+    def test_relabeled_lattice30_matches_the_pairwise_oracle(self, labels):
+        """The divisor lattice of 30 with each divisor d relabeled to
+        labels[i], i its place in the divisor list, so label order and
+        divisibility no longer agree: at arity 1 its 125 diagrams, their
+        morphisms in order and their components are the pairwise
+        oracle's."""
+        divisors = [1, 2, 3, 5, 6, 10, 15, 30]
+        label = dict(zip(divisors, labels))
+        base = poset_category(
+            [label[d] for d in divisors],
+            [(label[a], label[b]) for a in divisors for b in divisors if b % a == 0],
+        )
+        level, oracle = span_level(base, (1,)), pairwise_level(base, (1,))
+        assert level.objects == oracle.objects
+        assert level.all_morphisms() == oracle.all_morphisms()
+        assert level.components() == oracle.components()
+        assert len(level.objects) == 125
 
     @pytest.mark.parametrize(
         "base, X, Y, arities",
