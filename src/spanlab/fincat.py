@@ -1,8 +1,15 @@
 """Finite categories with explicit composition tables, the skeletal
 category of finite sets, and lazy slices of either.
 
-The bases share one duck-typed surface (objects_within, hom, compose,
-identity, pullback, limit_of_diagram, ...):
+The bases share one duck-typed surface:
+
+    objects_within, hom, isos, src, tgt, identity, compose, commutes,
+    is_iso, inverse, limit_of_diagram, factor_through_limit
+
+commutes(g, f, k, h) asks whether the square g . f = k . h commutes
+without building either composite; on a non-composable pair it raises, as
+compose does.  The table and finite-set bases add pullback, product and
+terminal; the table base and the slice add cones.
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
   search with a universality check.  Suitable for user-supplied bases up to
@@ -16,6 +23,7 @@ identity, pullback, limit_of_diagram, ...):
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .verdict import NoLimitError, SpanlabError, Verdict
 
@@ -47,6 +55,9 @@ class FinCategory:
 
     def compose(self, g, f):
         return self.composition[(g, f)]
+
+    def commutes(self, g, f, k, h):
+        return self.composition[(g, f)] == self.composition[(k, h)]
 
     def hom(self, x, y):
         return list(self._hom.get((x, y), []))
@@ -322,19 +333,27 @@ class FinSetCategory:
     max_size only bounds enumeration (objects_within, hom listings used by
     level builders); composition, pullbacks and limits are total and may
     return sets larger than max_size.
+
+    hom(x, y) and isos(x, x) are built once per base and size pair; each
+    call returns a fresh list of the shared, immutable functions.
     """
 
     def __init__(self, max_size: int):
         if max_size < 0:
             raise SpanlabError("max_size must be >= 0")
         self.max_size = max_size
+        self._homs = {}
+        self._isos = {}
 
     def objects_within(self, bound=None):
         b = self.max_size if bound is None else min(bound, self.max_size)
         return list(range(b + 1))
 
     def hom(self, x, y):
-        return [FinFunction(x, y, vals) for vals in itertools.product(range(y), repeat=x)]
+        fs = self._homs.get((x, y))
+        if fs is None:
+            fs = self._homs[(x, y)] = [FinFunction(x, y, vals) for vals in itertools.product(range(y), repeat=x)]
+        return list(fs)
 
     def src(self, m: FinFunction):
         return m.source
@@ -352,6 +371,15 @@ class FinSetCategory:
         # tuple() sizes a list once, but guesses and resizes for a generator
         return FinFunction(f.source, g.target, tuple([gv[v] for v in f.values]))
 
+    def commutes(self, g: FinFunction, f: FinFunction, k: FinFunction, h: FinFunction) -> bool:
+        """compose(g, f) == compose(k, h), compared on the value lists."""
+        if f.target != g.source or h.target != k.source:
+            raise SpanlabError("finite-set functions not composable")
+        if f.source != h.source or g.target != k.target:
+            return False
+        gv, kv = g.values, k.values
+        return [gv[v] for v in f.values] == [kv[v] for v in h.values]
+
     def is_iso(self, m: FinFunction) -> bool:
         return m.is_bijection
 
@@ -366,9 +394,10 @@ class FinSetCategory:
     def isos(self, x, y):
         if x != y:
             return []
-        return [
-            FinFunction(x, x, perm) for perm in itertools.permutations(range(x))
-        ]
+        fs = self._isos.get(x)
+        if fs is None:
+            fs = self._isos[x] = [FinFunction(x, x, perm) for perm in itertools.permutations(range(x))]
+        return list(fs)
 
     def random_hom(self, x, y, rng):
         if y == 0:
@@ -408,14 +437,19 @@ class FinSetCategory:
         leg n is coordinate n.  A self-loop (a, a, m) keeps the points that
         m fixes.
 
-        If a node is empty, so is the limit.  Otherwise the tuples grow one
+        If a node is empty, so is the limit.  Otherwise the rows grow one
         node at a time in root-first order (_root_first_order): every node
         that is not a root is then placed after a node with an arrow into
         it, so its value is forced instead of enumerated.  Each step tests
         the new value against every arrow between the node and the nodes
-        placed so far, its own self-loops included; these arrows are sorted
-        by position once per diagram.  The finished tuples are put back in
-        sorted-node order and sorted."""
+        placed so far, its own self-loops included, one filter per arrow;
+        these arrows are sorted by position once per diagram.
+
+        Each step extends the rows in order, a row's values ascending, and
+        filters keep order, so the rows stay lexicographic in the order
+        they were grown in.  When that order is the sorted one they are the
+        limit's tuples as they stand; otherwise each row is put back in
+        sorted-node order and the rows are sorted."""
         nodes = sorted(node_obj)
         if any(node_obj[n] == 0 for n in nodes):
             return 0, {n: FinFunction(0, node_obj[n], ()) for n in nodes}
@@ -433,16 +467,16 @@ class FinSetCategory:
             if forcing:
                 here.remove(forcing)
                 f, j, _ = forcing
-                grown = (row + (f[row[j]],) for row in rows)
+                rows = [row + (f[row[j]],) for row in rows]
             else:
-                grown = (row + (v,) for row in rows for v in range(node_obj[n]))
-            if here:
-                rows = [r for r in grown if all(g[r[j]] == r[k] for g, j, k in here)]
-            else:
-                rows = list(grown)
-        tuples = sorted(tuple(row[at[n]] for n in nodes) for row in rows)
-        apex = len(tuples)
-        columns = list(zip(*tuples)) or [()] * len(nodes)
+                points = [(v,) for v in range(node_obj[n])]
+                rows = [row + p for row in rows for p in points]
+            for g, j, k in here:
+                rows = [r for r in rows if g[r[j]] == r[k]]
+        if order != nodes:  # two or more nodes, so itemgetter gives tuples
+            rows = sorted(map(itemgetter(*[at[n] for n in nodes]), rows))
+        apex = len(rows)
+        columns = list(zip(*rows)) or [()] * len(nodes)
         legs = {n: FinFunction(apex, node_obj[n], col) for n, col in zip(nodes, columns)}
         return apex, legs
 
@@ -542,6 +576,9 @@ class SliceCategory:
 
     def compose(self, g, f):
         return f[0], g[1], self.C.compose(g[2], f[2])
+
+    def commutes(self, g, f, k, h):
+        return f[0] == h[0] and g[1] == k[1] and self.C.commutes(g[2], f[2], k[2], h[2])
 
     def is_iso(self, m):
         return self.C.is_iso(m[2])

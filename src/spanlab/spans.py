@@ -37,19 +37,27 @@ class SpanDiagram:
     groupoids can deduplicate on the nose.
     """
 
-    __slots__ = ("shape", "base", "obj", "mor", "key", "comparisons")
+    __slots__ = ("shape", "base", "obj", "mor", "_key", "comparisons")
 
     def __init__(self, shape: SigmaShape, base, obj: dict, mor: dict):
         self.shape = shape
         self.base = base
         self.obj = dict(obj)
         self.mor = dict(mor)
-        self.key = (
-            shape.arities,
-            tuple(sorted(self.obj.items())),
-            tuple(sorted(self.mor.items())),
-        )
+        self._key = None
         self.comparisons = {}
+
+    @property
+    def key(self):
+        """The arities and the sorted obj and mor items, computed on first
+        use; nothing mutates obj or mor after construction."""
+        if self._key is None:
+            self._key = (
+                self.shape.arities,
+                tuple(sorted(self.obj.items())),
+                tuple(sorted(self.mor.items())),
+            )
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, SpanDiagram) and self.key == other.key
@@ -274,7 +282,7 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
     straight from mor."""
     rel = shape.order
     for b in fam:
-        if (c, b) in rel and base.compose(d2.mor[(c, b)], g) != base.compose(fam[b], d1.mor[(c, b)]):
+        if (c, b) in rel and not base.commutes(d2.mor[(c, b)], g, fam[b], d1.mor[(c, b)]):
             return False
     return True
 
@@ -310,7 +318,7 @@ def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
         if not base.is_iso(g) or base.src(g) != d1.obj[c] or base.tgt(g) != d2.obj[c]:
             return False
     for a, b in shape.arrows_among(cells):
-        if base.compose(d2.mor[(a, b)], fam[a]) != base.compose(fam[b], d1.mor[(a, b)]):
+        if not base.commutes(d2.mor[(a, b)], fam[a], fam[b], d1.mor[(a, b)]):
             return False
     return True
 

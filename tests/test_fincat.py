@@ -3,18 +3,21 @@ import functools
 import gc
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanlab import fincat as fincat_module
 from spanlab.duality import _pair, build_adjunction, triangle_check
 from spanlab.fincat import (
     FinCategory,
     FinFunction,
     FinSetCategory,
     SliceCategory,
+    _root_first_order,
     core,
     finset,
     slice_over_pair,
@@ -141,6 +144,39 @@ def sorted_order_limit(node_obj, arrows):
     return len(tuples), legs
 
 
+def limit_oracle(node_obj, arrows):
+    """FinSetCategory.limit_of_diagram as it was before its steps were
+    made lean: rows grown through generators, all arrows of a step tested
+    in one all(...) per row, and the finished rows always put back in
+    sorted-node order and sorted."""
+    nodes = sorted(node_obj)
+    if any(node_obj[n] == 0 for n in nodes):
+        return 0, {n: FinFunction(0, node_obj[n], ()) for n in nodes}
+    order = _root_first_order(nodes, arrows)
+    at = {n: i for i, n in enumerate(order)}
+    tests = [[] for _ in order]
+    for a, b, m in arrows:
+        tests[max(at[a], at[b])].append((m.values, at[a], at[b]))
+    rows = [()]
+    for n, here in zip(order, tests):
+        forcing = next((t for t in here if t[1] < t[2]), None)
+        if forcing:
+            here.remove(forcing)
+            f, j, _ = forcing
+            grown = (row + (f[row[j]],) for row in rows)
+        else:
+            grown = (row + (v,) for row in rows for v in range(node_obj[n]))
+        if here:
+            rows = [r for r in grown if all(g[r[j]] == r[k] for g, j, k in here)]
+        else:
+            rows = list(grown)
+    tuples = sorted(tuple(row[at[n]] for n in nodes) for row in rows)
+    apex = len(tuples)
+    columns = list(zip(*tuples)) or [()] * len(nodes)
+    legs = {n: FinFunction(apex, node_obj[n], col) for n, col in zip(nodes, columns)}
+    return apex, legs
+
+
 @dataclass(frozen=True, order=True)
 class DataclassFinFunction:
     """FinFunction as the frozen dataclass it was before it became a
@@ -230,6 +266,31 @@ def finset_diagrams(draw):
                 continue  # no function into the empty set
             values = draw(st.tuples(*[st.integers(0, node_obj[b] - 1)] * node_obj[a]))
             arrows.append((a, b, FinFunction(node_obj[a], node_obj[b], values)))
+    return node_obj, arrows
+
+
+@st.composite
+def small_finset_diagrams(draw):
+    """Up to 4 nodes of sizes 0-3 and up to 5 drawn arrows, each with its
+    reverse added at will, so that self-loops and 2-cycles are common.
+    With two or more nodes an arrow from the last name in sorted order
+    into the first may be added, which makes the root-first order differ
+    from the sorted one whenever that node is a root."""
+    names = draw(st.lists(st.sampled_from(["z", "m", "a", "t"]), max_size=4, unique=True))
+    node_obj = {n: draw(st.integers(0, 3)) for n in names}
+    pairs = []
+    if names:
+        for _ in range(draw(st.integers(0, 5))):
+            a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            pairs += [(a, b), (b, a)] if draw(st.booleans()) else [(a, b)]
+        if len(names) > 1 and draw(st.booleans()):
+            pairs.append((max(names), min(names)))
+    arrows = []
+    for a, b in pairs:
+        if node_obj[a] and not node_obj[b]:
+            continue  # no function into the empty set
+        values = draw(st.tuples(*[st.integers(0, node_obj[b] - 1)] * node_obj[a]))
+        arrows.append((a, b, FinFunction(node_obj[a], node_obj[b], values)))
     return node_obj, arrows
 
 
@@ -498,6 +559,19 @@ class TestCanonicalLimits:
         if all(a != b for a, b, _ in arrows):
             assert sorted_order_limit(node_obj, arrows) == product_limit(node_obj, arrows)
 
+    @given(small_finset_diagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_limit_oracle(self, diagram):
+        """The lean steps give the apex and every leg's values of the
+        generator-grown search, whether or not the root-first order is the
+        sorted one."""
+        node_obj, arrows = diagram
+        apex, legs = finset(3).limit_of_diagram(node_obj, arrows)
+        oracle_apex, oracle_legs = limit_oracle(node_obj, arrows)
+        assert apex == oracle_apex
+        assert {n: triple(leg) for n, leg in legs.items()} == {n: triple(leg) for n, leg in oracle_legs.items()}
+        assert all(type(leg.values) is tuple for leg in legs.values())
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_triangle_diagrams_match_the_oracle(self, data):
@@ -674,6 +748,18 @@ class TestCore:
         )
         assert len(H.objects) == len(G.objects)
         assert len(list(H.all_morphisms())) == len(list(G.all_morphisms()))
+
+
+class TestBaseSurface:
+    def test_every_base_has_the_documented_surface(self):
+        """Each method of the shared surface that the fincat module
+        docstring lists exists on all three bases; a base without one would
+        fail only when a check first calls it."""
+        block = re.search(r"duck-typed surface:\n\n(.*?)\n\n", fincat_module.__doc__, re.S).group(1)
+        names = re.findall(r"\w+", block)
+        assert "commutes" in names and "limit_of_diagram" in names
+        for base in (FinCategory, FinSetCategory, SliceCategory):
+            assert [n for n in names if not callable(getattr(base, n, None))] == [], base.__name__
 
 
 class TestFinSetCategory:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spanlab import groupoid as groupoid_module
 from spanlab import spans as spans_module
-from spanlab.fincat import FinCategory, FinFunction, SliceCategory, core, finset, slice_over_pair
+from spanlab.fincat import FinCategory, FinFunction, FinSetCategory, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
 from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
@@ -336,6 +336,20 @@ class TestSegal:
         assert len(calls) == 2
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
+    def test_compose_calls_pinned(self, monkeypatch):
+        """Naturality squares are compared on values by base.commutes, so
+        segal_check(finset(2), (2,)) composes 17,006 times; building both
+        composites of every square, as it did before, composes 101,302
+        times."""
+        calls, compose = [], FinSetCategory.compose
+        monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
+        assert segal_check(finset(2), (2,))
+        assert len(calls) == 17006
+        calls.clear()
+        monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
+        assert segal_check(finset(2), (2,))
+        assert len(calls) == 101302
+
     def test_data_enumeration_leaves_no_reference_cycle(self):
         """A finished free-data enumeration frees its data by reference
         counting alone."""
@@ -447,6 +461,87 @@ def poset_category(objs, leq):
 def divisor_lattice(n):
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     return poset_category(divisors, [(a, b) for a in divisors for b in divisors if b % a == 0])
+
+
+class TestCommutes:
+    """base.commutes(g, f, k, h) against compose(g, f) == compose(k, h)."""
+
+    BASES = {
+        "finset3": lambda data: finset(3),
+        "lattice12": lambda data: divisor_lattice(12),
+        "slice": lambda data: slice_over_pair(finset(2), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))),
+    }
+
+    @pytest.mark.parametrize("name", BASES)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_composites(self, name, data):
+        """Squares f: a -> b, g: b -> d, h: a2 -> c, k: c -> d2 drawn at
+        random, or made to commute: k, h = g, f, or k = g . f after the
+        identity h.  a2 and d2 are often a and d; where they are not, the
+        two sides differ although the square may commute in the base of a
+        slice."""
+        base = self.BASES[name](data)
+        objects = base.objects_within()
+        a, b, c, d = (data.draw(st.sampled_from(objects)) for _ in range(4))
+        a2, d2 = (data.draw(st.sampled_from([x, *objects])) for x in (a, d))
+        homs = [base.hom(b, d), base.hom(a, b), base.hom(c, d2), base.hom(a2, c)]
+        if not all(homs):
+            return
+        g, f, k, h = (data.draw(st.sampled_from(hom)) for hom in homs)
+        mode = data.draw(st.sampled_from(["random", "same", "through-identity"]))
+        if mode == "same":
+            k, h = g, f
+        elif mode == "through-identity":
+            k, h = base.compose(g, f), base.identity(a)
+        assert base.commutes(g, f, k, h) == (base.compose(g, f) == base.compose(k, h))
+
+    def test_slice_squares_differ_at_their_ends(self):
+        """Over P = 2, the empty maps from the empty object to the two
+        points are different slice morphisms with the same map in C, so
+        squares through them commute in C but not in the slice."""
+        S = slice_over_pair(finset(2), 1, 2)
+        e = (0, FinFunction(0, 2, ()))
+        g, k = S.hom(e, (1, FinFunction(1, 2, (0,)))) + S.hom(e, (1, FinFunction(1, 2, (1,))))
+        i = S.identity(e)
+        assert S.C.commutes(g[2], i[2], k[2], i[2])
+        assert not S.commutes(g, i, k, i) and S.compose(g, i) != S.compose(k, i)
+        assert S.commutes(g, i, g, i)
+
+    def test_non_composable_square_raises(self):
+        """On finset a non-composable pair raises, as compose does, on
+        either side of the square and before any size is compared."""
+        B = finset(3)
+        f, g = FinFunction(1, 2, (0,)), FinFunction(2, 3, (0, 2))
+        bad = FinFunction(3, 1, (0, 0, 0))
+        for square in ((bad, f, g, f), (g, f, bad, f), (g, f, bad, FinFunction(2, 2, (0, 1)))):
+            with pytest.raises(SpanlabError):
+                B.commutes(*square)
+            with pytest.raises(SpanlabError):
+                B.compose(*square[:2]) == B.compose(*square[2:])
+
+
+class TestFinSetMemo:
+    """hom and isos of a finite-set base are built once per size pair."""
+
+    def test_returned_lists_are_fresh(self):
+        B = finset(3)
+        for listing, args in ((B.hom, (2, 3)), (B.isos, (3, 3)), (B.hom, (0, 0))):
+            first = listing(*args)
+            expected = list(first)
+            first.reverse()
+            first.append(None)
+            assert listing(*args) == expected
+            assert listing(*args) is not listing(*args)
+
+    def test_lists_keep_the_itertools_order(self):
+        B = finset(3)
+        for _ in range(2):  # built, then memoised
+            for x in range(4):
+                for y in range(4):
+                    assert [m.values for m in B.hom(x, y)] == list(itertools.product(range(y), repeat=x))
+                    expected = list(itertools.permutations(range(x))) if x == y else []
+                    assert [m.values for m in B.isos(x, y)] == expected
 
 
 def outcome(search, *args):
