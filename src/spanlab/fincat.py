@@ -4,12 +4,15 @@ category of finite sets, and lazy slices of either.
 The bases share one duck-typed surface:
 
     objects_within, hom, isos, src, tgt, identity, compose, commutes,
-    is_iso, inverse, limit_of_diagram, factor_through_limit
+    is_iso, inverse, is_initial, random_hom, limit_of_diagram,
+    factor_through_limit
 
 commutes(g, f, k, h) asks whether the square g . f = k . h commutes
 without building either composite; on a non-composable pair it raises, as
-compose does.  The table and finite-set bases add pullback, product and
-terminal; the table base and the slice add cones.
+compose does.  is_initial(x) is true only when x has exactly one morphism
+to every object of the base, listed within a bound or not.  The table and
+finite-set bases add pullback, product and terminal; the table base and
+the slice add cones.
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
   search with a universality check.  Suitable for user-supplied bases up to
@@ -83,6 +86,9 @@ class FinCategory:
 
     def isos(self, x, y):
         return [m for m in self.hom(x, y) if self.is_iso(m)]
+
+    def is_initial(self, x):
+        return all(len(self._hom.get((x, y), ())) == 1 for y in self.objects)
 
     def random_hom(self, x, y, rng):
         homs = self.hom(x, y)
@@ -399,6 +405,9 @@ class FinSetCategory:
             fs = self._isos[x] = [FinFunction(x, x, perm) for perm in itertools.permutations(range(x))]
         return list(fs)
 
+    def is_initial(self, x):
+        return x == 0
+
     def random_hom(self, x, y, rng):
         if y == 0:
             return FinFunction(0, 0, ()) if x == 0 else None
@@ -586,6 +595,16 @@ class SliceCategory:
     def inverse(self, m):
         u = self.C.inverse(m[2])
         return None if u is None else (m[1], m[0], u)
+
+    def is_initial(self, a):
+        """(A, h) is initial when A is initial in C, as the one morphism
+        from A to B commutes over P.  Over finite sets no other object is
+        initial; over a table base this test can miss one."""
+        return self.C.is_initial(a[0])
+
+    def random_hom(self, x, y, rng):
+        homs = self.hom(x, y)
+        return rng.choice(homs) if homs else None
 
     def _in_base(self, node_obj, arrows):
         """The diagram in C with P adjoined as a terminal node."""

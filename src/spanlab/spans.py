@@ -10,10 +10,11 @@ or enumeration ceiling truncates a search.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import random
 
-from .fincat import Functor
+from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, positions
 from .shapes import SigmaShape, sigma_shape
 from .verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError, Verdict
@@ -179,6 +180,53 @@ def _lambda_extensions(shape, base, order, objects, i, obj, mor):
     del obj[c]
     for b in ups:
         mor.pop((c, b), None)
+
+
+def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
+    """min(cap, the number of free data enumerate_lambda_data yields).
+    Enumerates them, up to the cap, only when _known_lambda_count cannot
+    tell."""
+    known = _known_lambda_count(shape, base, bound, cap)
+    if known is None:
+        return sum(1 for _ in itertools.islice(enumerate_lambda_data(shape, base, bound), cap))
+    return known
+
+
+def _known_lambda_count(shape: SigmaShape, base, bound, cap: int):
+    """min(cap, the number of free data) where it follows without
+    enumerating them, else None.
+
+    - Lower bound, any directions: an initial object extends every other
+      Lambda cell in exactly one way (one morphism into the limit, or one
+      cone when there is none).  With one among the objects, every choice
+      of vertex objects extends to a datum, so there are at least
+      |objects| ** v data, v the number of vertex cells; when that reaches
+      the cap, the cap is the answer.
+    - Closed form, one direction: an edge's up-set is its two vertices x
+      and y, with no arrow between them.  _lambda_extensions picks an
+      object A and a morphism into their limit, or a cone from A when there
+      is no limit; either way a pair of morphisms A -> x, A -> y, by the
+      limit's universal property.  So the edge has N(x, y) = sum_A |hom(A,
+      x)| |hom(A, y)| choices, and the count is the sum over vertex objects
+      x_0..x_n of prod_i N(x_{i-1}, x_i): the vector-matrix product 1^T N^n
+      1, with N = H^T H for H[A][x] = |hom(A, x)|, which is x ** A on
+      finite sets."""
+    objects = base.objects_within(bound)
+    vertices = sum(1 for c in shape.lambda_cells if not shape.lambda_up[c])
+    if len(objects) ** vertices >= cap and any(map(base.is_initial, objects)):
+        return cap
+    if shape.k != 1:
+        return None
+    if isinstance(base, FinSetCategory):
+        H = [[x**A for x in objects] for A in objects]
+    else:
+        H = [[len(base.hom(A, x)) for x in objects] for A in objects]
+    columns = list(zip(*H))
+    row = [1] * len(objects)
+    for _ in range(shape.arities[0]):
+        through = [sum(map(operator.mul, row, h)) for h in H]
+        row = [sum(map(operator.mul, through, col)) for col in columns]
+    return min(cap, sum(row))
 
 
 def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
@@ -525,11 +573,13 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     arities = tuple(arities)
     shape = sigma_shape(arities)
     ceiling = enumeration_ceiling()
+    over = f"level enumeration for arities {arities} exceeds the ceiling {ceiling}"
+    # refused before listing where the count is known, else listed once
+    if _known_lambda_count(shape, base, bound, ceiling + 1) == ceiling + 1:
+        raise ResourceError(over)
     data = list(itertools.islice(enumerate_lambda_data(shape, base, bound), ceiling + 1))
     if len(data) > ceiling:
-        raise ResourceError(
-            f"level enumeration for arities {arities} exceeds the ceiling {ceiling}"
-        )
+        raise ResourceError(over)
     diagrams = {}
     for lo, lm in data:
         d = kan_extend(shape, base, lo, lm)
@@ -686,7 +736,10 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
 
     Exhaustive over all free data when the enumeration fits under the
     ceiling; otherwise a seeded sampled battery (reported as such in the
-    details, still returning verified only when every sample passes)."""
+    details, still returning verified only when every sample passes).  The
+    count that decides the mode, capped, comes from count_lambda_data: a
+    closed form in one direction, a lower bound from an initial object
+    that already reaches the cap, or else enumeration up to the cap."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -697,9 +750,7 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     # not the raw datum count, so large shapes degrade to sampling too.
     per_datum = len(shape.objects)
     max_data = ceiling // per_datum + 1
-    count = sum(
-        1 for _ in itertools.islice(enumerate_lambda_data(shape, base, bound), max_data)
-    )
+    count = count_lambda_data(shape, base, bound, max_data)
     exhaustive = count * per_datum <= ceiling
     rng = random.Random(seed)
     if exhaustive:

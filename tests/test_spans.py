@@ -27,6 +27,7 @@ from spanlab.spans import (
     all_spans,
     completeness_check,
     compose_spans,
+    count_lambda_data,
     enumerate_lambda_data,
     identity_span,
     invertible_span_check,
@@ -293,6 +294,12 @@ class TestSegal:
         assert v.details["mode"] == "sampled"
         assert v.details["data_checked"] == 3
 
+    def test_sampled_over_a_slice(self):
+        """Over 2 x 2 the slice's 21 objects put the data over the cap, so
+        the run samples, drawing homs with SliceCategory.random_hom."""
+        v = segal_check(slice_over_pair(finset(2), 2, 2), (2,), bound=2)
+        assert v and v.details["mode"] == "sampled" and v.details["data_checked"] == 24
+
     def test_unique_extension_of_free_families(self):
         """A natural family on the free cells extends uniquely; the identity
         family extends to the identity."""
@@ -337,18 +344,19 @@ class TestSegal:
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
     def test_compose_calls_pinned(self, monkeypatch):
-        """Naturality squares are compared on values by base.commutes, so
-        segal_check(finset(2), (2,)) composes 17,006 times; building both
-        composites of every square, as it did before, composes 101,302
-        times."""
+        """Naturality squares are compared on values by base.commutes, and
+        the free data are counted by a closed form rather than enumerated,
+        so segal_check(finset(2), (2,)) composes 14,806 times; building both
+        composites of every square composes 99,102 times.  Enumerating the
+        971 free data to count them added 2,200 composites to each."""
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 17006
+        assert len(calls) == 14806
         calls.clear()
         monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 101302
+        assert len(calls) == 99102
 
     def test_data_enumeration_leaves_no_reference_cycle(self):
         """A finished free-data enumeration frees its data by reference
@@ -415,6 +423,101 @@ class TestSegal:
         fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
         assert fam == random_natural_family_oracle(base, small, small.lambda_cells, piece, oracle_rng)
         assert rng.getstate() == oracle_rng.getstate()
+
+
+def enumerated_count(shape, base, bound, cap):
+    """The free data counted by enumerating them up to the cap: the oracle
+    of count_lambda_data."""
+    return sum(1 for _ in itertools.islice(enumerate_lambda_data(shape, base, bound), cap))
+
+
+def refuse_enumeration(*args):
+    raise AssertionError("free data enumerated")
+
+
+class TestFreeDataCount:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from([None, *range(n)]))),
+        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (1, 1)]),
+        st.integers(1, 12000),
+    )
+    def test_matches_the_enumerated_count_on_finite_sets(self, size_bound, arities, ceiling):
+        """On finset:0-3, at bounds below the size, with the cap that
+        segal_check derives from a small SPANLAB_MAX_CELLS."""
+        (n, bound), shape = size_bound, sigma_shape(arities)
+        cap = ceiling // len(shape.objects) + 1
+        assert count_lambda_data(shape, finset(n), bound, cap) == enumerated_count(shape, finset(n), bound, cap)
+
+    @pytest.mark.parametrize("n, size", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
+    def test_closed_form_on_finite_sets(self, n, size):
+        """At arity (n,) over finset:size the count is the sum over vertex
+        sizes x_0..x_n of prod_i sum_a (x_{i-1} x_i) ** a, an edge being a
+        set A with a map to each of its vertices (1,387,616 at finset:3,
+        10,563,294,349 at finset:4)."""
+        sizes = range(size + 1)
+        formula = sum(
+            math.prod(sum((x * y) ** a for a in sizes) for x, y in zip(xs, xs[1:]))
+            for xs in itertools.product(sizes, repeat=n + 1)
+        )
+        assert count_lambda_data(sigma_shape((n,)), finset(size), None, 10**12) == formula
+
+    @pytest.mark.parametrize(
+        "make_base, arities, bound, count",
+        [
+            (lambda: divisor_lattice(30), (2,), None, 2197),
+            (lambda: divisor_lattice(30), (3,), None, None),
+            (lambda: divisor_lattice(12), (2, 1), None, None),
+            (lambda: divisor_lattice(6), (1, 1), None, 2304),
+            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2,), None, 2),
+            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2, 1), None, 2),
+            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 2, 971),
+            (lambda: slice_over_pair(finset(2), 2, 1), (2,), 2, 7271),
+            (lambda: slice_over_pair(finset(2), 1, 1), (1, 1), 1, None),
+        ],
+        ids=["lattice30-2", "lattice30-3", "lattice12-2-1", "lattice6-1-1", "no-products-2", "no-products-2-1",
+             "slice1x1-2", "slice2x1-2", "slice1x1-1-1"],
+    )
+    def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, count):
+        """Table bases, one with no product of its two objects, so that
+        _lambda_extensions takes the cone branch, and slices, under caps
+        above and below the count."""
+        base, shape = make_base(), sigma_shape(arities)
+        for cap in (8000, 100, 7, 1):
+            assert count_lambda_data(shape, base, bound, cap) == enumerated_count(shape, base, bound, cap)
+        if count is not None:
+            assert count_lambda_data(shape, base, bound, 8000) == count
+
+    def test_sampled_runs_enumerate_nothing(self, monkeypatch):
+        """An initial object's lower bound puts finset:2 at arities (2, 2)
+        over the cap, and the closed form finset:3 at arity 2."""
+        monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
+        v = segal_check(finset(2), (2, 2), samples=3)
+        assert v and v.details["mode"] == "sampled" and v.details["data_checked"] == 3
+        v = segal_check(finset(3), (2,), samples=0)
+        assert v.status == "inconclusive" and v.details["mode"] == "sampled"
+
+    def test_level_over_the_ceiling_refused_before_listing(self, monkeypatch):
+        """The closed form refuses finset:3 at arity 2 (1,387,616 data) with
+        the error the listing gave; an undecided level is listed once."""
+        enumerate_data = spans_module.enumerate_lambda_data
+        monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
+        with pytest.raises(ResourceError, match=r"^level enumeration for arities \(2,\) exceeds the ceiling 50000$"):
+            span_level(finset(3), (2,))
+        # two directions on finset:1: the lower bound 2 ** 6 does not reach
+        # the ceiling, so the data are listed once, up to one past it
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "100")
+        listed = []
+
+        def listing(*args):
+            for datum in enumerate_data(*args):
+                listed.append(datum)
+                yield datum
+
+        monkeypatch.setattr(spans_module, "enumerate_lambda_data", listing)
+        with pytest.raises(ResourceError, match="exceeds the ceiling 100"):
+            span_level(finset(1), (2, 1))
+        assert len(listed) == 101
 
 
 class TestInvertibility:
