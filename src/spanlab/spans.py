@@ -23,7 +23,18 @@ DEFAULT_CEILING = 50000
 
 
 def enumeration_ceiling() -> int:
-    return int(os.environ.get("SPANLAB_MAX_CELLS", DEFAULT_CEILING))
+    """SPANLAB_MAX_CELLS, or DEFAULT_CEILING when it is unset.  A value that
+    is not an integer at least 0 is a usage error."""
+    text = os.environ.get("SPANLAB_MAX_CELLS")
+    if text is None:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(text)
+    except ValueError:
+        ceiling = -1
+    if ceiling < 0:
+        raise SpanlabError(f"SPANLAB_MAX_CELLS must be an integer at least 0, got {text!r}")
+    return ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +336,12 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
     """Is g: d1.obj[c] -> d2.obj[c] natural with the components of fam on
     every arrow from c to a cell of fam?  The cells of fam come before c in
     fill order, which lists every cell after the cells above it, so no
-    arrow runs from a cell of fam to c.  Precondition: c is not a cell of
-    fam, so every arrow c -> b is between distinct cells and is read
-    straight from mor."""
-    rel = shape.order
-    for b in fam:
-        if (c, b) in rel and not base.commutes(d2.mor[(c, b)], g, fam[b], d1.mor[(c, b)]):
+    arrow runs from a cell of fam to c.  Walks c's strict up-set and tests
+    each cell for membership in fam, which reaches the same arrows as
+    walking fam.  Precondition: c is not a cell of fam, so every arrow
+    c -> b is between distinct cells and is read straight from mor."""
+    for b in shape.strict_up[c]:
+        if b in fam and not base.commutes(d2.mor[(c, b)], g, fam[b], d1.mor[(c, b)]):
             return False
     return True
 
@@ -359,8 +370,10 @@ def _natural_extensions(base, shape, order, d1, d2, i, fam):
 
 def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
     """Is fam, over the given cells, a family of isomorphisms natural on
-    every arrow among them?  arrows_among lists only pairs of distinct
-    cells, so each arrow is read straight from mor."""
+    every arrow among them?  Arrows from a cell of the list to a cell
+    outside it are not tested: extend_natural_family asks once for the
+    Lambda cells and once for the filled cells.  arrows_among lists only
+    pairs of distinct cells, so each arrow is read straight from mor."""
     for c in cells:
         g = fam[c]
         if not base.is_iso(g) or base.src(g) != d1.obj[c] or base.tgt(g) != d2.obj[c]:
@@ -374,10 +387,23 @@ def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
 def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     """Extend a natural family given on the Lambda cells to the full shape
     by limit comparison; returns the full family, or None when some induced
-    component fails to be a natural isomorphism."""
+    component fails to be a natural isomorphism.
+
+    A filled cell c gets full[c] = u2^-1 . w, where u2 is d2's comparison
+    into the limit L of c's Lambda up-set, with legs, and w factors the
+    cone full[b] . d1.mor[(c, b)] through L.  So for every b in that
+    up-set, d2.mor[(c, b)] . full[c] = legs[b] . u2 . u2^-1 . w = legs[b]
+    . w = full[b] . d1.mor[(c, b)]: the squares from a filled cell into
+    its Lambda up-set commute by construction, for any d1, d2 and family,
+    as factor_through_limit is exact on every base.  They are not
+    compared again.  What is compared is each component's iso and
+    endpoint test, the squares among the Lambda cells and the squares
+    among the filled cells; no arrow runs from a Lambda cell to a filled
+    one."""
     shape, base = d1.shape, d1.base
     lam = shape.lambda_set
     full = dict(fam)
+    filled = []
     for c in shape.fill_order:
         if c in lam:
             continue
@@ -393,7 +419,11 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
         if not base.is_iso(h):
             return None
         full[c] = h
-    if not is_natural_family(base, shape, shape.objects, d1, d2, full):
+        filled.append(c)
+    if not (
+        is_natural_family(base, shape, shape.lambda_cells, d1, d2, full)
+        and is_natural_family(base, shape, filled, d1, d2, full)
+    ):
         return None
     return full
 
@@ -524,13 +554,28 @@ def _canonical_form(base, shape, reps, d: SpanDiagram):
     return tuple(form), best[0]
 
 
+def _is_identity_family(base, d: SpanDiagram, fam: dict) -> bool:
+    """Is every component of fam the identity of d's object at its cell?
+
+    Identity lemma: on a Cartesian diagram d, whose comparison u2 into the
+    limit of each filled cell's Lambda up-set is invertible,
+    extend_natural_family(d, d, fam) of the identity family gives h = u2^-1
+    . u2 = id at every filled cell, which is natural.  So the identity
+    family always extends, to the identity, and callers that hold a
+    Cartesian diagram do not extend it."""
+    return all(g == base.identity(d.obj[c]) for c, g in fam.items())
+
+
 def _extend(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     """The natural isomorphism d1 -> d2 extending a natural Lambda family,
-    as its components in cell order.  The identity family extends to the
-    identity (see span_level), so it is not extended.  A family that fails
-    to extend is an error: between Cartesian diagrams it extends."""
+    as its components in cell order.  Kan extension builds Cartesian
+    diagrams, and a natural identity family makes d1 and d2 agree on the
+    Lambda cells and so everywhere, so by the identity lemma
+    (_is_identity_family) the identity family extends to the identity and
+    is not extended.  A family that fails to extend is an error: between
+    Cartesian diagrams it extends."""
     base = d1.base
-    if all(g == base.identity(d1.obj[c]) for c, g in fam.items()):
+    if _is_identity_family(base, d1, fam):
         return tuple(base.identity(d1.obj[c]) for c in d1.shape.objects)
     full = extend_natural_family(d1, d2, fam)
     if full is None:
@@ -687,12 +732,22 @@ def _edge_piece(d: SpanDiagram, r: int, i: int) -> SpanDiagram:
 def _check_one_datum(shape, base, lo, lm, dirs):
     """The per-datum Segal battery: the extension is Cartesian, its edge
     restrictions are Cartesian, and every natural family on the free data
-    extends uniquely to the full diagram."""
+    extends uniquely to the full diagram.
+
+    Nothing is built or extended that cannot fail.  An edge piece whose
+    shape has no filled cell (every piece in one direction) is Cartesian
+    with an empty certificate, so it is not built.  Once is_cartesian(ext)
+    holds, the identity family extends to the identity (identity lemma,
+    _is_identity_family), so it can never be the first family that fails
+    and is not extended."""
     ext = kan_extend(shape, base, lo, lm)
     v = is_cartesian(ext)
     if not v:
         return v, ext
     for r in dirs:
+        small = shape.edge(r, 1)[0]
+        if len(small.lambda_cells) == len(small.objects):
+            continue
         for i in range(1, shape.arities[r] + 1):
             piece = _edge_piece(ext, r, i)
             vp = is_cartesian(piece)
@@ -704,8 +759,9 @@ def _check_one_datum(shape, base, lo, lm, dirs):
                     ext,
                 )
     for fam in natural_families(base, shape, shape.lambda_cells, ext, ext):
-        full = extend_natural_family(ext, ext, fam)
-        if full is None:
+        if _is_identity_family(base, ext, fam):
+            continue
+        if extend_natural_family(ext, ext, fam) is None:
             return (
                 Verdict.refuted(
                     witness={"reason": "free-data automorphism fails to extend", "family": fam}

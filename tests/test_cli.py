@@ -367,6 +367,24 @@ class TestErrors:
 
 
 class TestResourceCeiling:
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_bad_ceiling_is_a_usage_error(self, value, monkeypatch):
+        """A SPANLAB_MAX_CELLS that is negative or not an integer is a usage
+        error that names the variable, not a verdict or a program fault."""
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", value)
+        report, code = run(["check", "segal", "--base", "finset:2", "--arities", "2"])
+        assert code == 3
+        assert report["verdict"] == "error"
+        assert report["witness"]["error"] == f"SPANLAB_MAX_CELLS must be an integer at least 0, got {value!r}"
+
+    def test_zero_ceiling_samples(self, monkeypatch):
+        """A ceiling of 0 is valid: no datum fits, so the check samples."""
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "0")
+        report, code = run(["check", "segal", "--base", "finset:2", "--arities", "2"])
+        assert code == 0
+        assert report["details"]["mode"] == "sampled"
+        assert report["details"]["data_checked"] == 24
+
     def test_tiny_ceiling_is_inconclusive(self, monkeypatch):
         monkeypatch.setenv("SPANLAB_MAX_CELLS", "2")
         report, code = run(["level", "--base", "finset:1", "--arities", "1"])

@@ -46,7 +46,7 @@ from spanlab.spans import (
     span_level,
     underlying_2fold_level,
 )
-from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError
+from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError, Verdict
 from test_fincat import slice_table
 
 
@@ -107,6 +107,33 @@ def random_natural_family_oracle(base, shape, cells, d, rng):
         if ok:
             return fam
     return {c: base.identity(d.obj[c]) for c in cells}
+
+
+def extend_natural_family_oracle(d1, d2, fam):
+    """The extension that compares every square of the full family, those
+    from a filled cell into its Lambda up-set included: the oracle of
+    spans.extend_natural_family."""
+    shape, base = d1.shape, d1.base
+    lam = shape.lambda_set
+    full = dict(fam)
+    for c in shape.fill_order:
+        if c in lam:
+            continue
+        try:
+            node_obj, L, legs, u2 = spans_module._cell_comparison(d2, c)
+            if not base.is_iso(u2):
+                return None
+            cone1 = {b: base.compose(full[b], d1.mor[(c, b)]) for b in node_obj}
+            w = base.factor_through_limit(L, legs, d1.obj[c], cone1, node_obj)
+        except NoLimitError:
+            return None
+        h = base.compose(base.inverse(u2), w)
+        if not base.is_iso(h):
+            return None
+        full[c] = h
+    if not is_natural_family(base, shape, shape.objects, d1, d2, full):
+        return None
+    return full
 
 
 class TestKanExtend:
@@ -344,19 +371,85 @@ class TestSegal:
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
     def test_compose_calls_pinned(self, monkeypatch):
-        """Naturality squares are compared on values by base.commutes, and
-        the free data are counted by a closed form rather than enumerated,
-        so segal_check(finset(2), (2,)) composes 14,806 times; building both
-        composites of every square composes 99,102 times.  Enumerating the
-        971 free data to count them added 2,200 composites to each."""
+        """segal_check(finset(2), (2,)) composes 8,980 times.  Squares are
+        compared on values by base.commutes and the free data are counted
+        by a closed form.  The battery does not extend the identity family
+        of its 971 Cartesian data, which took 6 composites each (the five
+        cone legs of the one filled cell and u2^-1 . w), 5,826 in all.
+        Building both composites of every square composes 64,498 times:
+        the 5,826, and two for each of the 14,389 squares no longer
+        compared, 9 for each identity family and the 5 squares from the
+        filled cell into its Lambda up-set for each of the 1,130 other
+        families."""
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 14806
+        assert len(calls) == 8980
         calls.clear()
         monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 99102
+        assert len(calls) == 64498
+
+    def test_posets_extend_only_twist_families(self, monkeypatch):
+        """Over a poset every isomorphism is an identity, so the free data
+        have only the identity family, which the battery does not extend.
+        The only extensions are the twist battery's, one per draw, on edge
+        pieces."""
+        calls, extend = [], spans_module.extend_natural_family
+        monkeypatch.setattr(
+            spans_module,
+            "extend_natural_family",
+            lambda d1, d2, fam: calls.append(d1.shape.arities) or extend(d1, d2, fam),
+        )
+        for base, arities in ((finset(1), (5,)), (divisor_lattice(30), (2,))):
+            calls.clear()
+            assert segal_check(base, arities).details["mode"] == "exhaustive"
+            assert calls == [(1,)] * 24
+
+    def test_edge_pieces_built_only_for_twists(self, monkeypatch):
+        """In one direction every edge piece has only Lambda cells, so the
+        battery builds none; segal_check(finset(2), (2,)) builds one for
+        each of its 24 twist draws."""
+        calls, piece = [], spans_module._edge_piece
+        monkeypatch.setattr(spans_module, "_edge_piece", lambda d, r, i: calls.append(1) or piece(d, r, i))
+        assert segal_check(finset(2), (2,))
+        assert len(calls) == 24
+
+    @pytest.mark.parametrize("arities", [(2,), (2, 1), (2, 2)])
+    def test_edge_pieces_with_filled_cells_are_checked(self, arities, monkeypatch):
+        """A piece that is not Cartesian refutes the datum with its
+        direction and edge.  At (2,) and (2, 1) the pieces, of shapes (1,)
+        and (1, 1), have no filled cell and are not checked; at (2, 2) the
+        first piece, of shape (1, 2), is."""
+        base, shape = finset(1), sigma_shape(arities)
+        cartesian = spans_module.is_cartesian
+
+        def refute_pieces(d):
+            if d.shape is shape:
+                return cartesian(d)
+            return Verdict.refuted(witness={"reason": "piece"})
+
+        monkeypatch.setattr(spans_module, "is_cartesian", refute_pieces)
+        dirs = [r for r, n in enumerate(arities) if n >= 2]
+        v, _ = _check_one_datum(shape, base, *identity_lambda_data(shape, 1), dirs)
+        if arities == (2, 2):
+            assert v.witness == {"direction": 0, "edge": 1, "inner": {"reason": "piece"}}
+        else:
+            assert v
+
+    def test_identity_family_is_not_extended(self, monkeypatch):
+        """With every extension failing, the witness is the first natural
+        family other than the identity, which comes first but is not
+        extended."""
+        base, shape = finset(2), sigma_shape(2)
+        obj, mor = identity_lambda_data(shape, 2)
+        monkeypatch.setattr(spans_module, "extend_natural_family", lambda d1, d2, fam: None)
+        v, _ = _check_one_datum(shape, base, obj, mor, [0])
+        swap = FinFunction(2, 2, (1, 0))
+        assert v.witness == {
+            "reason": "free-data automorphism fails to extend",
+            "family": {c: swap for c in shape.lambda_cells},
+        }
 
     def test_data_enumeration_leaves_no_reference_cycle(self):
         """A finished free-data enumeration frees its data by reference
@@ -423,6 +516,78 @@ class TestSegal:
         fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
         assert fam == random_natural_family_oracle(base, small, small.lambda_cells, piece, oracle_rng)
         assert rng.getstate() == oracle_rng.getstate()
+
+
+def with_one_arrow_replaced(d, kind, data):
+    """d with one arrow of the given kind ("lambda" between Lambda cells,
+    "filled-lambda" or "filled-filled") replaced by another morphism with
+    the same ends, drawn by data; d itself when no such arrow has one."""
+    lam = d.shape.lambda_set
+    kinds = {(True, True): "lambda", (False, True): "filled-lambda", (False, False): "filled-filled"}
+    arrows = [
+        ab
+        for ab in sorted(d.mor)
+        if kinds[(ab[0] in lam, ab[1] in lam)] == kind and len(d.base.hom(d.obj[ab[0]], d.obj[ab[1]])) > 1
+    ]
+    if not arrows:
+        return d
+    a, b = data.draw(st.sampled_from(arrows))
+    m = data.draw(st.sampled_from([m for m in d.base.hom(d.obj[a], d.obj[b]) if m != d.mor[(a, b)]]))
+    return SpanDiagram(d.shape, d.base, d.obj, {**d.mor, (a, b): m})
+
+
+class TestExtension:
+    CASES = {
+        "finset2-2": (lambda: finset(2), (2,)),
+        "finset2-3": (lambda: finset(2), (3,)),
+        "finset2-2-2": (lambda: finset(2), (2, 2)),
+        "lattice12-2": (lambda: divisor_lattice(12), (2,)),
+        "slice-2": (lambda: slice_over_pair(finset(2), 1, 1), (2,)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_check(self, case, data):
+        """extend_natural_family against the oracle that compares every
+        square: the same full family, or None from both.  The free datum is
+        sampled and Kan-extended; either diagram, or both, may have one
+        arrow of any kind replaced; the Lambda family is a natural one or
+        any isomorphism at each cell."""
+        make_base, arities = self.CASES[case]
+        base, shape = make_base(), sigma_shape(arities)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        ext = kan_extend(shape, base, *sample_lambda_data(shape, base, None, rng))
+        kind = data.draw(st.sampled_from(["none", "lambda", "filled-lambda", "filled-filled"]))
+        bad = ext if kind == "none" else with_one_arrow_replaced(ext, kind, data)
+        d1, d2 = data.draw(st.sampled_from([(ext, ext), (bad, bad), (ext, bad), (bad, ext)]))
+        lam = shape.lambda_cells
+        natural = list(itertools.islice(natural_families(base, shape, lam, d1, d2), 64))
+        if natural and data.draw(st.booleans()):
+            fam = data.draw(st.sampled_from(natural))
+        else:
+            fam = {c: data.draw(st.sampled_from(base.isos(d1.obj[c], d2.obj[c]))) for c in lam}
+        assert extend_natural_family(d1, d2, fam) == extend_natural_family_oracle(d1, d2, fam)
+
+    def test_squares_among_filled_cells_are_compared(self):
+        """Identity data on three points at arity (3,), with the arrow from
+        the filled cell (0,3) to the filled cell (0,2) replaced by a
+        transposition.  The 3-cycle on every Lambda cell is natural there
+        and extends by the same cycle at every filled cell, but it does not
+        commute with the transposition, so it does not extend; the
+        transposition itself does."""
+        base, shape = finset(3), sigma_shape(3)
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, 3))
+        swap, cycle = FinFunction(3, 3, (1, 0, 2)), FinFunction(3, 3, (1, 2, 0))
+        bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (V(0, 3), V(0, 2)): swap})
+        lam = shape.lambda_cells
+        natural = list(natural_families(base, shape, lam, bad, bad))
+        rotate, transpose = ({c: g for c in lam} for g in (cycle, swap))
+        assert rotate in natural and transpose in natural
+        assert extend_natural_family(ext, ext, rotate) == {c: cycle for c in shape.objects}
+        assert extend_natural_family(bad, bad, rotate) is None
+        assert extend_natural_family_oracle(bad, bad, rotate) is None
+        assert extend_natural_family(bad, bad, transpose) == {c: swap for c in shape.objects}
 
 
 def enumerated_count(shape, base, bound, cap):
