@@ -26,6 +26,7 @@ the slice add cones.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import itemgetter
 
 from .verdict import NoLimitError, SpanlabError, Verdict
@@ -199,6 +200,14 @@ class FinCategory:
     @classmethod
     def from_json(cls, data: dict) -> "FinCategory":
         try:
+            for what, keys in (
+                ("object label", [str(x) for x in data["objects"]]),
+                ("morphism id", [m["id"] for m in data["morphisms"]]),
+                ("composite", [(g, f) for g, f, _ in data["compose"]]),
+            ):
+                repeated = [k for k, n in Counter(keys).items() if n > 1]
+                if repeated:
+                    raise SpanlabError(f"malformed category JSON: repeated {what} {repeated[0]!r}")
             morphisms = {m["id"]: (m["src"], m["tgt"]) for m in data["morphisms"]}
             # JSON object keys are strings: key each identity by the object
             # whose label it spells, so integer-labelled objects find theirs.

@@ -41,13 +41,12 @@ def _integer_rows(rows):
     return out
 
 
-def _integer_form(omega):
-    """The form times one common denominator M of all its entries, in
+def _integer_form(pairs):
+    """The form's weights times one common denominator M of them all, in
     integers.  Every pairing is multiplied by the same M, so its zeros do
     not move; scaling each row by its own denominator would change them."""
-    rows = [_rationals(row) for row in omega]
-    m = lcm(*[v.denominator for row in rows for v in row])
-    return [[v.numerator * (m // v.denominator) for v in row] for row in rows], m
+    m = lcm(*[w.denominator for _, w in pairs])
+    return [(j, w.numerator * (m // w.denominator)) for j, w in pairs], m
 
 
 def _echelon(rows):
@@ -93,10 +92,6 @@ def rref(rows):
     return red, pivots
 
 
-def rank(rows):
-    return len(_echelon(rows)[1])
-
-
 def kernel_basis(rows, ncols):
     """Integer vectors spanning the right kernel of the matrix, one per
     free column c of its echelon form: v[c] is the lcm m of the pivots of
@@ -115,18 +110,14 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def apply_form(omega, u, v):
-    """u^T . omega . v, summed over the nonzero entries of u, omega and v
-    only (the standard and direct-sum forms hold one nonzero per row), in
-    the type of the entries, and returned as a Fraction."""
-    support = [(j, b) for j, b in enumerate(v) if b]
+def apply_form(pairs, u, v):
+    """omega(u, v) for the form with pairs[i] = (j, w): the sum of
+    u[i] . w . v[j] over the nonzero entries of u, in the type of the
+    entries, returned as a Fraction."""
     total = 0
-    for a, row in zip(u, omega):
+    for a, (j, w) in zip(u, pairs):
         if a:
-            for j, b in support:
-                w = row[j]
-                if w:
-                    total += a * w * b
+            total += a * w * v[j]
     return Fraction(total)
 
 
@@ -141,33 +132,36 @@ def canonical_subspace(rows):
 
 class SymplecticSpace:
     """A rational vector space with a fixed antisymmetric nondegenerate
-    form given as a matrix."""
+    form holding one entry per row: pairs[i] = (j, w) says omega(e_i, e_j)
+    = w and omega(e_i, e_k) = 0 for every other k.  Every symplectic form
+    has this shape in a Darboux basis."""
 
-    def __init__(self, dim: int, omega):
+    def __init__(self, dim: int, pairs):
         self.dim = dim
-        self.omega = tuple(tuple(Fraction(v) for v in row) for row in omega)
+        self.pairs = tuple((j, Fraction(w)) for j, w in pairs)
 
     def validate(self) -> Verdict:
+        """Antisymmetric: each nonzero entry w at (i, j) has -w at (j, i).
+        Then the form is a sum of planes, nondegenerate iff no w is 0."""
         if self.dim % 2 != 0:
             return Verdict.refuted(witness={"reason": "odd dimension"})
-        if len(self.omega) != self.dim or any(len(r) != self.dim for r in self.omega):
+        if len(self.pairs) != self.dim or any(not 0 <= j < self.dim for j, _ in self.pairs):
             return Verdict.refuted(witness={"reason": "form shape"})
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.omega[i][j] != -self.omega[j][i]:
-                    return Verdict.refuted(witness={"entry": (i, j), "reason": "not antisymmetric"})
-        if rank(self.omega) != self.dim:
+        for i, (j, w) in enumerate(self.pairs):
+            if w and self.pairs[j] != (i, -w):
+                return Verdict.refuted(witness={"entry": (i, j), "reason": "not antisymmetric"})
+        if not all(w for _, w in self.pairs):
             return Verdict.refuted(witness={"reason": "degenerate form"})
         return Verdict.verified()
 
     def negated(self) -> "SymplecticSpace":
-        return SymplecticSpace(self.dim, [[-v for v in row] for row in self.omega])
+        return SymplecticSpace(self.dim, [(j, -w) for j, w in self.pairs])
 
     def __eq__(self, other):
         return (
             isinstance(other, SymplecticSpace)
             and self.dim == other.dim
-            and self.omega == other.omega
+            and self.pairs == other.pairs
         )
 
     def __repr__(self):
@@ -179,33 +173,22 @@ def standard_symplectic(dim: int) -> SymplecticSpace:
     if dim % 2 != 0:
         raise SpanlabError("symplectic dimension must be even")
     n = dim // 2
-    omega = [[Zero] * dim for _ in range(dim)]
-    for i in range(n):
-        omega[i][n + i] = One
-        omega[n + i][i] = -One
-    return SymplecticSpace(dim, omega)
+    return SymplecticSpace(dim, [(n + i, One) for i in range(n)] + [(i, -One) for i in range(n)])
 
 
 def direct_sum(X: SymplecticSpace, Y: SymplecticSpace) -> SymplecticSpace:
-    d = X.dim + Y.dim
-    omega = [[Zero] * d for _ in range(d)]
-    for i in range(X.dim):
-        for j in range(X.dim):
-            omega[i][j] = X.omega[i][j]
-    for i in range(Y.dim):
-        for j in range(Y.dim):
-            omega[X.dim + i][X.dim + j] = Y.omega[i][j]
-    return SymplecticSpace(d, omega)
+    return SymplecticSpace(X.dim + Y.dim, X.pairs + tuple((X.dim + j, w) for j, w in Y.pairs))
 
 
 def correspondence_form(X: SymplecticSpace, Y: SymplecticSpace):
     """The form (-omega_X) (+) omega_Y on X (+) Y that correspondences are
-    Lagrangian against."""
-    return direct_sum(X.negated(), Y).omega
+    Lagrangian against, as its pairs."""
+    return direct_sum(X.negated(), Y).pairs
 
 
-def is_lagrangian(omega, rows, dim) -> Verdict:
-    """Is the row span a Lagrangian subspace for the given form on Q^dim?
+def is_lagrangian(pairs, rows) -> Verdict:
+    """Is the row span a Lagrangian subspace for the form given by its
+    pairs, on Q^dim with dim = len(pairs)?
 
     The pairings are tested on the integer echelon rows against the form
     scaled by one common denominator: each is a nonzero multiple of the
@@ -213,16 +196,16 @@ def is_lagrangian(omega, rows, dim) -> Verdict:
     is.  A refutation names the first nonzero pair and its pairing on the
     canonical rows."""
     ech, _ = _echelon(rows)
-    if len(ech) != dim // 2:
+    if len(ech) != len(pairs) // 2:
         return Verdict.refuted(
-            witness={"reason": "wrong dimension", "got": len(ech), "want": dim // 2}
+            witness={"reason": "wrong dimension", "got": len(ech), "want": len(pairs) // 2}
         )
-    form, _ = _integer_form(omega)
+    form, _ = _integer_form(pairs)
     for i, u in enumerate(ech):
         for j in range(i, len(ech)):
             if apply_form(form, u, ech[j]):
                 red, _ = rref(rows)
-                val = apply_form(omega, red[i], red[j])
+                val = apply_form(pairs, red[i], red[j])
                 return Verdict.refuted(witness={"pair": (i, j), "pairing": str(val)})
     return Verdict.verified()
 
@@ -245,11 +228,7 @@ class LagrangianCorrespondence:
     def validate(self) -> Verdict:
         if any(len(r) != self.source.dim + self.target.dim for r in self.basis):
             return Verdict.refuted(witness={"reason": "vector length"})
-        return is_lagrangian(
-            correspondence_form(self.source, self.target),
-            self.basis,
-            self.source.dim + self.target.dim,
-        )
+        return is_lagrangian(correspondence_form(self.source, self.target), self.basis)
 
     def __eq__(self, other):
         return (
@@ -383,7 +362,7 @@ def duality_zigzag_check(dim: int) -> Verdict:
 # random sampling
 
 
-def _transvected(omega, dim, coords, rounds, rng: random.Random):
+def _transvected(pairs, coords, rounds, rng: random.Random):
     """Integer vectors spanning the lines of the coordinate vectors at
     coords in Q^dim, pushed through rounds random symplectic transvections
     x |-> x + c * omega(x, v) * v of the form (a draw of v = 0 skips its
@@ -391,7 +370,8 @@ def _transvected(omega, dim, coords, rounds, rng: random.Random):
     denominator M, the push of x is q.M.x + p.(M omega)(x, v).v, that
     transvection times q.M, divided by the gcd of its entries; the draws
     are those of the rational push."""
-    form, m = _integer_form(omega)
+    dim = len(pairs)
+    form, m = _integer_form(pairs)
     basis = [[int(k == i) for k in range(dim)] for i in coords]
     for _ in range(rounds):
         v = [rng.randint(-2, 2) for _ in range(dim)]
@@ -414,10 +394,9 @@ def random_correspondence(
 ) -> LagrangianCorrespondence:
     # the starting block (first half of X, first half of Y) is Lagrangian
     # for the sum form, so transvections of that form keep it Lagrangian
-    dim = X.dim + Y.dim
     coords = [*range(X.dim // 2), *range(X.dim, X.dim + Y.dim // 2)]
     return LagrangianCorrespondence(
-        X, Y, _transvected(correspondence_form(X, Y), dim, coords, dim + 2, rng)
+        X, Y, _transvected(correspondence_form(X, Y), coords, X.dim + Y.dim + 2, rng)
     )
 
 

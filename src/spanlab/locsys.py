@@ -72,22 +72,27 @@ class InternalCategory:
 
     @classmethod
     def from_json(cls, data: dict) -> "InternalCategory":
+        """The category in a coefficient file: its counts and table entries
+        must be integers and each composite pair listed once; whether they
+        are in range is for validate_internal to say."""
         try:
-            return cls(
-                data["C0"],
-                data["C1"],
-                data["src"],
-                data["tgt"],
-                data["id"],
-                {(g, f): h for g, f, h in data["comp"]},
-                data.get("inv"),
-            )
-        except (KeyError, TypeError) as exc:
+            comp = {}
+            for g, f, h in data["comp"]:
+                if (g, f) in comp:
+                    raise SpanlabError(f"malformed internal-category JSON: repeated composite {[g, f]}")
+                comp[(g, f)] = h
+            C = cls(data["C0"], data["C1"], data["src"], data["tgt"], data["id"], comp, data.get("inv"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpanlabError(f"malformed internal-category JSON: {exc}") from exc
+        entries = (C.C0, C.C1, *C.src, *C.tgt, *C.ident, *itertools.chain(*comp), *comp.values(), *(C.inv or ()))
+        bad = [v for v in entries if type(v) is not int]
+        if bad:
+            raise SpanlabError(f"malformed internal-category JSON: {bad[0]!r} is not an integer")
+        return C
 
 
 def validate_internal(C: InternalCategory) -> Verdict:
-    if len(C.src) != C.C1 or len(C.tgt) != C.C1 or len(C.ident) != C.C0:
+    if (len(C.src), len(C.tgt), len(C.ident), len(C.inv or C.src)) != (C.C1, C.C1, C.C0, C.C1):
         return Verdict.refuted(witness={"reason": "table lengths"})
     if any(v < 0 or v >= C.C0 for v in C.src + C.tgt):
         return Verdict.refuted(witness={"reason": "src/tgt out of range"})
@@ -95,6 +100,9 @@ def validate_internal(C: InternalCategory) -> Verdict:
         i = C.ident[x]
         if i < 0 or i >= C.C1 or C.src[i] != x or C.tgt[i] != x:
             return Verdict.refuted(witness={"object": x, "reason": "bad identity"})
+    for (g, f), h in C.comp.items():
+        if not all(0 <= m < C.C1 for m in (g, f, h)):
+            return Verdict.refuted(witness={"pair": (g, f), "reason": "composite out of range"})
     for g in range(C.C1):
         for f in range(C.C1):
             h = C.comp.get((g, f))
@@ -121,7 +129,8 @@ def validate_internal(C: InternalCategory) -> Verdict:
         for m in range(C.C1):
             n = C.inv[m]
             if (
-                C.src[n] != C.tgt[m]
+                not 0 <= n < C.C1
+                or C.src[n] != C.tgt[m]
                 or C.tgt[n] != C.src[m]
                 or C.comp[(n, m)] != C.ident[C.src[m]]
                 or C.comp[(m, n)] != C.ident[C.tgt[m]]

@@ -365,6 +365,57 @@ class TestErrors:
         assert code == 1
         assert report["verdict"] == "refuted"
 
+    @pytest.mark.parametrize("kind", ["axioms", "battery"])
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            ({"comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, -2]]}, 1),
+            ({"comp": [[0, 0, 0], [0, 1, 5], [1, 0, 1], [1, 1, 0]]}, 1),
+            ({"inv": [0]}, 1),
+            ({"inv": [0, 7]}, 1),
+            ({"inv": [0, -1]}, 1),
+            ({"src": ["a"]}, 3),
+            ({"id": [0.0]}, 3),
+            ({"comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [5, 5, 0]]}, 1),
+            ({"comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]}, 3),
+        ],
+        ids=["comp-negative", "comp-large", "inv-short", "inv-large", "inv-negative", "src-string",
+             "id-float", "comp-spurious-pair", "comp-repeated-pair"],
+    )
+    def test_malformed_coefficient_file(self, tmp_path, change, code, kind):
+        """Each of these once raised an exception other than SpanlabError,
+        or was verified; each is now refuted or a usage error."""
+        bz2 = {"C0": 1, "C1": 2, "src": [0, 0], "tgt": [0, 0], "id": [0],
+               "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "inv": [0, 1]}
+        f = tmp_path / "coeff.json"
+        f.write_text(json.dumps({**bz2, **change}))
+        report, got = run(["locsys", "check", "--coeff", str(f), "--kind", kind])
+        assert got == code
+        assert report["verdict"] == ("refuted" if code == 1 else "error")
+        assert "Error" not in json.dumps(report["witness"])
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "complete"], ["check", "segal", "--arities", "2"]], ids=["complete", "segal"]
+    )
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"objects": ["*", "*"]}, "repeated object label '*'"),
+            ({"morphisms": [{"id": "1", "src": "*", "tgt": "*"}] * 2}, "repeated morphism id '1'"),
+        ],
+        ids=["object", "morphism"],
+    )
+    def test_repeated_label_in_category_file(self, tmp_path, argv, change, message):
+        """A repeated label is a usage error, not a second object or an
+        overwritten morphism."""
+        point = {"objects": ["*"], "morphisms": [{"id": "1", "src": "*", "tgt": "*"}],
+                 "identities": {"*": "1"}, "compose": [["1", "1", "1"]]}
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps({**point, **change}))
+        report, code = run([*argv, "--base", str(f)])
+        assert code == 3
+        assert message in report["witness"]["error"]
+
 
 class TestResourceCeiling:
     @pytest.mark.parametrize("value", ["-5", "abc"])

@@ -1,7 +1,7 @@
-"""Random requests over the CLI's subcommand grammar, small enough to run in
-seconds: every one must print one JSON report with an exit code in
-{0, 1, 2, 3}, no program fault, and no verified verdict that checked
-nothing."""
+"""Random requests over the CLI's subcommand grammar, and random coefficient
+and category files, small enough to run in seconds: every request must
+print one JSON report with an exit code in {0, 1, 2, 3}, no program fault,
+and no verified verdict that checked nothing."""
 import contextlib
 import io
 import json
@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spanlab.cli import main
+from spanlab.locsys import cyclic_internal, discrete_internal, walking_arrow_internal
 
 # An enumeration ceiling well under the default keeps every request under
 # about a second; a request over it reports inconclusive, which is allowed.
@@ -107,6 +108,90 @@ def test_every_request_reports(argv):
         report, code = _issue(argv)
     assert code in (0, 1, 2, 3)
     assert not _faults(report), (argv, report)
+
+
+def _arrow(a, b, f):
+    """The category file of the walking arrow f: a -> b."""
+    return {
+        "objects": [a, b],
+        "morphisms": [{"id": "ia", "src": a, "tgt": a}, {"id": "ib", "src": b, "tgt": b}, {"id": f, "src": a, "tgt": b}],
+        "identities": {str(a): "ia", str(b): "ib"},
+        "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"], [f, "ia", f], ["ib", f, f]],
+    }
+
+
+COEFFICIENT_FILES = [C.to_json() for C in (cyclic_internal(2), walking_arrow_internal(), discrete_internal(2))]
+CATEGORY_FILES = [_arrow("a", "b", "f"), _arrow(0, 1, "f")]
+# what a drawn place of a file is set to: integers in and out of range, and
+# values of the wrong type
+VALUES = st.one_of(st.integers(-2, 5), st.sampled_from([0.0, "a", True, None, [0]]))
+
+
+def _places(node):
+    """Every (list or dict, index or key) in a JSON document."""
+    keys = range(len(node)) if isinstance(node, list) else node if isinstance(node, dict) else ()
+    for k in keys:
+        yield node, k
+        yield from _places(node[k])
+
+
+@st.composite
+def mutated(draw, files):
+    """One of files with one value replaced, or one list entry dropped or
+    repeated."""
+    data = json.loads(json.dumps(draw(st.sampled_from(files))))
+    node, k = draw(st.sampled_from(list(_places(data))))
+    how = draw(st.sampled_from(["replace", "drop", "repeat"]))
+    if how == "replace":
+        node[k] = draw(VALUES)
+    elif how == "drop":
+        del node[k]
+    elif isinstance(node, list):
+        node.insert(k, node[k])
+    return data
+
+
+coefficient_files = st.tuples(
+    mutated(COEFFICIENT_FILES), st.sampled_from(["axioms", "battery", "equivalence", "fiber"])
+).map(lambda t: (t[0], ["locsys", "check", "--coeff", "{file}", "--kind", t[1], "--bound", "1"]))
+category_files = st.tuples(
+    mutated(CATEGORY_FILES),
+    st.sampled_from([["check", "complete"], ["check", "invertible"], ["check", "segal", "--arities", "2"],
+                     ["level", "--arities", "1"], ["certify", "adjoint", "--trials", "2"]]),
+).map(lambda t: (t[0], [*t[1], "--base", "{file}"]))
+
+# files that raised an exception other than SpanlabError or were verified,
+# and a category file with a repeated object label
+_C = COEFFICIENT_FILES[0]
+_locsys = lambda kind: ["locsys", "check", "--coeff", "{file}", "--kind", kind]
+SEEDS = [
+    ({**_C, "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, -2]]}, _locsys("battery")),
+    ({**_C, "comp": [[0, 0, 0], [0, 1, 5], [1, 0, 1], [1, 1, 0]]}, _locsys("axioms")),
+    ({**_C, "inv": [0]}, _locsys("axioms")),
+    ({**_C, "inv": [0, 7]}, _locsys("battery")),
+    ({**_C, "inv": [0, -1]}, _locsys("axioms")),
+    ({**_C, "src": ["a"]}, _locsys("axioms")),
+    ({**_C, "id": [0.0]}, _locsys("battery")),
+    ({**_C, "comp": [*_C["comp"], [5, 5, 0]]}, _locsys("axioms")),
+    ({**CATEGORY_FILES[0], "objects": ["a", "a", "b"]}, ["check", "complete", "--base", "{file}"]),
+]
+
+
+@given(case=st.one_of(coefficient_files, category_files))
+@settings(max_examples=150, deadline=None)
+def test_every_input_file_reports(case):
+    data, argv = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"SPANLAB_MAX_CELLS": CEILING}):
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        report, code = _issue([a.replace("{file}", path) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert not _faults(report), (data, argv, report)
+
+
+for _case in SEEDS:
+    test_every_input_file_reports = example(case=_case)(test_every_input_file_reports)
 
 
 @given(batch=st.lists(requests, max_size=2))

@@ -24,7 +24,6 @@ from spanlab.lagrangian import (
     kernel_basis,
     random_correspondence,
     random_pair_check,
-    rank,
     rref,
     standard_symplectic,
     tensor_correspondence,
@@ -36,11 +35,63 @@ F = Fraction
 
 
 def apply_form_oracle(omega, u, v):
-    """u^T . omega . v over every entry: the slow oracle of apply_form."""
+    """u^T . omega . v over every entry of the matrix omega: the slow
+    oracle of apply_form."""
     def dot(x, y):
         return sum((a * b for a, b in zip(x, y)), F(0))
 
     return sum((u[i] * dot(omega[i], v) for i in range(len(u))), F(0))
+
+
+# ---------------------------------------------------------------------------
+# the dense path: forms as matrices, the oracles of the sparse form
+
+
+def dense(pairs):
+    """The matrix of the form whose row i holds w at column j, (j, w) =
+    pairs[i]."""
+    omega = [[F(0)] * len(pairs) for _ in pairs]
+    for i, (j, w) in enumerate(pairs):
+        omega[i][j] = F(w)
+    return omega
+
+
+def standard_oracle(dim):
+    """The matrix [[0, I], [-I, 0]]."""
+    n = dim // 2
+    omega = [[F(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        omega[i][n + i] = F(1)
+        omega[n + i][i] = F(-1)
+    return omega
+
+
+def negated_oracle(omega):
+    return [[-v for v in row] for row in omega]
+
+
+def direct_sum_oracle(omega_x, omega_y):
+    """The block-diagonal matrix of omega_x and omega_y."""
+    dx, d = len(omega_x), len(omega_x) + len(omega_y)
+    omega = [[F(0)] * d for _ in range(d)]
+    for i, row in enumerate(omega_x):
+        omega[i][:dx] = row
+    for i, row in enumerate(omega_y):
+        omega[dx + i][dx:] = row
+    return omega
+
+
+def validate_reason_oracle(dim, omega):
+    """The reason the dense validation gave for a matrix, or None."""
+    if dim % 2 != 0:
+        return "odd dimension"
+    if len(omega) != dim or any(len(r) != dim for r in omega):
+        return "form shape"
+    if any(omega[i][j] != -omega[j][i] for i in range(dim) for j in range(dim)):
+        return "not antisymmetric"
+    if len(rref_oracle(omega)[1]) != dim:
+        return "degenerate form"
+    return None
 
 
 # entries that are often zero, as small integers or small fractions
@@ -103,9 +154,10 @@ def kernel_basis_oracle(rows, ncols):
     return basis
 
 
-def transvected_oracle(omega, dim, coords, rounds, rng):
+def transvected_oracle(omega, coords, rounds, rng):
     """The coordinate vectors pushed through rational transvections
     x |-> x + c * omega(x, v) * v, with the draws of _transvected."""
+    dim = len(omega)
     basis = [tuple(F(int(k == i)) for k in range(dim)) for i in coords]
     for _ in range(rounds):
         v = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
@@ -122,9 +174,9 @@ def transvected_oracle(omega, dim, coords, rounds, rng):
 
 def random_rows_oracle(X, Y, rng):
     """The rows random_correspondence starts from, pushed in Fractions."""
-    dim = X.dim + Y.dim
+    omega = direct_sum_oracle(negated_oracle(dense(X.pairs)), dense(Y.pairs))
     coords = [*range(X.dim // 2), *range(X.dim, X.dim + Y.dim // 2)]
-    return transvected_oracle(correspondence_form(X, Y), dim, coords, dim + 2, rng)
+    return transvected_oracle(omega, coords, X.dim + Y.dim + 2, rng)
 
 
 def compose_rows_oracle(L, M):
@@ -163,10 +215,8 @@ def weighted_space(weights):
     denominators among the weights make a scaling of the form row by row
     change which pairings vanish."""
     n = len(weights)
-    omega = [[F(0)] * (2 * n) for _ in range(2 * n)]
-    for i, a in enumerate(weights):
-        omega[i][n + i], omega[n + i][i] = a, -a
-    return SymplecticSpace(2 * n, omega)
+    pairs = [(n + i, a) for i, a in enumerate(weights)] + [(i, -a) for i, a in enumerate(weights)]
+    return SymplecticSpace(2 * n, pairs)
 
 
 # the standard form, half of it, or weights with unequal denominators
@@ -177,6 +227,12 @@ SPACES = st.one_of(
         st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
         min_size=1, max_size=3,
     ).map(weighted_space),
+)
+
+# forms with one entry per row, as pairs: zero and Fraction weights, and
+# partners that need not be involutions
+FORMS = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, max(n - 1, 0)), ENTRIES), min_size=n, max_size=n)
 )
 
 # (columns, rows): empty matrices, zero rows and all-zero matrices included
@@ -194,11 +250,6 @@ class TestLinearAlgebra:
         assert red == [(F(1), F(2))]
         assert pivots == [0]
 
-    def test_rank(self):
-        assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-        assert rank([[F(1), F(1)], [F(2), F(2)]]) == 1
-        assert rank([]) == 0
-
     def test_kernel_basis(self):
         # x + y = 0 in Q^2
         ker = kernel_basis([[F(1), F(1)]], 2)
@@ -214,27 +265,29 @@ class TestLinearAlgebra:
         b2 = [[F(1), F(1), F(2)], [F(1), F(-1), F(0)]]
         assert canonical_subspace(b1) == canonical_subspace(b2)
 
-    @given(st.integers(0, 6).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
-            st.lists(ENTRIES, min_size=n, max_size=n),
-            st.lists(ENTRIES, min_size=n, max_size=n),
+    @given(FORMS.flatmap(
+        lambda pairs: st.tuples(
+            st.just(pairs),
+            st.lists(ENTRIES, min_size=len(pairs), max_size=len(pairs)),
+            st.lists(ENTRIES, min_size=len(pairs), max_size=len(pairs)),
         )
     ))
+    @example(([], [], []))
+    @example(([(1, 0), (1, F(1, 2))], [1, 1], [2, 3]))
     @settings(max_examples=200, deadline=None)
     def test_apply_form_matches_oracle(self, args):
-        omega, u, v = args
-        got = apply_form(omega, u, v)
-        assert got == apply_form_oracle(omega, u, v)
+        pairs, u, v = args
+        got = apply_form(pairs, u, v)
+        assert got == apply_form_oracle(dense(pairs), u, v)
         assert type(got) is Fraction
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_apply_form_on_standard_forms(self, dim):
         rng = random.Random(dim)
-        omega = standard_symplectic(dim).omega
+        pairs = standard_symplectic(dim).pairs
         for _ in range(20):
             u, v = ([F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)] for _ in "uv")
-            assert apply_form(omega, u, v) == apply_form_oracle(omega, u, v)
+            assert apply_form(pairs, u, v) == apply_form_oracle(standard_oracle(dim), u, v)
 
 
 class TestAgainstTheRationalOracles:
@@ -290,7 +343,7 @@ class TestAgainstTheRationalOracles:
         Lagrangian), on random rows, and on the graph with a random row
         added to its last row."""
         n = X.dim // 2
-        weights = [X.omega[i][n + i] for i in range(n)]
+        weights = [w for _, w in X.pairs[:n]]
         s = {(i, j): data.draw(st.integers(-2, 2)) for i in range(n) for j in range(i, n)}
         graph = [
             [int(i == k) for i in range(n)] + [s[min(i, k), max(i, k)] / weights[i] for i in range(n)]
@@ -304,15 +357,15 @@ class TestAgainstTheRationalOracles:
             rows = graph[:-1] + [[a + b for a, b in zip(graph[-1], noise[0])]]
         else:
             rows = graph
-        assert is_lagrangian(X.omega, rows, X.dim) == is_lagrangian_oracle(X.omega, rows, X.dim)
+        assert is_lagrangian(X.pairs, rows) == is_lagrangian_oracle(dense(X.pairs), rows, X.dim)
 
     def test_non_integral_form_scales_by_one_common_denominator(self):
         """Against (1/2) e_0 ^ e_2 + e_1 ^ e_3 the pairing of (1, 0, 0, 1)
         and (0, 1, 2, 0) is 1/2 . 2 - 1 = 0; scaled row by row the form
         would weigh both terms alike and pair them to 1."""
-        omega = weighted_space([F(1, 2), F(1)]).omega
-        assert is_lagrangian(omega, [[1, 0, 0, 1], [0, 1, 2, 0]], 4)
-        v = is_lagrangian(omega, [[1, 0, 0, 1], [0, 1, 1, 0]], 4)
+        pairs = weighted_space([F(1, 2), F(1)]).pairs
+        assert is_lagrangian(pairs, [[1, 0, 0, 1], [0, 1, 2, 0]])
+        v = is_lagrangian(pairs, [[1, 0, 0, 1], [0, 1, 1, 0]])
         assert v.witness == {"pair": (0, 1), "pairing": "-1/2"}
 
 
@@ -322,7 +375,7 @@ class TestSymplecticSpaces:
             assert standard_symplectic(d).validate()
 
     def test_degenerate_form_refuted(self):
-        Z = SymplecticSpace(2, [[0, 0], [0, 0]])
+        Z = SymplecticSpace(2, [(1, 0), (0, 0)])
         v = Z.validate()
         assert not v
         assert v.witness["reason"] == "degenerate form"
@@ -330,17 +383,58 @@ class TestSymplecticSpaces:
     def test_odd_dimension_rejected(self):
         with pytest.raises(SpanlabError):
             standard_symplectic(3)
-        assert not SymplecticSpace(1, [[0]]).validate()
+        assert not SymplecticSpace(1, [(0, 0)]).validate()
 
     def test_not_antisymmetric_refuted(self):
-        S = SymplecticSpace(2, [[0, 1], [1, 0]])
+        S = SymplecticSpace(2, [(1, 1), (0, 1)])
         assert not S.validate()
 
     def test_direct_sum_block_diagonal(self):
         X = standard_symplectic(2)
         S = direct_sum(X, X)
         assert S.dim == 4
-        assert S.omega[0][1] == 1 and S.omega[2][3] == 1 and S.omega[0][2] == 0
+        omega = dense(S.pairs)
+        assert omega[0][1] == 1 and omega[2][3] == 1 and omega[0][2] == 0
+
+    @pytest.mark.parametrize(
+        "dim, pairs, reason",
+        [
+            (3, [(1, 1), (0, -1), (2, 0)], "odd dimension"),
+            (2, [(1, 1)], "form shape"),
+            (2, [(1, 1), (2, -1)], "form shape"),
+            (2, [(0, 1), (1, -1)], "not antisymmetric"),
+        ],
+        ids=["odd", "short", "partner-out-of-range", "diagonal"],
+    )
+    def test_malformed_forms_refuted(self, dim, pairs, reason):
+        assert SymplecticSpace(dim, pairs).validate().witness["reason"] == reason
+
+    @given(st.one_of(FORMS, SPACES.map(lambda X: X.pairs)))
+    @example([(1, 0), (1, 0)])
+    @example([(1, 0), (0, 5)])
+    @example([(0, 1), (1, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_validate_matches_the_dense_oracle(self, pairs):
+        """Same reason as the dense validation; the entry named as not
+        antisymmetric is one."""
+        v = SymplecticSpace(len(pairs), pairs).validate()
+        omega = dense(pairs)
+        assert (v.witness or {}).get("reason") == validate_reason_oracle(len(pairs), omega)
+        if not v and "entry" in v.witness:
+            i, j = v.witness["entry"]
+            assert omega[i][j] != -omega[j][i]
+
+    @given(FORMS, FORMS)
+    @settings(max_examples=200, deadline=None)
+    def test_builders_match_the_dense_oracles(self, px, py):
+        X, Y = SymplecticSpace(len(px), px), SymplecticSpace(len(py), py)
+        assert dense(X.negated().pairs) == negated_oracle(dense(px))
+        assert dense(direct_sum(X, Y).pairs) == direct_sum_oracle(dense(px), dense(py))
+        assert dense(correspondence_form(X, Y)) == direct_sum_oracle(negated_oracle(dense(px)), dense(py))
+
+    @pytest.mark.parametrize("dim", [0, 2, 4, 8])
+    def test_standard_form_matches_the_dense_oracle(self, dim):
+        assert dense(standard_symplectic(dim).pairs) == standard_oracle(dim)
 
     def test_unit_space_is_strict_unit(self):
         X = standard_symplectic(4)
@@ -356,18 +450,18 @@ class TestIsLagrangian:
 
     def test_coordinate_block(self):
         # span{e1} in the standard plane pairs to zero with itself
-        omega = standard_symplectic(2).omega
-        assert is_lagrangian(omega, [[F(1), F(0)]], 2)
+        pairs = standard_symplectic(2).pairs
+        assert is_lagrangian(pairs, [[F(1), F(0)]])
 
     def test_symplectic_plane_not_lagrangian(self):
         # span{e1, e3} in Q^4 pairs e1 with e3 nontrivially
-        omega = standard_symplectic(4).omega
-        v = is_lagrangian(omega, [[F(1), F(0), F(0), F(0)], [F(0), F(0), F(1), F(0)]], 4)
+        pairs = standard_symplectic(4).pairs
+        v = is_lagrangian(pairs, [[F(1), F(0), F(0), F(0)], [F(0), F(0), F(1), F(0)]])
         assert not v
 
     def test_wrong_dimension_refuted(self):
-        omega = standard_symplectic(4).omega
-        v = is_lagrangian(omega, [[F(1), F(0), F(0), F(0)]], 4)
+        pairs = standard_symplectic(4).pairs
+        v = is_lagrangian(pairs, [[F(1), F(0), F(0), F(0)]])
         assert not v
         assert v.witness["reason"] == "wrong dimension"
 
