@@ -209,9 +209,15 @@ def _run_certify(args) -> tuple[Verdict, dict]:
         if args.span:
             w = duality.build_adjunction(base, _parse_span(args.span, base))
             return duality.triangle_check(w), {"witness_data": w.to_json()}
+        # The check is a function of (base, span) alone, so a span drawn
+        # again is skipped; it is still drawn, so the rng sequence, and with
+        # it the first refuting trial, stays the same.
         rng = random.Random(args.seed)
+        verified = set()
         for trial in range(_at_least(0, args.trials, "--trials")):
             s = _random_span(base, args.bound, rng)
+            if s in verified:
+                continue
             w = duality.build_adjunction(base, s)
             v = duality.triangle_check(w)
             if not v:
@@ -219,6 +225,7 @@ def _run_certify(args) -> tuple[Verdict, dict]:
                     Verdict.refuted(witness={"trial": trial, "span": repr(s), "inner": v.witness}),
                     {},
                 )
+            verified.add(s)
         details = dict(trials=args.trials, seed=args.seed)
         if not args.trials:
             return Verdict.inconclusive(witness={"reason": "no spans were sampled"}, **details), {}

@@ -100,19 +100,23 @@ def _one_triangle(base, s: Span, PB, b1, b2, unit_map, PA, a1, a2, counit_map) -
     l, r, M = s.lleg, s.rleg, s.apex
     (Q, legs), node_obj = _chain_limit(base, l, r, M, s.left, s.right)
     # whiskered unit block: apex x_right apex -> Q via (pr1, counit-section of pr2)
+    counit_b2 = base.compose(counit_map, b2)
+    m3 = base.compose(a2, counit_b2)
     cone1 = {
         "m1": b1,
-        "m2": base.compose(a1, base.compose(counit_map, b2)),
-        "m3": base.compose(a2, base.compose(counit_map, b2)),
+        "m2": base.compose(a1, counit_b2),
+        "m3": m3,
         "vr": base.compose(r, b1),
-        "vl": base.compose(l, base.compose(a2, base.compose(counit_map, b2))),
+        "vl": base.compose(l, m3),
     }
     # whiskered counit block: apex x_left apex -> Q via (unit-section of pr1, pr2)
+    unit_a1 = base.compose(unit_map, a1)
+    m1 = base.compose(b1, unit_a1)
     cone2 = {
-        "m1": base.compose(b1, base.compose(unit_map, a1)),
-        "m2": base.compose(b2, base.compose(unit_map, a1)),
+        "m1": m1,
+        "m2": base.compose(b2, unit_a1),
         "m3": a2,
-        "vr": base.compose(r, base.compose(b1, base.compose(unit_map, a1))),
+        "vr": base.compose(r, m1),
         "vl": base.compose(l, a2),
     }
     try:

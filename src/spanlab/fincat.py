@@ -25,6 +25,7 @@ the slice add cones.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import itemgetter
@@ -460,39 +461,35 @@ class FinSetCategory:
         that is not a root is then placed after a node with an arrow into
         it, so its value is forced instead of enumerated.  Each step tests
         the new value against every arrow between the node and the nodes
-        placed so far, its own self-loops included, one filter per arrow;
-        these arrows are sorted by position once per diagram.
+        placed so far, its own self-loops included, one filter per arrow.
 
         Each step extends the rows in order, a row's values ascending, and
         filters keep order, so the rows stay lexicographic in the order
         they were grown in.  When that order is the sorted one they are the
         limit's tuples as they stand; otherwise each row is put back in
-        sorted-node order and the rows are sorted."""
-        nodes = sorted(node_obj)
-        if any(node_obj[n] == 0 for n in nodes):
+        sorted-node order and the rows are sorted.
+
+        All of this but the sizes and the arrows' values depends only on
+        the diagram's topology, the node names and the (a, b) ends of the
+        arrows, so it is compiled once per topology (_limit_plan) and each
+        call reads the sizes and values into the compiled steps."""
+        nodes, steps, regroup = _limit_plan(tuple(node_obj), tuple([(a, b) for a, b, _ in arrows]))
+        if 0 in node_obj.values():
             return 0, {n: FinFunction(0, node_obj[n], ()) for n in nodes}
-        order = _root_first_order(nodes, arrows)
-        at = {n: i for i, n in enumerate(order)}
-        # each arrow (a, b, m) is tested where its later end is placed, as
-        # (m, at[a], at[b]) on the grown row; the first arrow into the node
-        # from an earlier one forces the node's value instead
-        tests = [[] for _ in order]
-        for a, b, m in arrows:
-            tests[max(at[a], at[b])].append((m.values, at[a], at[b]))
         rows = [()]
-        for n, here in zip(order, tests):
-            forcing = next((t for t in here if t[1] < t[2]), None)
+        for n, forcing, filters in steps:
             if forcing:
-                here.remove(forcing)
-                f, j, _ = forcing
+                i, j = forcing
+                f = arrows[i][2].values
                 rows = [row + (f[row[j]],) for row in rows]
             else:
                 points = [(v,) for v in range(node_obj[n])]
                 rows = [row + p for row in rows for p in points]
-            for g, j, k in here:
+            for i, j, k in filters:
+                g = arrows[i][2].values
                 rows = [r for r in rows if g[r[j]] == r[k]]
-        if order != nodes:  # two or more nodes, so itemgetter gives tuples
-            rows = sorted(map(itemgetter(*[at[n] for n in nodes]), rows))
+        if regroup:
+            rows = sorted(map(regroup, rows))
         apex = len(rows)
         columns = list(zip(*rows)) or [()] * len(nodes)
         legs = {n: FinFunction(apex, node_obj[n], col) for n, col in zip(nodes, columns)}
@@ -519,15 +516,51 @@ class FinSetCategory:
         return Verdict.verified()
 
 
+@functools.cache
+def _limit_plan(node_names, ends):
+    """The compiled steps of FinSetCategory.limit_of_diagram for one
+    diagram topology: node_names in the diagram's insertion order and ends
+    the (a, b) of each arrow, by index.  Returns (nodes, steps, regroup):
+
+    * nodes, sorted, as a tuple: the plan is shared by every call;
+    * steps, one (node, forcing, filters) per node in root-first order.
+      Each arrow i is tested where its later end is placed, as (i, j, k)
+      on the grown row, row[k] = values_i[row[j]]; the first arrow into the
+      node from an earlier one, (i, j), forces the node's value instead;
+    * regroup, an itemgetter that puts a grown row back in sorted-node
+      order, or None when root-first order is the sorted one.
+
+    Memoised for the life of the process, one entry per topology, of
+    which a request asks for few: certify adjoint for two, its chain and
+    collapse diagrams, and segal_check(finset(2), (2,)) for three."""
+    nodes = sorted(node_names)
+    order = _root_first_order(nodes, ends)
+    at = {n: i for i, n in enumerate(order)}
+    tests = [[] for _ in order]
+    for i, (a, b) in enumerate(ends):
+        tests[max(at[a], at[b])].append((i, at[a], at[b]))
+    steps = []
+    for n, here in zip(order, tests):
+        forcing = next((t for t in here if t[1] < t[2]), None)
+        if forcing:
+            here.remove(forcing)
+            forcing = forcing[:2]
+        steps.append((n, forcing, tuple(here)))
+    # two or more nodes when the orders differ, so itemgetter gives tuples
+    regroup = None if order == nodes else itemgetter(*[at[n] for n in nodes])
+    return tuple(nodes), tuple(steps), regroup
+
+
 def _root_first_order(nodes, arrows):
     """The sorted nodes reordered so that each root (a node with no arrow
     in from another node), in sorted order, comes before the nodes its
     arrows reach, breadth first.  Nodes on a cycle that no root reaches
     come last, each unplaced one in sorted order followed by what it
-    reaches."""
+    reaches.  Only the ends (a, b) of each arrow are read, so arrows may
+    be (a, b, m) triples or (a, b) pairs."""
     out = {n: [] for n in nodes}
     has_in = set()
-    for a, b, _ in arrows:
+    for a, b, *_ in arrows:
         if a != b:
             out[a].append(b)
             has_in.add(b)

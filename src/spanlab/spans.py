@@ -776,13 +776,23 @@ def _check_twist(shape, base, ext, dirs, rng):
     of a random edge piece extends to the piece, which is a functor.  No
     transport is checked: extend_natural_family returns only families natural
     on every arrow m: a -> b, and for automorphisms that says fam[b] . m .
-    fam[a]^-1 = m, so twisting the piece by the family gives back the piece."""
+    fam[a]^-1 = m, so twisting the piece by the family gives back the piece.
+
+    A piece whose shape has no filled cell is not extended.  There
+    extend_natural_family(piece, piece, fam) fills nothing and returns fam
+    exactly when fam is natural on the Lambda cells, and fam is: each
+    component random_natural_family draws is an automorphism of its cell's
+    object, chosen natural with the cells drawn before it, and fill order
+    lists every cell after the cells above it, so every arrow among the
+    Lambda cells has been tested; its fallback, the identity family, is
+    natural on every arrow.  The family is still drawn, so the rng
+    sequence stays the same."""
     r = rng.choice(dirs)
     i = rng.randrange(1, shape.arities[r] + 1)
     piece = _edge_piece(ext, r, i)
     small = piece.shape
     fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
-    if extend_natural_family(piece, piece, fam) is None:
+    if len(small.lambda_cells) != len(small.objects) and extend_natural_family(piece, piece, fam) is None:
         return Verdict.refuted(witness={"reason": "twist family fails to extend"})
     return piece.validate()
 

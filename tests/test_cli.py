@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from spanlab import cli
+from spanlab import cli, duality, fincat
 from spanlab.cli import main, run_request
+from spanlab.verdict import Verdict
 
 
 def run(argv):
@@ -157,6 +159,40 @@ class TestBasics:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "error"
         assert "span" in report["witness"]["error"]
+
+    def test_certify_adjoint_checks_each_drawn_span_once(self, monkeypatch):
+        """2,000 draws on finset:4, seed 0, hold 913 distinct spans: each is
+        built and checked once, and trials still counts the draws."""
+        rng, drawn = random.Random(0), set()
+        for _ in range(2000):
+            drawn.add(cli._random_span(fincat.finset(4), None, rng))
+        calls, build = [], duality.build_adjunction
+        monkeypatch.setattr(duality, "build_adjunction", lambda base, s: calls.append(s) or build(base, s))
+        report, code = run(["certify", "adjoint", "--base", "finset:4", "--trials", "2000", "--seed", "0"])
+        assert code == 0
+        assert report["details"] == {"trials": 2000, "seed": 0}
+        assert len(calls) == len(set(calls)) == len(drawn) == 913
+        assert set(calls) == drawn
+
+    def test_certify_adjoint_refutes_at_the_first_draw(self, monkeypatch):
+        """A span drawn more than once and refuted is reported at the first
+        trial that drew it."""
+        rng, first, target = random.Random(0), {}, None
+        for trial in range(200):
+            s = cli._random_span(fincat.finset(4), None, rng)
+            if s in first and target is None:
+                target = s
+            first.setdefault(s, trial)
+        assert target is not None and first[target] > 0
+        check = duality.triangle_check
+
+        def refute_target(w):
+            return Verdict.refuted(witness={"reason": "planted"}) if w.span == target else check(w)
+
+        monkeypatch.setattr(duality, "triangle_check", refute_target)
+        report, code = run(["certify", "adjoint", "--base", "finset:4", "--trials", "200", "--seed", "0"])
+        assert code == 1
+        assert report["witness"] == {"trial": first[target], "span": repr(target), "inner": {"reason": "planted"}}
 
     @pytest.mark.parametrize(
         "argv, code, sizes",
@@ -607,9 +643,13 @@ class TestByteStability:
                 ["check", "segal", "--base", "finset:2", "--arities", "2", "2", "--samples", "48", "--seed", "0"],
                 "d445dd716b239d5998ebcb9818c6fbd18b27f913b6497dc0110e9e728ccfb402",
             ),
+            (
+                ["certify", "adjoint", "--base", "finset:4", "--trials", "300", "--seed", "1"],
+                "a2d0fee290e9719703fb67fc68c7c86ee5395e2f1d0aa0c5e6c65fd193acf8dc",
+            ),
         ],
         ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "zigzag",
-             "adjoint", "segal-sampled"],
+             "adjoint", "segal-sampled", "adjoint-seed1"],
     )
     def test_report_hash(self, argv, digest):
         """Reports of the functor, pairing, pullback, reversal, limit and

@@ -22,7 +22,7 @@ from spanlab.fincat import (
     finset,
     slice_over_pair,
 )
-from spanlab.spans import Span
+from spanlab.spans import Span, segal_check
 from spanlab.verdict import NoLimitError, SpanlabError
 
 
@@ -292,6 +292,33 @@ def small_finset_diagrams(draw):
         values = draw(st.tuples(*[st.integers(0, node_obj[b] - 1)] * node_obj[a]))
         arrows.append((a, b, FinFunction(node_obj[a], node_obj[b], values)))
     return node_obj, arrows
+
+
+def topology_instance(names, ends, rng):
+    """A diagram of the given topology, node names and arrow ends (a, b),
+    with node sizes 0-3 and arrow values drawn from rng, and the nodes
+    inserted in a shuffled order.  A node that an arrow from a nonempty
+    node reaches is made nonempty: no function maps into the empty set."""
+    sizes = {n: rng.randrange(4) for n in names}
+    while any(sizes[a] and not sizes[b] for a, b in ends):
+        for a, b in ends:
+            if sizes[a] and not sizes[b]:
+                sizes[b] = 1
+    order = rng.sample(names, len(names))
+    node_obj = {n: sizes[n] for n in order}
+    arrows = [
+        (a, b, FinFunction(sizes[a], sizes[b], tuple(rng.randrange(sizes[b]) for _ in range(sizes[a]))))
+        for a, b in ends
+    ]
+    return node_obj, arrows
+
+
+def assert_matches_limit_oracle(node_obj, arrows):
+    apex, legs = finset(3).limit_of_diagram(node_obj, arrows)
+    oracle_apex, oracle_legs = limit_oracle(node_obj, arrows)
+    assert apex == oracle_apex
+    assert {n: triple(leg) for n, leg in legs.items()} == {n: triple(leg) for n, leg in oracle_legs.items()}
+    assert all(type(leg.values) is tuple for leg in legs.values())
 
 
 class TestFinCategoryAxioms:
@@ -565,12 +592,62 @@ class TestCanonicalLimits:
         """The lean steps give the apex and every leg's values of the
         generator-grown search, whether or not the root-first order is the
         sorted one."""
-        node_obj, arrows = diagram
-        apex, legs = finset(3).limit_of_diagram(node_obj, arrows)
-        oracle_apex, oracle_legs = limit_oracle(node_obj, arrows)
-        assert apex == oracle_apex
-        assert {n: triple(leg) for n, leg in legs.items()} == {n: triple(leg) for n, leg in oracle_legs.items()}
-        assert all(type(leg.values) is tuple for leg in legs.values())
+        assert_matches_limit_oracle(*diagram)
+
+    @given(
+        st.lists(st.sampled_from(["z", "m", "a", "t", "w"]), min_size=1, max_size=5, unique=True).flatmap(
+            lambda names: st.tuples(
+                st.just(names),
+                st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=6),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_plan_serves_every_instance_of_a_topology(self, topology):
+        """The plan compiled for a topology on its first call gives the
+        oracle's limit on every later call, whatever the node sizes, the
+        arrow values and the order the nodes were inserted in."""
+        names, ends, rng = topology
+        for _ in range(4):
+            assert_matches_limit_oracle(*topology_instance(names, ends, rng))
+
+    @pytest.mark.parametrize(
+        "names, ends",
+        [
+            (["a", "b"], [("a", "b")]),
+            (["a", "b"], [("a", "a"), ("a", "b"), ("b", "b"), ("b", "b")]),
+            (["r", "x", "c1", "c2", "c3"], [("r", "x"), ("c1", "c2"), ("c2", "c3"), ("c3", "c1"), ("c2", "c2")]),
+            (["z", "m1", "m2", "a"], [("z", "a"), ("m2", "m1"), ("m1", "a")]),
+        ],
+        ids=["arrow", "self-loops", "unreached-cycle", "unsorted-roots"],
+    )
+    def test_one_plan_serves_every_instance_of_fixed_topologies(self, names, ends):
+        """Forty seeded instances of each topology against the oracle.  The
+        instances of each take an empty node, a nonempty limit and at least
+        two insertion orders of the same nodes."""
+        instances = [topology_instance(names, ends, random.Random(seed)) for seed in range(40)]
+        for node_obj, arrows in instances:
+            assert_matches_limit_oracle(node_obj, arrows)
+        assert any(0 in node_obj.values() for node_obj, _ in instances)
+        assert any(finset(3).limit_of_diagram(*diagram)[0] for diagram in instances)
+        assert len({tuple(node_obj) for node_obj, _ in instances}) > 1
+
+    def test_plan_compiled_once_per_topology(self, monkeypatch):
+        """segal_check(finset(2), (2,)) takes 2,098 limits over 3 topologies
+        and leaves no more compiled plans than topologies."""
+        topologies, calls, limit = set(), [], FinSetCategory.limit_of_diagram
+
+        def spy(self, node_obj, arrows):
+            calls.append(1)
+            topologies.add((frozenset(node_obj), tuple(sorted((a, b) for a, b, _ in arrows))))
+            return limit(self, node_obj, arrows)
+
+        monkeypatch.setattr(FinSetCategory, "limit_of_diagram", spy)
+        fincat_module._limit_plan.cache_clear()
+        assert segal_check(finset(2), (2,))
+        assert (len(calls), len(topologies)) == (2098, 3)
+        assert fincat_module._limit_plan.cache_info().currsize <= len(topologies)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

@@ -376,11 +376,13 @@ class TestSegal:
         by a closed form.  The battery does not extend the identity family
         of its 971 Cartesian data, which took 6 composites each (the five
         cone legs of the one filled cell and u2^-1 . w), 5,826 in all.
-        Building both composites of every square composes 64,498 times:
+        Building both composites of every square composes 64,402 times:
         the 5,826, and two for each of the 14,389 squares no longer
         compared, 9 for each identity family and the 5 squares from the
         filled cell into its Lambda up-set for each of the 1,130 other
-        families."""
+        families.  The twist battery's 24 families, on edge pieces of
+        shape (1,) with no filled cell, are not extended, which saves the
+        two composites of each of their 2 Lambda squares (96 in all)."""
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
         assert segal_check(finset(2), (2,))
@@ -388,23 +390,35 @@ class TestSegal:
         calls.clear()
         monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 64498
+        assert len(calls) == 64402
 
     def test_posets_extend_only_twist_families(self, monkeypatch):
         """Over a poset every isomorphism is an identity, so the free data
         have only the identity family, which the battery does not extend.
         The only extensions are the twist battery's, one per draw, on edge
-        pieces."""
+        pieces with a filled cell: in one direction the pieces, of shape
+        (1,), have none, so their 24 families are drawn and not extended."""
         calls, extend = [], spans_module.extend_natural_family
+        draws, draw = [], spans_module.random_natural_family
         monkeypatch.setattr(
             spans_module,
             "extend_natural_family",
             lambda d1, d2, fam: calls.append(d1.shape.arities) or extend(d1, d2, fam),
         )
+        monkeypatch.setattr(
+            spans_module,
+            "random_natural_family",
+            lambda base, shape, cells, d, rng: draws.append(shape.arities) or draw(base, shape, cells, d, rng),
+        )
         for base, arities in ((finset(1), (5,)), (divisor_lattice(30), (2,))):
             calls.clear()
+            draws.clear()
             assert segal_check(base, arities).details["mode"] == "exhaustive"
-            assert calls == [(1,)] * 24
+            assert (calls, draws) == ([], [(1,)] * 24)
+        calls.clear()
+        draws.clear()
+        assert segal_check(finset(1), (2, 2)).details["mode"] == "sampled"
+        assert calls == draws and len(calls) == 24 and set(calls) == {(1, 2), (2, 1)}
 
     def test_edge_pieces_built_only_for_twists(self, monkeypatch):
         """In one direction every edge piece has only Lambda cells, so the
@@ -484,14 +498,16 @@ class TestSegal:
         assert _check_twist(shape, base, ext, [0, 1], random.Random(0))
 
     def test_twist_family_that_fails_to_extend(self, monkeypatch):
-        """A twist family that fails to extend refutes in mode twist."""
+        """A twist family that fails to extend refutes in mode twist.  At
+        (2, 2) the twist pieces, of shapes (1, 2) and (2, 1), have a filled
+        cell, so they are extended."""
         extend = spans_module.extend_natural_family
 
         def extend_but_not_on_pieces(d1, d2, fam):
-            return None if d1.shape.arities == (1,) else extend(d1, d2, fam)
+            return None if d1.shape.arities != (2, 2) else extend(d1, d2, fam)
 
         monkeypatch.setattr(spans_module, "extend_natural_family", extend_but_not_on_pieces)
-        v = segal_check(finset(1), (2,))
+        v = segal_check(finset(1), (2, 2))
         assert v.status == "refuted"
         assert v.details == {"mode": "twist"}
         assert v.witness == {"reason": "twist family fails to extend"}
