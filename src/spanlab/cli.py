@@ -9,6 +9,7 @@ the report byte-for-byte apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -305,7 +306,10 @@ def _request_echo(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The request parser, built once per process: parse_args reads it and
+    gives each request a fresh namespace of its own defaults."""
     p = argparse.ArgumentParser(prog="spanlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -15,8 +15,11 @@ finite-set bases add pullback, product and terminal; the table base and
 the slice add cones.
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
-  search with a universality check.  Suitable for user-supplied bases up to
-  the documented bounds (~40 objects, ~400 morphisms).
+  search with a universality check.  The cones of an apex grow as rows of
+  legs, one node at a time, each step filtered by the arrows whose later
+  end it places; those tests are compiled once per diagram topology
+  (_cone_plan).  Suitable for user-supplied bases up to the documented
+  bounds (~40 objects, ~400 morphisms).
 * FinSetCategory — the skeleton of finite sets.  max_size bounds what the
   enumeration APIs list, but composites and limits may produce larger sets;
   pullbacks and limits are the canonical subset-of-product in lexicographic
@@ -139,31 +142,53 @@ class FinCategory:
 
     def limit_of_diagram(self, node_obj: dict, arrows):
         """Universal cone over the diagram; arrows is a list of
-        (node_a, node_b, morphism D(a) -> D(b)).  Raises NoLimitError."""
+        (node_a, node_b, morphism D(a) -> D(b)).  The cones of every apex,
+        in object order, are rows of legs over the sorted nodes
+        (_cone_rows); the first that every cone factors through exactly
+        once is the limit.  Raises NoLimitError."""
         nodes = sorted(node_obj)
-        cones = [(x, legs) for x in self.objects for legs in self.cones(x, nodes, node_obj, arrows)]
+        steps = _cone_steps(nodes, node_obj, arrows)
+        cones = [(x, row) for x in self.objects for row in self._cone_rows(x, steps)]
+        comp, hom = self.composition, self._hom
         for apex, legs in cones:
             if all(
-                len(self._factorizations(apex, legs, a2, l2, node_obj)) == 1
-                for a2, l2 in cones
+                sum(all(comp[(leg, h)] == m for leg, m in zip(legs, row)) for h in hom.get((x, apex), ())) == 1
+                for x, row in cones
             ):
-                return apex, legs
+                return apex, dict(zip(nodes, legs))
         raise NoLimitError(f"no universal cone over {nodes}")
 
     def cones(self, apex, nodes, node_obj, arrows):
         """All cones with the given apex over the diagram, as leg dicts
         keyed by nodes, in the product order of the hom lists."""
-        yield from _cone_extensions(self, apex, nodes, node_obj, arrows, 0, {})
+        rows = self._cone_rows(apex, _cone_steps(nodes, node_obj, arrows))
+        return [dict(zip(nodes, row)) for row in rows]
 
-    def _factorizations(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
-        return [
-            h
-            for h in self.hom(cone_apex, lim_apex)
-            if all(self.composition[(lim_legs[n], h)] == cone_legs[n] for n in node_obj)
-        ]
+    def _cone_rows(self, apex, steps):
+        """The cones with the given apex as rows of legs, grown one node at
+        a time over the steps of _cone_steps: each row is extended by every
+        leg in hom(apex, D(n)), in hom-list order, and the rows are then
+        filtered by each arrow whose later end is n.  Extension and the
+        filters keep order, so the rows come in the product order of the
+        hom lists, as a backtracking search over the nodes lists them."""
+        comp, hom = self.composition, self._hom
+        rows = [()]
+        for x, tests in steps:
+            legs = hom.get((apex, x), ())
+            rows = [row + (leg,) for row in rows for leg in legs]
+            for m, j, k in tests:
+                rows = [r for r in rows if comp[(m, r[j])] == r[k]]
+            if not rows:
+                break
+        return rows
 
     def factor_through_limit(self, lim_apex, lim_legs, cone_apex, cone_legs, node_obj):
-        hs = self._factorizations(lim_apex, lim_legs, cone_apex, cone_legs, node_obj)
+        comp = self.composition
+        hs = [
+            h
+            for h in self._hom.get((cone_apex, lim_apex), ())
+            if all(comp[(lim_legs[n], h)] == cone_legs[n] for n in node_obj)
+        ]
         if len(hs) != 1:
             raise NoLimitError(
                 f"{len(hs)} factorizations through claimed limit apex {lim_apex}"
@@ -201,6 +226,18 @@ class FinCategory:
     @classmethod
     def from_json(cls, data: dict) -> "FinCategory":
         try:
+            # a JSON list or object is no label: tables key on labels
+            labels = [
+                *data["objects"],
+                *[m[k] for m in data["morphisms"] for k in ("id", "src", "tgt")],
+                *dict(data["identities"]).values(),
+                *[x for entry in data["compose"] for x in entry],
+            ]
+            unhashable = [x for x in labels if isinstance(x, (list, dict))]
+            if unhashable:
+                raise SpanlabError(
+                    f"malformed category JSON: {unhashable[0]!r} cannot label an object or a morphism"
+                )
             for what, keys in (
                 ("object label", [str(x) for x in data["objects"]]),
                 ("morphism id", [m["id"] for m in data["morphisms"]]),
@@ -224,18 +261,31 @@ class FinCategory:
             raise SpanlabError(f"malformed category JSON: {exc}") from exc
 
 
-def _cone_extensions(C, apex, nodes, node_obj, arrows, i, legs):
-    """The cones that extend legs, given on nodes[:i], over the rest of
-    nodes.  Not a closure that calls itself: that is a reference cycle."""
-    if i == len(nodes):
-        yield dict(legs)
-        return
-    n = nodes[i]
-    for leg in C.hom(apex, node_obj[n]):
-        legs[n] = leg
-        if all(C.composition[(m, legs[a])] == legs[b] for a, b, m in arrows if a in legs and b in legs):
-            yield from _cone_extensions(C, apex, nodes, node_obj, arrows, i + 1, legs)
-    legs.pop(n, None)
+def _cone_steps(nodes, node_obj, arrows):
+    """The steps of FinCategory._cone_rows over a diagram, one per node in
+    the given order: the node's object and its arrow tests (m, j, k),
+    comp(m, row[j]) == row[k] on the grown row, read off _cone_plan."""
+    plan = _cone_plan(tuple(nodes), tuple([(a, b) for a, b, _ in arrows]))
+    return [
+        (node_obj[n], [(arrows[i][2], j, k) for i, j, k in tests])
+        for n, tests in zip(nodes, plan)
+    ]
+
+
+@functools.cache
+def _cone_plan(nodes, ends):
+    """The arrow tests of _cone_steps for one diagram topology: nodes in
+    the order the rows grow and ends the (a, b) of each arrow, by index.
+    One tuple of tests per node: arrow i is tested as (i, j, k) on the
+    grown row, row[k] == m_i . row[j], at the later of its two ends; an
+    arrow with an end outside nodes is never tested.  Memoised for the
+    life of the process, one entry per topology, as _limit_plan is."""
+    at = {n: i for i, n in enumerate(nodes)}
+    tests = [[] for _ in nodes]
+    for i, (a, b) in enumerate(ends):
+        if a in at and b in at:
+            tests[max(at[a], at[b])].append((i, at[a], at[b]))
+    return tuple(map(tuple, tests))
 
 
 # ---------------------------------------------------------------------------

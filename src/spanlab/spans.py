@@ -123,19 +123,29 @@ def _cell_diagram(shape: SigmaShape, c, obj, mor):
 
 
 def _cell_limit(shape: SigmaShape, base, c, obj, mor):
-    """The canonical limit presentation of cell c, as (node_obj, apex,
-    legs).  Raises NoLimitError."""
+    """The canonical limit presentation of cell c, as (node_obj, arrows,
+    apex, legs).  Raises NoLimitError."""
     node_obj, arrows = _cell_diagram(shape, c, obj, mor)
     L, legs = base.limit_of_diagram(node_obj, arrows)
-    return node_obj, L, legs
+    return node_obj, arrows, L, legs
 
 
-def _cell_comparison(d: SpanDiagram, c):
+def _cell_comparison(d: SpanDiagram, c, limits=None):
     """The canonical limit presentation (node_obj, L, legs) of cell c of d
     and the comparison map from d's cone at c into L, kept in d.comparisons.
-    Raises NoLimitError when there is no limit or the cone does not factor."""
+    Raises NoLimitError when there is no limit or the cone does not factor.
+
+    Cell c's diagram is always read off d.  A presentation (node_obj,
+    arrows, L, legs) in limits, as kan_extend hands out, is used only when
+    its diagram equals that one: limit_of_diagram is a function of the
+    diagram, so the presentation is the limit it would take again."""
     if c not in d.comparisons:
-        node_obj, L, legs = _cell_limit(d.shape, d.base, c, d.obj, d.mor)
+        node_obj, arrows = _cell_diagram(d.shape, c, d.obj, d.mor)
+        given = limits.get(c) if limits else None
+        if given is not None and given[0] == node_obj and given[1] == arrows:
+            L, legs = given[2], given[3]
+        else:
+            L, legs = d.base.limit_of_diagram(node_obj, arrows)
         cone = {b: d.mor[(c, b)] for b in node_obj}
         u = d.base.factor_through_limit(L, legs, d.obj[c], cone, node_obj)
         d.comparisons[c] = node_obj, L, legs, u
@@ -249,7 +259,7 @@ def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
         if not ups:
             obj[c] = rng.choice(objects)
             continue
-        _, L, legs = _cell_limit(shape, base, c, obj, mor)
+        _, _, L, legs = _cell_limit(shape, base, c, obj, mor)
         while True:
             A = rng.choice(objects)
             h = base.random_hom(A, L, rng)
@@ -265,42 +275,47 @@ def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
 # Kan extension and the Cartesian certificate
 
 
-def kan_extend(shape: SigmaShape, base, lam_obj: dict, lam_mor: dict) -> SpanDiagram:
+def kan_extend(shape: SigmaShape, base, lam_obj: dict, lam_mor: dict, limits=None) -> SpanDiagram:
     """Extend free Lambda data to the full shape, filling each remaining
     cell with the canonical limit of the Lambda part of its up-set.
 
     Morphisms between filled cells are the unique cone factorizations.
-    Raises NoLimitError naming the first unfillable cell.
+    Raises NoLimitError naming the first unfillable cell.  When limits is a
+    dict, it receives each filled cell's presentation (node_obj, arrows, L,
+    legs), for is_cartesian; the diagram itself keeps none of them.
     """
     lam = shape.lambda_set
     obj = dict(lam_obj)
     mor = dict(lam_mor)
-    meta = {}  # big cell -> (node_obj, legs) of its limit presentation
+    if limits is None:
+        limits = {}
     for c in shape.fill_order:
         if c in lam:
             continue
         try:
-            node_obj, L, legs = _cell_limit(shape, base, c, obj, lam_mor)
+            limits[c] = _cell_limit(shape, base, c, obj, lam_mor)
         except NoLimitError as exc:
             raise NoLimitError(f"cell {c} has no limit: {exc}") from exc
+        node_obj, _, L, legs = limits[c]
         obj[c] = L
         for b in node_obj:
             mor[(c, b)] = legs[b]
-        meta[c] = (node_obj, legs)
         # factor through the earlier-filled big cells above c
         for b in shape.strict_up[c]:
             if b in lam:
                 continue
-            node_b, legs_b = meta[b]
+            node_b, _, _, legs_b = limits[b]
             cone = {lb: mor[(c, lb)] for lb in node_b}
             mor[(c, b)] = base.factor_through_limit(obj[b], legs_b, obj[c], cone, node_b)
     return SpanDiagram(shape, base, obj, mor)
 
 
-def is_cartesian(d: SpanDiagram) -> Verdict:
-    """Independently re-verify that every cell with an interval of length
-    >= 2 is a limit of its Lambda up-set: the comparison map into the
-    canonical limit must be an isomorphism."""
+def is_cartesian(d: SpanDiagram, limits=None) -> Verdict:
+    """Verify that every cell with an interval of length >= 2 is a limit of
+    its Lambda up-set: d's own cone at the cell, d.mor[(c, b)], must factor
+    through the canonical limit by an isomorphism.  Each cell's diagram is
+    read off d; its limit is taken, or reused from the presentations that
+    kan_extend put in limits when their diagram is the one read off."""
     shape, base = d.shape, d.base
     lam = shape.lambda_set
     certificate = {}
@@ -308,7 +323,7 @@ def is_cartesian(d: SpanDiagram) -> Verdict:
         if c in lam:
             continue
         try:
-            _, L, _, h = _cell_comparison(d, c)
+            _, L, _, h = _cell_comparison(d, c, limits)
         except NoLimitError:
             return Verdict.refuted(witness={"cell": c, "reason": "cone does not factor"})
         if not base.is_iso(h):
@@ -371,9 +386,10 @@ def _natural_extensions(base, shape, order, d1, d2, i, fam):
 def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
     """Is fam, over the given cells, a family of isomorphisms natural on
     every arrow among them?  Arrows from a cell of the list to a cell
-    outside it are not tested: extend_natural_family asks once for the
-    Lambda cells and once for the filled cells.  arrows_among lists only
-    pairs of distinct cells, so each arrow is read straight from mor."""
+    outside it are not tested: extend_natural_family asks for the filled
+    cells, and span_level's _extend for the Lambda cells.  arrows_among
+    lists only pairs of distinct cells, so each arrow is read straight
+    from mor."""
     for c in cells:
         g = fam[c]
         if not base.is_iso(g) or base.src(g) != d1.obj[c] or base.tgt(g) != d2.obj[c]:
@@ -389,6 +405,11 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     by limit comparison; returns the full family, or None when some induced
     component fails to be a natural isomorphism.
 
+    Precondition: fam is a family of isomorphisms d1.obj[c] -> d2.obj[c]
+    natural on every arrow among the Lambda cells (is_natural_family).
+    natural_families and random_natural_family build their families so,
+    and span_level's _extend tests its transported ones.
+
     A filled cell c gets full[c] = u2^-1 . w, where u2 is d2's comparison
     into the limit L of c's Lambda up-set, with legs, and w factors the
     cone full[b] . d1.mor[(c, b)] through L.  So for every b in that
@@ -396,10 +417,10 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     . w = full[b] . d1.mor[(c, b)]: the squares from a filled cell into
     its Lambda up-set commute by construction, for any d1, d2 and family,
     as factor_through_limit is exact on every base.  They are not
-    compared again.  What is compared is each component's iso and
-    endpoint test, the squares among the Lambda cells and the squares
-    among the filled cells; no arrow runs from a Lambda cell to a filled
-    one."""
+    compared again, nor are the squares among the Lambda cells, which the
+    precondition gives.  What is compared is each filled component's iso
+    and endpoint test and the squares among the filled cells; no arrow
+    runs from a Lambda cell to a filled one."""
     shape, base = d1.shape, d1.base
     lam = shape.lambda_set
     full = dict(fam)
@@ -420,10 +441,7 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
             return None
         full[c] = h
         filled.append(c)
-    if not (
-        is_natural_family(base, shape, shape.lambda_cells, d1, d2, full)
-        and is_natural_family(base, shape, filled, d1, d2, full)
-    ):
+    if not is_natural_family(base, shape, filled, d1, d2, full):
         return None
     return full
 
@@ -572,15 +590,18 @@ def _extend(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     diagrams, and a natural identity family makes d1 and d2 agree on the
     Lambda cells and so everywhere, so by the identity lemma
     (_is_identity_family) the identity family extends to the identity and
-    is not extended.  A family that fails to extend is an error: between
-    Cartesian diagrams it extends."""
-    base = d1.base
+    is not extended.  Any other family is tested natural on the Lambda
+    cells, the precondition of extend_natural_family, which a transported
+    family is not built to meet.  A family that is not natural or fails to
+    extend is an error: between Cartesian diagrams it extends."""
+    base, shape = d1.base, d1.shape
     if _is_identity_family(base, d1, fam):
-        return tuple(base.identity(d1.obj[c]) for c in d1.shape.objects)
-    full = extend_natural_family(d1, d2, fam)
+        return tuple(base.identity(d1.obj[c]) for c in shape.objects)
+    natural = is_natural_family(base, shape, shape.lambda_cells, d1, d2, fam)
+    full = extend_natural_family(d1, d2, fam) if natural else None
     if full is None:
         raise SpanlabError("a natural Lambda family between Cartesian diagrams fails to extend")
-    return tuple(full[c] for c in d1.shape.objects)
+    return tuple(full[c] for c in shape.objects)
 
 
 def span_level(base, arities, bound=None) -> FinGroupoid:
@@ -740,8 +761,9 @@ def _check_one_datum(shape, base, lo, lm, dirs):
     holds, the identity family extends to the identity (identity lemma,
     _is_identity_family), so it can never be the first family that fails
     and is not extended."""
-    ext = kan_extend(shape, base, lo, lm)
-    v = is_cartesian(ext)
+    limits = {}
+    ext = kan_extend(shape, base, lo, lm, limits)
+    v = is_cartesian(ext, limits)
     if not v:
         return v, ext
     for r in dirs:
@@ -778,15 +800,15 @@ def _check_twist(shape, base, ext, dirs, rng):
     on every arrow m: a -> b, and for automorphisms that says fam[b] . m .
     fam[a]^-1 = m, so twisting the piece by the family gives back the piece.
 
-    A piece whose shape has no filled cell is not extended.  There
-    extend_natural_family(piece, piece, fam) fills nothing and returns fam
-    exactly when fam is natural on the Lambda cells, and fam is: each
-    component random_natural_family draws is an automorphism of its cell's
-    object, chosen natural with the cells drawn before it, and fill order
-    lists every cell after the cells above it, so every arrow among the
-    Lambda cells has been tested; its fallback, the identity family, is
-    natural on every arrow.  The family is still drawn, so the rng
-    sequence stays the same."""
+    The family meets the precondition of extend_natural_family, natural
+    on the Lambda cells: each component random_natural_family draws is an
+    automorphism of its cell's object, chosen natural with the cells drawn
+    before it, and fill order lists every cell after the cells above it,
+    so every arrow among the Lambda cells has been tested; its fallback,
+    the identity family, is natural on every arrow.  So a piece whose
+    shape has no filled cell is not extended: there extend_natural_family
+    would fill nothing and return fam.  The family is still drawn, so the
+    rng sequence stays the same."""
     r = rng.choice(dirs)
     i = rng.randrange(1, shape.arities[r] + 1)
     piece = _edge_piece(ext, r, i)

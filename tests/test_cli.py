@@ -453,6 +453,56 @@ class TestErrors:
         assert message in report["witness"]["error"]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "complete"], ["check", "segal", "--arities", "2"], ["check", "invertible"],
+         ["level", "--arities", "1"]],
+        ids=["complete", "segal", "invertible", "level"],
+    )
+    @pytest.mark.parametrize(
+        "change",
+        [{"compose": [["1", "1", [0]]]}, {"identities": {"*": [0]}}],
+        ids=["composite", "identity"],
+    )
+    def test_list_label_in_category_file(self, tmp_path, argv, change):
+        """A composite or an identity given as a JSON list is a usage error
+        that names the list, not an unhashable-type fault."""
+        point = {"objects": ["*"], "morphisms": [{"id": "1", "src": "*", "tgt": "*"}],
+                 "identities": {"*": "1"}, "compose": [["1", "1", "1"]]}
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps({**point, **change}))
+        report, code = run([*argv, "--base", str(f)])
+        assert code == 3
+        message = "malformed category JSON: [0] cannot label an object or a morphism"
+        assert report["witness"]["error"] == message
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_request_gets_its_own_defaults(self):
+        """The shared parser gives every request a fresh namespace: a seed
+        given to one request is not the next request's default."""
+        argv = ["check", "segal", "--base", "finset:1", "--arities", "2"]
+        first, _ = run([*argv, "--seed", "5"])
+        second, code = run(argv)
+        assert (first["seed"], second["seed"], code) == (5, 0, 0)
+        assert second["request"] == {**first["request"], "seed": 0}
+
+    @pytest.mark.parametrize(
+        "bad", [["check", "frobnicate"], ["check", "segal", "--base", "finset:1", "--arities", "x"]],
+        ids=["parse", "value"],
+    )
+    def test_usage_error_after_a_good_request(self, bad):
+        """A usage error that follows a good request is still an exit-3
+        error report."""
+        _, code = run(["check", "segal", "--base", "finset:1", "--arities", "2"])
+        assert code == 0
+        report, code = run(bad)
+        assert (code, report["verdict"]) == (3, "error")
+
+
 class TestResourceCeiling:
     @pytest.mark.parametrize("value", ["-5", "abc"])
     def test_bad_ceiling_is_a_usage_error(self, value, monkeypatch):

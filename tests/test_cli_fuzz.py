@@ -160,8 +160,9 @@ category_files = st.tuples(
                      ["level", "--arities", "1"], ["certify", "adjoint", "--trials", "2"]]),
 ).map(lambda t: (t[0], [*t[1], "--base", "{file}"]))
 
-# files that raised an exception other than SpanlabError or were verified,
-# and a category file with a repeated object label
+# files that raised an exception other than SpanlabError or were verified:
+# among them category files with a repeated object label, or with a JSON
+# list for a composite or an identity
 _C = COEFFICIENT_FILES[0]
 _locsys = lambda kind: ["locsys", "check", "--coeff", "{file}", "--kind", kind]
 SEEDS = [
@@ -174,6 +175,16 @@ SEEDS = [
     ({**_C, "id": [0.0]}, _locsys("battery")),
     ({**_C, "comp": [*_C["comp"], [5, 5, 0]]}, _locsys("axioms")),
     ({**CATEGORY_FILES[0], "objects": ["a", "a", "b"]}, ["check", "complete", "--base", "{file}"]),
+    (
+        {**CATEGORY_FILES[0], "compose": [
+            ["ia", "ia", "ia"], ["ib", "ib", "ib"], ["f", "ia", [0]], ["ib", "f", "f"]
+        ]},
+        ["check", "segal", "--arities", "2", "--base", "{file}"],
+    ),
+    (
+        {**CATEGORY_FILES[0], "identities": {"a": [0], "b": "ib"}},
+        ["level", "--arities", "1", "--base", "{file}"],
+    ),
 ]
 
 
