@@ -145,11 +145,18 @@ class FinCategory:
         (node_a, node_b, morphism D(a) -> D(b)).  The cones of every apex,
         in object order, are rows of legs over the sorted nodes
         (_cone_rows); the first that every cone factors through exactly
-        once is the limit.  Raises NoLimitError."""
+        once is the limit.  An object with no morphism to some node's object
+        is the apex of no cone and is skipped.  Raises NoLimitError."""
         nodes = sorted(node_obj)
         steps = _cone_steps(nodes, node_obj, arrows)
-        cones = [(x, row) for x in self.objects for row in self._cone_rows(x, steps)]
         comp, hom = self.composition, self._hom
+        targets = set(node_obj.values())
+        cones = [
+            (x, row)
+            for x in self.objects
+            if all((x, y) in hom for y in targets)
+            for row in self._cone_rows(x, steps)
+        ]
         for apex, legs in cones:
             if all(
                 sum(all(comp[(leg, h)] == m for leg, m in zip(legs, row)) for h in hom.get((x, apex), ())) == 1

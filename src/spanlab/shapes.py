@@ -154,6 +154,21 @@ class SigmaShape:
         return tuple(sorted(self.objects, key=lambda a: (self._total_length(a), a)))
 
     @cached_property
+    def lambda_search_order(self) -> tuple:
+        """The Lambda cells for a search that meets each arrow soonest: the
+        vertices in fill order, each followed, in fill order, by the cells
+        whose Lambda up-set it completes.  Every cell still comes after the
+        cells above it, and each arrow among the Lambda cells is reached as
+        soon as its two ends are placed; fill order places every vertex
+        first."""
+        rank, up = self.fill_rank, self.lambda_up
+
+        def key(c):
+            return max((rank[b] for b in up[c] if not up[b]), default=rank[c]), rank[c]
+
+        return tuple(sorted(self.lambda_cells, key=key))
+
+    @cached_property
     def fill_rank(self) -> dict:
         """Each cell's position in fill_order, as a sort key."""
         return {a: r for r, a in enumerate(self.fill_order)}

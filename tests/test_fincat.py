@@ -693,6 +693,27 @@ class TestConeRows:
             C.limit_of_diagram(node_obj, [("A", "B", "f"), ("A", "B", "g")])
         assert C.limit_of_diagram(node_obj, [("A", "B", "f")]) == ("a", {"A": "ia", "B": "f"})
 
+    def test_only_apexes_over_every_node_are_grown(self, monkeypatch):
+        """Only an object with a morphism to every node's object is the
+        apex of a cone.  In the divisor lattice of 30 the cospan 6 -> 30 <-
+        10 has cones from the divisors of 2 alone, so two apexes of the
+        eight grow rows, and the limit is their meet 2; the empty diagram
+        grows all eight and has the terminal object 30."""
+        C = divisor_lattice(30)
+        apexes, rows = [], FinCategory._cone_rows
+        monkeypatch.setattr(
+            FinCategory, "_cone_rows", lambda self, x, steps: apexes.append(x) or rows(self, x, steps)
+        )
+        node_obj = {"a": 6, "b": 10, "x": 30}
+        arrows = [("a", "x", (6, 30)), ("b", "x", (10, 30))]
+        assert C.limit_of_diagram(node_obj, arrows) == cone_search_limit(C, node_obj, arrows) == (
+            2, {"a": (2, 6), "b": (2, 10), "x": (2, 30)}
+        )
+        assert apexes == [1, 2]
+        apexes.clear()
+        assert C.limit_of_diagram({}, []) == (30, {})
+        assert apexes == C.objects
+
     def test_plan_compiled_once_per_topology(self):
         """The cone plan is one entry per order of nodes and ends of the
         arrows, whatever the objects and the morphisms."""

@@ -233,3 +233,22 @@ def test_compiled_tables_match_interval_containment(arities):
         assert s.arrows_among(nodes) == tuple(
             (a, b) for a in nodes for b in nodes if a != b and (a, b) in order
         )
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_lambda_search_order_places_each_cell_once_its_up_set_is(arities):
+    """lambda_search_order lists the Lambda cells, each after the cells
+    above it; a vertex comes after every cell whose vertices all precede
+    it, and the vertices keep fill order."""
+    s = sigma_shape(arities)
+    order = s.lambda_search_order
+    assert sorted(order) == sorted(s.lambda_cells)
+    at = {c: k for k, c in enumerate(order)}
+    assert all(at[b] < at[c] for c in order for b in s.lambda_up[c])
+    vertices = [c for c in order if not s.lambda_up[c]]
+    assert vertices == [c for c in s.fill_order if c in s.lambda_set and not s.lambda_up[c]]
+    for c in order:
+        if s.lambda_up[c]:
+            last = max(at[b] for b in s.lambda_up[c] if not s.lambda_up[b])
+            assert all(s.lambda_up[x] for x in order[last + 1 : at[c]])

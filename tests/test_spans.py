@@ -20,10 +20,13 @@ from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
     SpanDiagram,
+    _check_families,
     _check_one_datum,
     _check_twist,
     _edge_piece,
     _has_inverse,
+    _packed_lambda_data,
+    _unpacked_lambda_data,
     all_spans,
     completeness_check,
     compose_spans,
@@ -38,6 +41,7 @@ from spanlab.spans import (
     mapping_category_check,
     mapping_fiber,
     natural_families,
+    natural_family_generators,
     extend_natural_family,
     random_natural_family,
     restrict_along,
@@ -373,30 +377,98 @@ class TestSegal:
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
     def test_compose_calls_pinned(self, monkeypatch):
-        """segal_check(finset(2), (2,)) composes 8,980 times.  Squares are
+        """segal_check(finset(2), (2,)) composes 7,870 times.  Squares are
         compared on values by base.commutes and the free data are counted
         by a closed form.  The battery does not extend the identity family
         of its 971 Cartesian data, which took 6 composites each (the five
         cone legs of the one filled cell and u2^-1 . w), 5,826 in all, nor
         compare the squares its construction proves: 9 for each identity
         family and the 5 from the filled cell into its Lambda up-set for
-        each of the 1,130 other families.  Nor does extend_natural_family
-        compare the 4 squares among the Lambda cells of those families,
-        which natural_families built natural.  The twist battery's 24
+        each family it extends.  Nor does extend_natural_family compare the
+        4 squares among the Lambda cells, which the family search built
+        natural.  It extends the 945 generators of a stabilizer chain, not
+        the 1,130 families other than the identity, so it takes 6
+        composites fewer for each of the 185 it skips (8,980 composites
+        while every family was extended).  The twist battery's 24
         families, on edge pieces of shape (1,) with no filled cell, are
         not extended, which saves the two composites of each of their 2
         Lambda squares (96 in all).  With commutes building both
-        composites of each square it compares, the run composes 55,362
-        times; it was 64,402 while the 4,520 Lambda squares of the 1,130
-        families were compared."""
+        composites of each square it compares, the run composes 30,536
+        times: 55,362 while every family was extended.  The chain's
+        searches, which reach each Lambda arrow as soon as its ends are
+        placed, compare 11,333 squares where the full family search
+        compared 23,191 (23,716 composites fewer)."""
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 8980
+        assert len(calls) == 7870
         calls.clear()
         monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 55362
+        assert len(calls) == 30536
+
+    def test_extension_calls_pinned(self, monkeypatch):
+        """segal_check(finset(2), (2,)) extends 945 families: the
+        generators of each datum's stabilizer chain.  Extending every
+        family other than the identity took 1,130."""
+        calls, extend = [], spans_module.extend_natural_family
+        monkeypatch.setattr(
+            spans_module, "extend_natural_family", lambda d1, d2, fam: calls.append(1) or extend(d1, d2, fam)
+        )
+        assert segal_check(finset(2), (2,))
+        assert len(calls) == 945
+
+    def test_free_data_listed_once(self, monkeypatch):
+        """finset:1 at (2, 1) has no closed form and no initial-object bound
+        that reaches the cap, so its 518 free data are listed, once: the
+        list decides the mode and is the batch the exhaustive run checks."""
+        calls, enumerate_data = [], spans_module.enumerate_lambda_data
+        monkeypatch.setattr(
+            spans_module, "enumerate_lambda_data", lambda *a: calls.append(a) or enumerate_data(*a)
+        )
+        v = segal_check(finset(1), (2, 1))
+        assert v.details["mode"] == "exhaustive" and v.details["data_checked"] == 518
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make_base, arities, bound",
+        [
+            (lambda: finset(1), (2, 1), None),
+            (lambda: finset(2), (2,), None),
+            (lambda: divisor_lattice(12), (2,), None),
+            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 1),
+            (no_pullback_poset, (2,), None),
+        ],
+        ids=["finset1-2-1", "finset2-2", "lattice12-2", "slice-2", "no-pullback-2"],
+    )
+    def test_packed_data_unpack_to_the_enumerated_ones(self, make_base, arities, bound):
+        """The packed free data unpack to the enumerated ones, in order and
+        with the same key order in each dict, and stop at the cap."""
+        base, shape = make_base(), sigma_shape(arities)
+        data = list(enumerate_lambda_data(shape, base, bound))
+        unpacked = list(_unpacked_lambda_data(shape, _packed_lambda_data(shape, base, bound, len(data) + 1)))
+        assert unpacked == data
+        assert [(list(lo), list(lm)) for lo, lm in unpacked] == [(list(lo), list(lm)) for lo, lm in data]
+        assert len(_packed_lambda_data(shape, base, bound, 3)) == min(3, len(data))
+
+    def test_sampled_stream_over_listed_data_pinned(self, monkeypatch):
+        """Under a ceiling of 2,000 the 518 data of finset:1 at (2, 1) are
+        over the cap of 112, so the listed data only decide the mode: the
+        run samples, and the samples it checks, which follow the twist
+        draws from the same Random, are those it drew while it counted the
+        data by enumerating them."""
+        monkeypatch.setenv("SPANLAB_MAX_CELLS", "2000")
+        seen, check = [], spans_module._check_one_datum
+
+        def record(shape, base, lo, lm, dirs):
+            seen.append((sorted(lo.items()), sorted(lm.items())))
+            return check(shape, base, lo, lm, dirs)
+
+        monkeypatch.setattr(spans_module, "_check_one_datum", record)
+        v = segal_check(finset(1), (2, 1), samples=5, seed=2)
+        assert v.details["mode"] == "sampled" and v.details["data_checked"] == 5
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+        assert digest == "b79d8828910e74c8a439b4388caa3d4b41d2f9da9d735417fd1cc68e532cb103"
 
     def test_posets_extend_only_twist_families(self, monkeypatch):
         """Over a poset every isomorphism is an identity, so the free data
@@ -614,6 +686,158 @@ class TestExtension:
         assert extend_natural_family(bad, bad, rotate) is None
         assert extend_natural_family_oracle(bad, bad, rotate) is None
         assert extend_natural_family(bad, bad, transpose) == {c: swap for c in shape.objects}
+
+
+def check_families_oracle(base, shape, d):
+    """Every natural family other than the identity extended, in
+    natural_families order, until one fails: the oracle of
+    spans._check_families."""
+    for fam in natural_families(base, shape, shape.lambda_cells, d, d):
+        if not spans_module._is_identity_family(base, d, fam) and extend_natural_family(d, d, fam) is None:
+            return Verdict.refuted(witness={"reason": "free-data automorphism fails to extend", "family": fam})
+    return Verdict.verified()
+
+
+def generated_group(base, cells, generators, identity):
+    """The families that products of the generators reach from the
+    identity, composed cell by cell, as tuples over cells: the group they
+    generate, as every group here is finite."""
+    key = lambda fam: tuple(fam[c] for c in cells)
+    reached, frontier = {key(identity)}, [identity]
+    while frontier:
+        grown = []
+        for f in frontier:
+            for g in generators:
+                h = {c: base.compose(g[c], f[c]) for c in cells}
+                if key(h) not in reached:
+                    reached.add(key(h))
+                    grown.append(h)
+        frontier = grown
+    return reached
+
+
+def empty_edge_data(shape, n):
+    """Free data with n points at every vertex and empty edge apexes: every
+    family of vertex automorphisms is natural."""
+    obj = {c: 0 if shape.lambda_up[c] else n for c in shape.lambda_cells}
+    return obj, {ab: FinFunction(0, n, ()) for ab in shape.arrows_among(shape.lambda_cells)}
+
+
+class TestFamilyGenerators:
+    CASES = {
+        **{
+            f"finset{n}-{'-'.join(map(str, arities))}": (functools.partial(finset, n), arities)
+            for n in range(4)
+            for arities in ((2,), (3,), (2, 2))
+            if (n, arities) != (3, (2, 2))
+        },
+        "lattice12-2": (lambda: divisor_lattice(12), (2,)),
+        "lattice30-2": (lambda: divisor_lattice(30), (2,)),
+        "lattice12-2-2": (lambda: divisor_lattice(12), (2, 2)),
+        "slice-2": (lambda: slice_over_pair(finset(2), 1, 1), (2,)),
+        "slice-3": (lambda: slice_over_pair(finset(2), 1, 1), (3,)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_full_loop(self, case, data):
+        """The generator battery against extending every family: the same
+        verdict and witness, and the product of the orbit sizes is the
+        number of natural families, which the generators generate.  The
+        free datum is sampled and Kan-extended, and may have one arrow of
+        any kind replaced; a replaced arrow between filled cells keeps the
+        diagram Cartesian and makes the families that do not commute with
+        it fail to extend.  Only Cartesian diagrams are compared, as the
+        battery checks families only on those."""
+        make_base, arities = self.CASES[case]
+        base, shape = make_base(), sigma_shape(arities)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        ext = kan_extend(shape, base, *sample_lambda_data(shape, base, None, rng))
+        kind = data.draw(st.sampled_from(["none", "lambda", "filled-lambda", "filled-filled"]))
+        d = ext if kind == "none" else with_one_arrow_replaced(ext, kind, data)
+        if not is_cartesian(d):
+            return
+        lam = shape.lambda_cells
+        families = list(natural_families(base, shape, lam, d, d))
+        generators, order = natural_family_generators(base, shape, d)
+        assert order == len(families)
+        identity = {c: base.identity(d.obj[c]) for c in lam}
+        assert generated_group(base, lam, generators, identity) == {tuple(f[c] for c in lam) for f in families}
+        assert _check_families(base, shape, d) == check_families_oracle(base, shape, d)
+
+    def test_refutes_as_the_full_loop(self):
+        """Identity data on three points at arity (3,), with the arrow from
+        the filled cell (0,3) to (0,2) replaced by a transposition: only
+        the families that commute with it extend.  Every family is
+        constant, so each of the five others is a generator, and the first
+        to fail in natural_families order is the other transposition."""
+        base, shape = finset(3), sigma_shape(3)
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, 3))
+        bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (V(0, 3), V(0, 2)): FinFunction(3, 3, (1, 0, 2))})
+        generators, order = natural_family_generators(base, shape, bad)
+        assert order == 6 and len(generators) == 5
+        v = _check_families(base, shape, bad)
+        assert v == check_families_oracle(base, shape, bad)
+        assert v.witness["family"] == {c: FinFunction(3, 3, (0, 2, 1)) for c in shape.lambda_cells}
+
+    @pytest.mark.parametrize("arities, n", [((3,), 3), ((2, 2), 2)])
+    def test_every_replaced_arrow_between_filled_cells(self, arities, n):
+        """Identity data on n points, with any one arrow between filled
+        cells replaced by any other map: the diagram stays Cartesian, the
+        families are the n! constant ones, and those that fail to extend
+        are the ones that do not commute with the map.  The battery gives
+        the full loop's verdict and witness on each."""
+        base, shape = finset(n), sigma_shape(arities)
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, n))
+        lam = shape.lambda_set
+        refuted = 0
+        for a, b in sorted(ab for ab in ext.mor if not lam & set(ab)):
+            for m in base.hom(n, n):
+                if m == ext.mor[(a, b)]:
+                    continue
+                bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (a, b): m})
+                assert is_cartesian(bad)
+                assert natural_family_generators(base, shape, bad)[1] == math.factorial(n)
+                v = _check_families(base, shape, bad)
+                assert v == check_families_oracle(base, shape, bad)
+                refuted += not v
+        assert refuted > 0
+
+    def test_cells_with_one_automorphism_are_not_searched(self, monkeypatch):
+        """Over a poset every object has one automorphism, so the chain
+        starts no search and finds no generator."""
+        searches = []
+        monkeypatch.setattr(spans_module, "_natural_extensions", lambda *a: searches.append(a) or iter(()))
+        base, shape = divisor_lattice(30), sigma_shape(2)
+        for lo, lm in itertools.islice(enumerate_lambda_data(shape, base), 50):
+            assert natural_family_generators(base, shape, kan_extend(shape, base, lo, lm)) == ([], 1)
+        assert searches == []
+
+    def test_fallback_names_the_first_failing_family(self, monkeypatch):
+        """Empty edges between three 2-point vertices: the 8 families are
+        the vertex swaps in any combination, and the chain's generators
+        swap one vertex each.  With extension failing on a family that is
+        no generator and on every family after it, a generator fails, and
+        the full loop names that family, not the generator."""
+        base, shape = finset(2), sigma_shape(2)
+        obj, mor = empty_edge_data(shape, 2)
+        ext = kan_extend(shape, base, obj, mor)
+        families = list(natural_families(base, shape, shape.lambda_cells, ext, ext))
+        generators, order = natural_family_generators(base, shape, ext)
+        assert order == len(families) == 8 and len(generators) == 3
+        # after the first family other than the identity, which extends
+        first = next(k for k in range(2, len(families)) if families[k] not in generators)
+        failing = families[first:]
+        assert any(g in failing for g in generators)
+        extend = spans_module.extend_natural_family
+        monkeypatch.setattr(
+            spans_module,
+            "extend_natural_family",
+            lambda d1, d2, fam: None if fam in failing else extend(d1, d2, fam),
+        )
+        v, _ = _check_one_datum(shape, base, obj, mor, [0])
+        assert v.witness == {"reason": "free-data automorphism fails to extend", "family": families[first]}
 
 
 class TestCertificateReuse:
