@@ -203,14 +203,17 @@ def _lambda_extensions(shape, base, order, objects, i, obj, mor):
         mor.pop((c, b), None)
 
 
-def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
-    """min(cap, the number of free data enumerate_lambda_data yields).
-    Enumerates them, up to the cap, only when _known_lambda_count cannot
-    tell."""
+def count_lambda_data(shape: SigmaShape, base, bound, cap: int):
+    """(count, listed), count being min(cap, the number of free data
+    enumerate_lambda_data yields).  Where _known_lambda_count tells the
+    count, nothing is enumerated and listed is None; otherwise listed holds
+    the data up to the cap from one enumeration (_packed_lambda_data), and
+    count is its length."""
     known = _known_lambda_count(shape, base, bound, cap)
-    if known is None:
-        return sum(1 for _ in itertools.islice(enumerate_lambda_data(shape, base, bound), cap))
-    return known
+    if known is not None:
+        return known, None
+    listed = _packed_lambda_data(shape, base, bound, cap)
+    return len(listed[1]), listed
 
 
 def _known_lambda_count(shape: SigmaShape, base, bound, cap: int):
@@ -250,29 +253,24 @@ def _known_lambda_count(shape: SigmaShape, base, bound, cap: int):
     return min(cap, sum(row))
 
 
-def _lambda_keys(shape: SigmaShape):
-    """The keys of a free datum's obj and mor dicts, in the order
-    _lambda_extensions inserts them."""
-    order = _cells_by_length(shape, shape.lambda_cells)
-    return order, [(c, b) for c in order for b in shape.lambda_up[c]]
-
-
-def _packed_lambda_data(shape: SigmaShape, base, bound, cap: int) -> list:
-    """Up to cap free data from one enumeration, each packed as one tuple of
-    its obj values and then its mor values in _lambda_keys order, equal
+def _packed_lambda_data(shape: SigmaShape, base, bound, cap: int):
+    """Up to cap free data from one enumeration, as (keys, packed).  keys
+    are the first datum's obj and mor keys, in the order _lambda_extensions
+    inserts them, which every datum shares; each datum is packed as one
+    tuple of its obj values and then its mor values in that order, equal
     values shared: on finset:1 at (2, 1) its 518 data take 0.2 MB packed
     where their dicts take 2.2 MB."""
-    cells, arrows = _lambda_keys(shape)
-    shared = {}
-    return [
-        tuple(shared.setdefault(x, x) for x in [*(lo[c] for c in cells), *(lm[ab] for ab in arrows)])
-        for lo, lm in itertools.islice(enumerate_lambda_data(shape, base, bound), cap)
-    ]
+    keys, packed, shared = ((), ()), [], {}
+    for lo, lm in itertools.islice(enumerate_lambda_data(shape, base, bound), cap):
+        if not packed:
+            keys = list(lo), list(lm)
+        packed.append(tuple(shared.setdefault(x, x) for x in [*lo.values(), *lm.values()]))
+    return keys, packed
 
 
-def _unpacked_lambda_data(shape: SigmaShape, packed):
+def _unpacked_lambda_data(listed):
     """The free data of _packed_lambda_data, as (obj, mor) dict pairs."""
-    cells, arrows = _lambda_keys(shape)
+    (cells, arrows), packed = listed
     for values in packed:
         yield dict(zip(cells, values)), dict(zip(arrows, values[len(cells):]))
 
@@ -904,10 +902,13 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     Exhaustive over all free data when the enumeration fits under the
     ceiling; otherwise a seeded sampled battery (reported as such in the
     details, still returning verified only when every sample passes).  The
-    count that decides the mode, capped, comes from _known_lambda_count (a
-    closed form in one direction, or a lower bound from an initial object
-    that already reaches the cap), or else from listing the data up to the
-    cap (_packed_lambda_data), the list an exhaustive run then checks."""
+    count that decides the mode, capped, comes from count_lambda_data: from
+    _known_lambda_count (a closed form in one direction, or a lower bound
+    from an initial object that already reaches the cap), or else from
+    listing the data up to the cap, the list an exhaustive run then checks.
+    That list holds up to SPANLAB_MAX_CELLS / |cells| + 1 packed data, so
+    where no count is known peak memory grows with the ceiling, also in a
+    run that turns out sampled and drops the list."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -918,23 +919,17 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     # not the raw datum count, so large shapes degrade to sampling too.
     per_datum = len(shape.objects)
     max_data = ceiling // per_datum + 1
-    count = _known_lambda_count(shape, base, bound, max_data)
-    packed = None
-    if count is None:
-        # one enumeration, up to the cap, both counts the data and lists
-        # them for an exhaustive run
-        packed = _packed_lambda_data(shape, base, bound, max_data)
-        count = len(packed)
+    count, listed = count_lambda_data(shape, base, bound, max_data)
     exhaustive = count * per_datum <= ceiling
     rng = random.Random(seed)
     if exhaustive:
-        if packed is None:
+        if listed is None:
             batch = enumerate_lambda_data(shape, base, bound)
         else:
-            batch = _unpacked_lambda_data(shape, packed)
+            batch = _unpacked_lambda_data(listed)
         total = count
     else:
-        packed = None  # a sampled run checks none of them
+        listed = None  # a sampled run checks none of them
         batch = (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
         total = samples
     twist_at = set(rng.sample(range(total), min(samples, total)))

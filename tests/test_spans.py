@@ -446,10 +446,10 @@ class TestSegal:
         with the same key order in each dict, and stop at the cap."""
         base, shape = make_base(), sigma_shape(arities)
         data = list(enumerate_lambda_data(shape, base, bound))
-        unpacked = list(_unpacked_lambda_data(shape, _packed_lambda_data(shape, base, bound, len(data) + 1)))
+        unpacked = list(_unpacked_lambda_data(_packed_lambda_data(shape, base, bound, len(data) + 1)))
         assert unpacked == data
         assert [(list(lo), list(lm)) for lo, lm in unpacked] == [(list(lo), list(lm)) for lo, lm in data]
-        assert len(_packed_lambda_data(shape, base, bound, 3)) == min(3, len(data))
+        assert len(_packed_lambda_data(shape, base, bound, 3)[1]) == min(3, len(data))
 
     def test_sampled_stream_over_listed_data_pinned(self, monkeypatch):
         """Under a ceiling of 2,000 the 518 data of finset:1 at (2, 1) are
@@ -615,19 +615,32 @@ class TestSegal:
 def with_one_arrow_replaced(d, kind, data):
     """d with one arrow of the given kind ("lambda" between Lambda cells,
     "filled-lambda" or "filled-filled") replaced by another morphism with
-    the same ends, drawn by data; d itself when no such arrow has one."""
-    lam = d.shape.lambda_set
+    the same ends, drawn by data; d itself when no such arrow has one.
+    Homs of finite sets are counted and drawn from, not listed: a filled
+    cell over finset:3 can be a set of 27 points."""
+    lam, base = d.shape.lambda_set, d.base
+    finite_sets = isinstance(base, FinSetCategory)
     kinds = {(True, True): "lambda", (False, True): "filled-lambda", (False, False): "filled-filled"}
     arrows = [
         ab
         for ab in sorted(d.mor)
-        if kinds[(ab[0] in lam, ab[1] in lam)] == kind and len(d.base.hom(d.obj[ab[0]], d.obj[ab[1]])) > 1
+        if kinds[(ab[0] in lam, ab[1] in lam)] == kind
+        and (d.obj[ab[1]] ** d.obj[ab[0]] if finite_sets else len(base.hom(d.obj[ab[0]], d.obj[ab[1]]))) > 1
     ]
     if not arrows:
         return d
     a, b = data.draw(st.sampled_from(arrows))
-    m = data.draw(st.sampled_from([m for m in d.base.hom(d.obj[a], d.obj[b]) if m != d.mor[(a, b)]]))
-    return SpanDiagram(d.shape, d.base, d.obj, {**d.mor, (a, b): m})
+    old = d.mor[(a, b)]
+    if finite_sets:
+        x, y = d.obj[a], d.obj[b]
+        m = FinFunction(x, y, tuple(data.draw(st.integers(0, y - 1)) for _ in range(x)))
+        if m == old:  # another value at one point
+            i = data.draw(st.integers(0, x - 1))
+            v = data.draw(st.sampled_from([v for v in range(y) if v != old.values[i]]))
+            m = FinFunction(x, y, old.values[:i] + (v,) + old.values[i + 1 :])
+    else:
+        m = data.draw(st.sampled_from([m for m in base.hom(d.obj[a], d.obj[b]) if m != old]))
+    return SpanDiagram(d.shape, base, d.obj, {**d.mor, (a, b): m})
 
 
 class TestExtension:
@@ -912,7 +925,7 @@ class TestFreeDataCount:
         segal_check derives from a small SPANLAB_MAX_CELLS."""
         (n, bound), shape = size_bound, sigma_shape(arities)
         cap = ceiling // len(shape.objects) + 1
-        assert count_lambda_data(shape, finset(n), bound, cap) == enumerated_count(shape, finset(n), bound, cap)
+        assert count_lambda_data(shape, finset(n), bound, cap)[0] == enumerated_count(shape, finset(n), bound, cap)
 
     @pytest.mark.parametrize("n, size", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
     def test_closed_form_on_finite_sets(self, n, size):
@@ -925,7 +938,7 @@ class TestFreeDataCount:
             math.prod(sum((x * y) ** a for a in sizes) for x, y in zip(xs, xs[1:]))
             for xs in itertools.product(sizes, repeat=n + 1)
         )
-        assert count_lambda_data(sigma_shape((n,)), finset(size), None, 10**12) == formula
+        assert count_lambda_data(sigma_shape((n,)), finset(size), None, 10**12)[0] == formula
 
     @pytest.mark.parametrize(
         "make_base, arities, bound, count",
@@ -946,12 +959,17 @@ class TestFreeDataCount:
     def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, count):
         """Table bases, one with no product of its two objects, so that
         _lambda_extensions takes the cone branch, and slices, under caps
-        above and below the count."""
+        above and below the count.  Where the data are listed to count
+        them, the list is the enumeration up to the cap."""
         base, shape = make_base(), sigma_shape(arities)
         for cap in (8000, 100, 7, 1):
-            assert count_lambda_data(shape, base, bound, cap) == enumerated_count(shape, base, bound, cap)
+            counted, listed = count_lambda_data(shape, base, bound, cap)
+            assert counted == enumerated_count(shape, base, bound, cap)
+            if listed is not None:
+                enumerated = itertools.islice(enumerate_lambda_data(shape, base, bound), cap)
+                assert list(_unpacked_lambda_data(listed)) == list(enumerated)
         if count is not None:
-            assert count_lambda_data(shape, base, bound, 8000) == count
+            assert count_lambda_data(shape, base, bound, 8000)[0] == count
 
     def test_sampled_runs_enumerate_nothing(self, monkeypatch):
         """An initial object's lower bound puts finset:2 at arities (2, 2)
