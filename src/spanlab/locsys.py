@@ -12,12 +12,12 @@ import itertools
 
 from .fincat import FinSetCategory, Functor, SliceCategory, core
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
+from .inverse import inverse_candidates
 from .spans import (
     Span,
     all_spans,
     both_legs_iso,
     identity_span,
-    inverse_candidates,
     iso_to_identity_span,
 )
 from .verdict import FootMismatchError, SpanlabError, Verdict
@@ -421,11 +421,12 @@ def locsys_iso_to_identity(C: InternalCategory, base, s: LocalSystemSpan) -> boo
     return all(s.a[i] == C.ident[s.xi[sp.lleg.values[i]]] for i in range(sp.apex))
 
 
-def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None) -> bool:
+def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None, rows=None) -> bool:
     """Is some labeled span an inverse of s?  A labeled composite has the
     composite of the underlying spans beneath it, so only the underlying
-    inverse candidates of s can carry such labels."""
-    for t in inverse_candidates(base, s.span, bound):
+    inverse candidates of s can carry such labels.  rows is
+    inverse_candidates' dict, shared by the searches of one check."""
+    for t in inverse_candidates(base, s.span, bound, rows):
         for a in _apex_labels(C, t.lleg, t.rleg, s.eta, s.xi):
             u = LocalSystemSpan(t, s.eta, s.xi, a)
             if locsys_iso_to_identity(
@@ -444,16 +445,18 @@ def locsys_invertible_predicate(C, base, s: LocalSystemSpan) -> bool:
 def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
     """Exhaustive agreement of the inverse search with the trivial-span plus
     invertible-labels classification, then the degeneracy comparison of the
-    objects level against the invertible-span sub-level."""
+    objects level against the invertible-span sub-level.  The inverse
+    searches share one rows dict (inverse.inverse_candidates), so each
+    underlying key's pullbacks are taken once per check."""
     v = validate_internal(C)
     if not v:
         return Verdict.refuted(witness={"stage": "coefficients", "inner": v.witness})
     base = FinSetCategory(bound)
-    checked = 0
+    checked, rows = 0, {}
     invertible = []
     for s in all_locsys_spans(C, base, bound):
         pred = locsys_invertible_predicate(C, base, s)
-        found = locsys_invertible_search(C, base, s, bound)
+        found = locsys_invertible_search(C, base, s, bound, rows)
         if pred != found:
             return Verdict.refuted(
                 witness={"span": repr(s), "predicate": pred, "search": found}

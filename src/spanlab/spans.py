@@ -387,10 +387,30 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
     return True
 
 
-def natural_families(base, shape, cells, d1: SpanDiagram, d2: SpanDiagram):
-    """All families of isomorphisms over the given cells, natural for every
-    comparable pair (backtracking, vertices first)."""
-    yield from _natural_extensions(base, shape, _cells_by_length(shape, cells), d1, d2, 0, {})
+def natural_families(base, shape, d1: SpanDiagram, d2: SpanDiagram):
+    """All families of isomorphisms over the Lambda cells, natural for every
+    comparable pair, sorted by the position of each component in
+    base.isos, cells in fill order: the order of a backtracking search in
+    fill order.
+
+    The search itself follows shape.lambda_search_order.  Fill order
+    places every vertex before the first edge, so there, with no arrow
+    among the vertices, a dead end shows only once all of them are
+    assigned; lambda_search_order reaches each arrow as soon as its two
+    ends are placed.  Both orders list every cell after the cells above
+    it, so natural_with tests every arrow and both searches find the same
+    families.  Sorting needs them all, so every family is found before
+    the first is yielded, and a caller that stops early saves nothing.  It
+    stays a generator so that bench/tracer.py counts the families it
+    yields."""
+    found = list(_natural_extensions(base, shape, shape.lambda_search_order, d1, d2, 0, {}))
+    if len(found) > 1:  # most searches find one family, and need no ranks
+        ranks = [
+            (c, {g: n for n, g in enumerate(base.isos(d1.obj[c], d2.obj[c]))})
+            for c in _cells_by_length(shape, shape.lambda_cells)
+        ]
+        found.sort(key=lambda fam: [rank[fam[c]] for c, rank in ranks])
+    yield from found
 
 
 def _natural_extensions(base, shape, order, d1, d2, i, fam):
@@ -751,7 +771,7 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     def aut(r):
         if r not in auts:
             d = listed[r]
-            auts[r] = [_extend(d, d, fam) for fam in natural_families(base, shape, lam, d, d)]
+            auts[r] = [_extend(d, d, fam) for fam in natural_families(base, shape, d, d)]
         return auts[r]
 
     def rank(x, y):
@@ -862,7 +882,7 @@ def _check_families(base, shape, ext) -> Verdict:
     generators, _ = natural_family_generators(base, shape, ext)
     if all(extend_natural_family(ext, ext, fam) is not None for fam in generators):
         return Verdict.verified()
-    for fam in natural_families(base, shape, shape.lambda_cells, ext, ext):
+    for fam in natural_families(base, shape, ext, ext):
         if not _is_identity_family(base, ext, fam) and extend_natural_family(ext, ext, fam) is None:
             return Verdict.refuted(
                 witness={"reason": "free-data automorphism fails to extend", "family": fam}
@@ -961,50 +981,21 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
 # invertibility and completeness
 
 
-def inverse_candidates(base, s: Span, bound):
-    """Every span t = (s.right <-l- B -r-> s.left) with B within bound such
-    that s . t and t . s are both isomorphic to identity spans, in (B, l, r)
-    order.
-
-    Pruning lemma: s . t is the pullback P, p, q of s.rleg and l, with legs
-    s.lleg . p and r . q, so up to its right leg r . q it depends only on
-    (B, l).  Hence s . t is isomorphic to an identity span exactly when
-    s.lleg . p is invertible and r . q equals it, and one pullback per
-    (B, l) serves every r.  The pullback is taken only when hom(B, s.left)
-    is nonempty, as a search composing each candidate would take it: a
-    table base may raise NoLimitError there."""
-    for B in base.objects_within(bound):
-        rs = base.hom(B, s.left)
-        if not rs:
-            continue
-        for l in base.hom(B, s.right):
-            _, p, q = base.pullback(s.rleg, l)
-            leg = base.compose(s.lleg, p)
-            if not base.is_iso(leg):
-                continue
-            for r in rs:
-                if base.compose(r, q) != leg:
-                    continue
-                t = Span(s.right, l, B, r, s.left)
-                if iso_to_identity_span(base, compose_spans(base, t, s)):
-                    yield t
-
-
-def _has_inverse(base, s: Span, bound) -> bool:
-    return next(inverse_candidates(base, s, bound), None) is not None
-
-
 def both_legs_iso(base, s: Span) -> bool:
     return base.is_iso(s.lleg) and base.is_iso(s.rleg)
 
 
 def invertible_span_check(base, bound=None) -> Verdict:
     """Exhaustive agreement between the inverse-search notion of
-    invertibility and the both-legs-invertible predicate."""
-    checked = 0
+    invertibility and the both-legs-invertible predicate.  The inverse
+    searches share one rows dict (inverse.inverse_candidates), so each
+    key's pullbacks are taken once per check."""
+    from .inverse import has_inverse
+
+    checked, rows = 0, {}
     for s in all_spans(base, bound):
         pred = both_legs_iso(base, s)
-        found = _has_inverse(base, s, bound)
+        found = has_inverse(base, s, bound, rows)
         if found != pred:
             return Verdict.refuted(
                 witness={

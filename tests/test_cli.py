@@ -697,9 +697,17 @@ class TestByteStability:
                 ["certify", "adjoint", "--base", "finset:4", "--trials", "300", "--seed", "1"],
                 "a2d0fee290e9719703fb67fc68c7c86ee5395e2f1d0aa0c5e6c65fd193acf8dc",
             ),
+            (
+                ["check", "invertible", "--base", "finset:3"],
+                "9c7aea9cf94d2f34fb906e85369cc343d1d218300838cd254e88a11b54eff125",
+            ),
+            (
+                ["locsys", "check", "--coeff", "arrow", "--kind", "equivalence", "--bound", "2"],
+                "baa4c8f5053b6734dfffd3503df8e348015946801c12d72996874f4d51f2db63",
+            ),
         ],
         ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "zigzag",
-             "adjoint", "segal-sampled", "adjoint-seed1"],
+             "adjoint", "segal-sampled", "adjoint-seed1", "invertible", "equivalence-arrow"],
     )
     def test_report_hash(self, argv, digest):
         """Reports of the functor, pairing, pullback, reversal, limit and

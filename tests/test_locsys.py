@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanlab import locsys as locsys_module
 from spanlab.fincat import FinFunction, FinSetCategory
 from spanlab.locsys import (
     InternalCategory,
@@ -246,6 +247,23 @@ class TestInvertibles:
         assert locsys_invertible_search(C, base, s, bound) == invertible_search_oracle(
             C, base, s, bound
         )
+
+    @pytest.mark.parametrize(
+        "C, bound", [(BZ2, 2), (ARROW, 2), (cyclic_internal(3), 1)], ids=["bz2", "arrow", "cyclic3"]
+    )
+    def test_shared_rows_give_the_fresh_searches_verdict(self, monkeypatch, C, bound):
+        """The equivalence check, whose searches share one rows dict,
+        against the same check with a fresh search for each labeled span:
+        the same verdict, spans_checked and invertible."""
+        shared = locsys_equivalence_check(C, bound)
+        search = locsys_module.locsys_invertible_search
+        monkeypatch.setattr(
+            locsys_module, "locsys_invertible_search", lambda C, base, s, bound=None, rows=None: search(C, base, s, bound)
+        )
+        fresh = locsys_equivalence_check(C, bound)
+        assert shared.status == fresh.status == "verified"
+        assert shared.details == fresh.details
+        assert set(shared.details) == {"spans_checked", "invertible"}
 
 
 @functools.cache

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from spanlab import groupoid as groupoid_module
 from spanlab import spans as spans_module
 from spanlab.fincat import FinCategory, FinFunction, FinSetCategory, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
+from spanlab.inverse import has_inverse, inverse_candidates
 from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
@@ -24,7 +26,6 @@ from spanlab.spans import (
     _check_one_datum,
     _check_twist,
     _edge_piece,
-    _has_inverse,
     _packed_lambda_data,
     _unpacked_lambda_data,
     all_spans,
@@ -372,7 +373,7 @@ class TestSegal:
         monkeypatch.setattr(base, "limit_of_diagram", lambda *a: calls.append(a) or limit(*a))
         v, ext = _check_one_datum(shape, base, obj, mor, [0])
         assert v
-        assert len(list(natural_families(base, shape, shape.lambda_cells, ext, ext))) == 2
+        assert len(list(natural_families(base, shape, ext, ext))) == 2
         assert len(calls) == 1
         assert kan_extend(shape, base, obj, mor).comparisons == {}
 
@@ -557,7 +558,7 @@ class TestSegal:
         obj, mor = identity_lambda_data(shape, 2)
         ext = kan_extend(shape, base, obj, mor)
         gc.collect()
-        assert len(list(natural_families(base, shape, shape.lambda_cells, ext, ext))) == 2
+        assert len(list(natural_families(base, shape, ext, ext))) == 2
         assert gc.collect() == 0
 
     def test_twist_refutes_a_non_functorial_piece(self):
@@ -671,7 +672,7 @@ class TestExtension:
         bad = ext if kind == "none" else with_one_arrow_replaced(ext, kind, data)
         d1, d2 = data.draw(st.sampled_from([(ext, ext), (bad, bad), (ext, bad), (bad, ext)]))
         lam = shape.lambda_cells
-        natural = list(itertools.islice(natural_families(base, shape, lam, d1, d2), 64))
+        natural = list(itertools.islice(natural_families(base, shape, d1, d2), 64))
         if natural and data.draw(st.booleans()):
             fam = data.draw(st.sampled_from(natural))
         else:
@@ -692,7 +693,7 @@ class TestExtension:
         swap, cycle = FinFunction(3, 3, (1, 0, 2)), FinFunction(3, 3, (1, 2, 0))
         bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (V(0, 3), V(0, 2)): swap})
         lam = shape.lambda_cells
-        natural = list(natural_families(base, shape, lam, bad, bad))
+        natural = list(natural_families(base, shape, bad, bad))
         rotate, transpose = ({c: g for c in lam} for g in (cycle, swap))
         assert rotate in natural and transpose in natural
         assert extend_natural_family(ext, ext, rotate) == {c: cycle for c in shape.objects}
@@ -701,11 +702,19 @@ class TestExtension:
         assert extend_natural_family(bad, bad, transpose) == {c: swap for c in shape.objects}
 
 
+def natural_families_oracle(base, shape, d1, d2):
+    """The backtracking search over the Lambda cells in fill order, which
+    places every vertex before the first edge: the oracle of
+    spans.natural_families."""
+    order = sorted(shape.lambda_cells, key=shape.fill_rank.__getitem__)
+    return spans_module._natural_extensions(base, shape, order, d1, d2, 0, {})
+
+
 def check_families_oracle(base, shape, d):
     """Every natural family other than the identity extended, in
     natural_families order, until one fails: the oracle of
     spans._check_families."""
-    for fam in natural_families(base, shape, shape.lambda_cells, d, d):
+    for fam in natural_families(base, shape, d, d):
         if not spans_module._is_identity_family(base, d, fam) and extend_natural_family(d, d, fam) is None:
             return Verdict.refuted(witness={"reason": "free-data automorphism fails to extend", "family": fam})
     return Verdict.verified()
@@ -772,12 +781,43 @@ class TestFamilyGenerators:
         if not is_cartesian(d):
             return
         lam = shape.lambda_cells
-        families = list(natural_families(base, shape, lam, d, d))
+        families = list(natural_families(base, shape, d, d))
         generators, order = natural_family_generators(base, shape, d)
         assert order == len(families)
         identity = {c: base.identity(d.obj[c]) for c in lam}
         assert generated_group(base, lam, generators, identity) == {tuple(f[c] for c in lam) for f in families}
         assert _check_families(base, shape, d) == check_families_oracle(base, shape, d)
+
+    @pytest.mark.parametrize("case", CASES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_families_match_the_fill_order_search(self, case, data):
+        """natural_families, which searches along lambda_search_order and
+        sorts back, against the search in fill
+        order: the same families, in the same order.  The diagrams are
+        drawn as in test_matches_the_full_loop, Cartesian or not, and
+        compared with themselves or with each other."""
+        make_base, arities = self.CASES[case]
+        base, shape = make_base(), sigma_shape(arities)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        ext = kan_extend(shape, base, *sample_lambda_data(shape, base, None, rng))
+        kind = data.draw(st.sampled_from(["none", "lambda", "filled-lambda", "filled-filled"]))
+        bad = ext if kind == "none" else with_one_arrow_replaced(ext, kind, data)
+        d1, d2 = data.draw(st.sampled_from([(ext, ext), (bad, bad), (ext, bad), (bad, ext)]))
+        got = list(natural_families(base, shape, d1, d2))
+        assert got == list(natural_families_oracle(base, shape, d1, d2))
+
+    def test_identity_data_on_three_points_at_two_two(self):
+        """Identity data on three points at arity (2, 2): the six constant
+        families, in base.isos order, in well under a second.  The search in
+        fill order, which assigns all nine vertices before the first edge,
+        took about a minute."""
+        base, shape = finset(3), sigma_shape((2, 2))
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, 3))
+        start = time.perf_counter()
+        families = list(natural_families(base, shape, ext, ext))
+        assert time.perf_counter() - start < 1
+        assert families == [{c: g for c in shape.lambda_cells} for g in base.isos(3, 3)]
 
     def test_refutes_as_the_full_loop(self):
         """Identity data on three points at arity (3,), with the arrow from
@@ -836,7 +876,7 @@ class TestFamilyGenerators:
         base, shape = finset(2), sigma_shape(2)
         obj, mor = empty_edge_data(shape, 2)
         ext = kan_extend(shape, base, obj, mor)
-        families = list(natural_families(base, shape, shape.lambda_cells, ext, ext))
+        families = list(natural_families(base, shape, ext, ext))
         generators, order = natural_family_generators(base, shape, ext)
         assert order == len(families) == 8 and len(generators) == 3
         # after the first family other than the identity, which extends
@@ -1021,7 +1061,7 @@ class TestInvertibility:
 
 def has_inverse_oracle(base, s: Span, bound) -> bool:
     """The inverse search that composes every candidate both ways: the slow
-    oracle of spans._has_inverse."""
+    oracle of inverse.has_inverse."""
     for B in base.objects_within(bound):
         for l in base.hom(B, s.right):
             for r in base.hom(B, s.left):
@@ -1031,6 +1071,39 @@ def has_inverse_oracle(base, s: Span, bound) -> bool:
                 ):
                     return True
     return False
+
+
+def inverse_candidates_oracle(base, s: Span, bound):
+    """The inverse search that takes one pullback per (B, l) for each span,
+    with no apex pruning and nothing shared between spans: the oracle of
+    inverse.inverse_candidates."""
+    for B in base.objects_within(bound):
+        rs = base.hom(B, s.left)
+        if not rs:
+            continue
+        for l in base.hom(B, s.right):
+            _, p, q = base.pullback(s.rleg, l)
+            leg = base.compose(s.lleg, p)
+            if not base.is_iso(leg):
+                continue
+            for r in rs:
+                if base.compose(r, q) != leg:
+                    continue
+                t = Span(s.right, l, B, r, s.left)
+                if iso_to_identity_span(base, compose_spans(base, t, s)):
+                    yield t
+
+
+def candidates_until_raise(search, *args):
+    """The candidates a search yields, in order, and whether it then raised
+    NoLimitError."""
+    found = []
+    try:
+        for t in search(*args):
+            found.append(t)
+    except NoLimitError:
+        return found, True
+    return found, False
 
 
 class TestCommutes:
@@ -1131,12 +1204,12 @@ class TestInverseSearch:
         base = finset(n)
         for s in all_spans(base):
             for bound in (None, -1, *range(n + 1)):
-                assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound), (s, bound)
+                assert has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound), (s, bound)
 
     def test_every_span_of_the_divisor_lattice_of_12(self):
         base = divisor_lattice(12)
         assert base.validate()
-        found = [_has_inverse(base, s, None) for s in all_spans(base)]
+        found = [has_inverse(base, s, None) for s in all_spans(base)]
         assert found == [has_inverse_oracle(base, s, None) for s in all_spans(base)]
         assert sum(found) == 6  # the identity spans
 
@@ -1145,7 +1218,7 @@ class TestInverseSearch:
         pullback: both searches raise NoLimitError on the same spans."""
         base = no_pullback_poset()
         assert base.validate()
-        got = [outcome(_has_inverse, base, s, None) for s in all_spans(base)]
+        got = [outcome(has_inverse, base, s, None) for s in all_spans(base)]
         assert got == [outcome(has_inverse_oracle, base, s, None) for s in all_spans(base)]
         assert NoLimitError in got and True in got and False in got
 
@@ -1153,7 +1226,78 @@ class TestInverseSearch:
     @settings(max_examples=60, deadline=None)
     def test_finset3_spans(self, s, bound):
         base = finset(3)
-        assert _has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound)
+        assert has_inverse(base, s, bound) == has_inverse_oracle(base, s, bound)
+
+
+class TestInverseRows:
+    """inverse_candidates with one rows dict shared by the searches of a
+    check, against the search that takes its own pullbacks per span."""
+
+    BASES = {
+        **{f"finset{n}": (functools.partial(finset, n), (None, -1, *range(n + 1))) for n in range(4)},
+        "lattice12": (lambda: divisor_lattice(12), (None,)),
+        "no-pullback": (no_pullback_poset, (None,)),
+        "indiscrete2": (lambda: poset_category("xy", [(a, b) for a in "xy" for b in "xy"]), (None,)),
+    }
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_shared_rows_give_the_oracle_candidates(self, name):
+        """Over every span in all_spans order, at every bound: the same
+        candidates in the same order, and NoLimitError on the same spans,
+        after the same candidates.  In the indiscrete category on two
+        objects a pullback apex can be isomorphic to the left foot without
+        being equal to it."""
+        make_base, bounds = self.BASES[name]
+        base = make_base()
+        spans = all_spans(base)
+        for bound in bounds:
+            rows = {}
+            got = [candidates_until_raise(inverse_candidates, base, s, bound, rows) for s in spans]
+            assert got == [candidates_until_raise(inverse_candidates_oracle, base, s, bound) for s in spans]
+
+    def test_a_failed_key_raises_again_from_its_rows(self, monkeypatch):
+        """Over the poset p, q <= x, y, each span whose rows stop at a
+        missing pullback raises again when searched a second time with the
+        same rows, from the marker row, without taking a pullback."""
+        base = no_pullback_poset()
+        rows, pullback, calls, failed = {}, base.pullback, [], 0
+        monkeypatch.setattr(base, "pullback", lambda f, g: calls.append(1) or pullback(f, g))
+        for s in all_spans(base):
+            if candidates_until_raise(inverse_candidates, base, s, None, rows)[1]:
+                failed += 1
+                table, _ = rows[(s.apex, s.left, s.right)]
+                assert isinstance(table[(s.left, s.rleg, s.right)][-1], NoLimitError)
+                taken = len(calls)
+                assert candidates_until_raise(inverse_candidates, base, s, None, rows) == ([], True)
+                assert len(calls) == taken
+        assert failed
+
+    def test_rows_hold_one_block(self):
+        """A shared rows dict keeps only the block (apex, left, right) of
+        the last span searched, with its rows by key and its legs shared
+        across them: over finset:3, in all_spans order, at most 375 rows,
+        whose 750 legs are 36 objects, at a time."""
+        base = finset(3)
+        rows, most_rows, most_legs = {}, 0, 0
+        for s in all_spans(base):
+            has_inverse(base, s, None, rows)
+            assert list(rows) == [(s.apex, s.left, s.right)]
+            table, legs = rows[(s.apex, s.left, s.right)]
+            assert all(key[1].source == s.apex and (key[0], key[2]) == (s.left, s.right) for key in table)
+            most_rows = max(most_rows, sum(map(len, table.values())))
+            most_legs = max(most_legs, len(legs))
+            assert all(row[3] is legs[row[3]] and row[4] is legs[row[4]] for t in table.values() for row in t)
+        assert (most_rows, most_legs) == (375, 36)
+
+    def test_pullback_calls_pinned(self, monkeypatch):
+        """invertible_span_check(finset(3)) takes 6,158 pullbacks: one per
+        row of each key (s.left, s.rleg, s.right), and one per composite of
+        a candidate.  Taking one per (span, B, l) took 50,218."""
+        calls, pullback = [], FinSetCategory.pullback
+        monkeypatch.setattr(FinSetCategory, "pullback", lambda B, f, g: calls.append(1) or pullback(B, f, g))
+        v = invertible_span_check(finset(3))
+        assert v and v.details["spans_checked"] == 1544
+        assert len(calls) == 6158
 
 
 class TestCompleteness:
@@ -1301,7 +1445,7 @@ def pairwise_level(base, arities, bound=None):
             return []
         fulls = (
             extend_natural_family(d1, d2, fam)
-            for fam in natural_families(base, shape, shape.lambda_cells, d1, d2)
+            for fam in natural_families(base, shape, d1, d2)
         )
         return [tuple(sorted(full.items())) for full in fulls if full is not None]
 
