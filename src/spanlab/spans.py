@@ -204,16 +204,19 @@ def _lambda_extensions(shape, base, order, objects, i, obj, mor):
 
 
 def count_lambda_data(shape: SigmaShape, base, bound, cap: int):
-    """(count, listed), count being min(cap, the number of free data
-    enumerate_lambda_data yields).  Where _known_lambda_count tells the
-    count, nothing is enumerated and listed is None; otherwise listed holds
-    the data up to the cap from one enumeration (_packed_lambda_data), and
-    count is its length."""
+    """(count, data), count being min(cap, the number of free data
+    enumerate_lambda_data yields) and data an iterator over them as (obj,
+    mor) dict pairs.  Where _known_lambda_count tells the count, nothing is
+    enumerated and data is an enumeration not yet started, which yields
+    more than cap data when count is cap; otherwise data unpacks the data
+    up to the cap, listed from one enumeration (_packed_lambda_data), and
+    count is their number."""
     known = _known_lambda_count(shape, base, bound, cap)
     if known is not None:
-        return known, None
-    listed = _packed_lambda_data(shape, base, bound, cap)
-    return len(listed[1]), listed
+        return known, enumerate_lambda_data(shape, base, bound)
+    (cells, arrows), packed = _packed_lambda_data(shape, base, bound, cap)
+    data = ((dict(zip(cells, values)), dict(zip(arrows, values[len(cells):]))) for values in packed)
+    return len(packed), data
 
 
 def _known_lambda_count(shape: SigmaShape, base, bound, cap: int):
@@ -266,13 +269,6 @@ def _packed_lambda_data(shape: SigmaShape, base, bound, cap: int):
             keys = list(lo), list(lm)
         packed.append(tuple(shared.setdefault(x, x) for x in [*lo.values(), *lm.values()]))
     return keys, packed
-
-
-def _unpacked_lambda_data(listed):
-    """The free data of _packed_lambda_data, as (obj, mor) dict pairs."""
-    (cells, arrows), packed = listed
-    for values in packed:
-        yield dict(zip(cells, values)), dict(zip(arrows, values[len(cells):]))
 
 
 def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
@@ -374,13 +370,14 @@ def restrict_along(small: SigmaShape, phis, d: SpanDiagram) -> SpanDiagram:
 
 def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g) -> bool:
     """Is g: d1.obj[c] -> d2.obj[c] natural with the components of fam on
-    every arrow from c to a cell of fam?  The cells of fam come before c in
-    fill order or in shape.lambda_search_order, each of which lists every
-    cell after the cells above it, so no arrow runs from a cell of fam to
-    c.  Walks c's strict up-set and tests each cell for membership in fam,
-    which reaches the same arrows as walking fam.  Precondition: c is not
-    a cell of fam, so every arrow c -> b is between distinct cells and is
-    read straight from mor."""
+    every arrow from c to a cell of fam?  The family searches put the cells
+    of fam before c in fill order or in shape.lambda_search_order, each of
+    which lists every cell after the cells above it, so no arrow runs from
+    a cell of fam to c; is_natural_family passes a family that holds c and
+    asks for every cell of it.  Walks c's strict up-set and tests each
+    cell for membership in fam, which reaches the same arrows as walking
+    fam.  The strict up-set excludes c, so every arrow c -> b is between
+    distinct cells and is read straight from mor."""
     for b in shape.strict_up[c]:
         if b in fam and not base.commutes(d2.mor[(c, b)], g, fam[b], d1.mor[(c, b)]):
             return False
@@ -389,28 +386,17 @@ def natural_with(base, shape, d1: SpanDiagram, d2: SpanDiagram, fam: dict, c, g)
 
 def natural_families(base, shape, d1: SpanDiagram, d2: SpanDiagram):
     """All families of isomorphisms over the Lambda cells, natural for every
-    comparable pair, sorted by the position of each component in
-    base.isos, cells in fill order: the order of a backtracking search in
-    fill order.
+    comparable pair, in the order a backtracking search along
+    shape.lambda_search_order finds them.
 
-    The search itself follows shape.lambda_search_order.  Fill order
-    places every vertex before the first edge, so there, with no arrow
-    among the vertices, a dead end shows only once all of them are
-    assigned; lambda_search_order reaches each arrow as soon as its two
-    ends are placed.  Both orders list every cell after the cells above
-    it, so natural_with tests every arrow and both searches find the same
-    families.  Sorting needs them all, so every family is found before
-    the first is yielded, and a caller that stops early saves nothing.  It
-    stays a generator so that bench/tracer.py counts the families it
-    yields."""
-    found = list(_natural_extensions(base, shape, shape.lambda_search_order, d1, d2, 0, {}))
-    if len(found) > 1:  # most searches find one family, and need no ranks
-        ranks = [
-            (c, {g: n for n, g in enumerate(base.isos(d1.obj[c], d2.obj[c]))})
-            for c in _cells_by_length(shape, shape.lambda_cells)
-        ]
-        found.sort(key=lambda fam: [rank[fam[c]] for c, rank in ranks])
-    yield from found
+    Fill order places every vertex before the first edge, so a search in
+    fill order, with no arrow among the vertices, sees a dead end only
+    once all of them are assigned; lambda_search_order reaches each arrow
+    as soon as its two ends are placed.  Both orders list every cell after
+    the cells above it, so natural_with tests every arrow and both
+    searches find the same families.  It is a generator, so that
+    bench/tracer.py counts the families it yields."""
+    yield from _natural_extensions(base, shape, shape.lambda_search_order, d1, d2, 0, {})
 
 
 def _natural_extensions(base, shape, order, d1, d2, i, fam):
@@ -433,17 +419,13 @@ def is_natural_family(base, shape, cells, d1, d2, fam) -> bool:
     """Is fam, over the given cells, a family of isomorphisms natural on
     every arrow among them?  Arrows from a cell of the list to a cell
     outside it are not tested: extend_natural_family asks for the filled
-    cells, and span_level's _extend for the Lambda cells.  arrows_among
-    lists only pairs of distinct cells, so each arrow is read straight
-    from mor."""
-    for c in cells:
-        g = fam[c]
+    cells, and span_level's _extend for the Lambda cells.  Every component
+    is checked before any square is compared, so each square composes."""
+    part = {c: fam[c] for c in cells}
+    for c, g in part.items():
         if not base.is_iso(g) or base.src(g) != d1.obj[c] or base.tgt(g) != d2.obj[c]:
             return False
-    for a, b in shape.arrows_among(cells):
-        if not base.commutes(d2.mor[(a, b)], fam[a], fam[b], d1.mor[(a, b)]):
-            return False
-    return True
+    return all(natural_with(base, shape, d1, d2, part, c, g) for c, g in part.items())
 
 
 def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
@@ -492,10 +474,10 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     return full
 
 
-def random_natural_family(base, shape, cells, d: SpanDiagram, rng):
-    """A seeded random natural automorphism family on the given cells; falls
-    back to the identity family when sampling keeps dead-ending."""
-    order = _cells_by_length(shape, cells)
+def random_natural_family(base, shape, d: SpanDiagram, rng):
+    """A seeded random natural automorphism family on the Lambda cells;
+    falls back to the identity family when sampling keeps dead-ending."""
+    order = _cells_by_length(shape, shape.lambda_cells)
     for _ in range(12):
         fam = {}
         for c in order:
@@ -507,7 +489,7 @@ def random_natural_family(base, shape, cells, d: SpanDiagram, rng):
             fam[c] = rng.choice(cands)
         else:
             return fam
-    return {c: base.identity(d.obj[c]) for c in cells}
+    return {c: base.identity(d.obj[c]) for c in shape.lambda_cells}
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +697,11 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
       hom(d1, d2) = {psi_d2 . a . psi_d1^-1 : a in Aut(r)}, with Aut(r)
       found once per bucket by natural_families.  psi_r is the identity,
       so hom(r, r) is Aut(r) itself.
-    - Order lemma: each hom is sorted by the position of each Lambda
-      component in base.isos, cells in fill order, as natural_families
-      finds Aut(r).  A morphism is fixed by its Lambda components, so the
-      order is total and no hom list depends on which member is r.
+    - Order lemma: hom sorts each hom, Aut(r) included, by the position of
+      each Lambda component in base.isos, cells in fill order.  A morphism
+      is fixed by its Lambda components, so the order is total and no hom
+      list depends on which member is r or on the order in which
+      natural_families finds Aut(r).
 
     The key is a cheap invariant, the class representatives of the Lambda
     objects in fill order.  A diagram gets its form when a row of its key
@@ -730,13 +713,9 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     arities = tuple(arities)
     shape = sigma_shape(arities)
     ceiling = enumeration_ceiling()
-    over = f"level enumeration for arities {arities} exceeds the ceiling {ceiling}"
-    # refused before listing where the count is known, else listed once
-    if _known_lambda_count(shape, base, bound, ceiling + 1) == ceiling + 1:
-        raise ResourceError(over)
-    data = list(itertools.islice(enumerate_lambda_data(shape, base, bound), ceiling + 1))
-    if len(data) > ceiling:
-        raise ResourceError(over)
+    count, data = count_lambda_data(shape, base, bound, ceiling + 1)
+    if count > ceiling:
+        raise ResourceError(f"level enumeration for arities {arities} exceeds the ceiling {ceiling}")
     diagrams = {}
     for lo, lm in data:
         d = kan_extend(shape, base, lo, lm)
@@ -785,13 +764,15 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
         r = canonical(i)[0]
         if canonical(j)[0] != r:
             return []
-        if i == j == r:  # Aut(r), found in the natural_families order
-            return [tuple(zip(cells, a)) for a in aut(r)]
-        (_, inv1), (psi2, _) = psi(i), psi(j)
-        homs = [tuple(map(base.compose, psi2, map(base.compose, a, inv1))) for a in aut(r)]
-        d1, d2 = listed[i], listed[j]
-        orders = [(rank(d1.obj[c], d2.obj[c]), n) for c, n in zip(lam, lam_at)]
-        homs.sort(key=lambda m: tuple(order[m[n]] for order, n in orders))
+        if i == j == r:  # psi_r is the identity
+            homs = list(aut(r))
+        else:
+            (_, inv1), (psi2, _) = psi(i), psi(j)
+            homs = [tuple(map(base.compose, psi2, map(base.compose, a, inv1))) for a in aut(r)]
+        if len(homs) > 1:  # most homs hold one morphism, and need no ranks
+            d1, d2 = listed[i], listed[j]
+            orders = [(rank(d1.obj[c], d2.obj[c]), n) for c, n in zip(lam, lam_at)]
+            homs.sort(key=lambda m: tuple(order[m[n]] for order, n in orders))
         return [tuple(zip(cells, m)) for m in homs]
 
     # a component is a family sorted by cell, so families zip cell by cell
@@ -876,14 +857,12 @@ def _check_families(base, shape, ext) -> Verdict:
     ext?  ext is Cartesian, so the families that extend form a subgroup
     (generator lemma, natural_family_generators), and only the generators
     of a stabilizer chain are extended; never the identity family, which
-    is in every subgroup.  When a generator fails, the families are
-    extended in natural_families order, the identity skipped, so the
-    refutation names the first family that fails."""
-    generators, _ = natural_family_generators(base, shape, ext)
-    if all(extend_natural_family(ext, ext, fam) is not None for fam in generators):
-        return Verdict.verified()
-    for fam in natural_families(base, shape, ext, ext):
-        if not _is_identity_family(base, ext, fam) and extend_natural_family(ext, ext, fam) is None:
+    is in every subgroup.  The refutation names the first generator, in
+    chain order, that fails to extend.  On a Kan extension of free data
+    every family extends (the extension lemma of span_level), so only a
+    hand-built diagram is refuted here."""
+    for fam in natural_family_generators(base, shape, ext)[0]:
+        if extend_natural_family(ext, ext, fam) is None:
             return Verdict.refuted(
                 witness={"reason": "free-data automorphism fails to extend", "family": fam}
             )
@@ -910,7 +889,7 @@ def _check_twist(shape, base, ext, dirs, rng):
     i = rng.randrange(1, shape.arities[r] + 1)
     piece = _edge_piece(ext, r, i)
     small = piece.shape
-    fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
+    fam = random_natural_family(base, small, piece, rng)
     if len(small.lambda_cells) != len(small.objects) and extend_natural_family(piece, piece, fam) is None:
         return Verdict.refuted(witness={"reason": "twist family fails to extend"})
     return piece.validate()
@@ -922,13 +901,14 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     Exhaustive over all free data when the enumeration fits under the
     ceiling; otherwise a seeded sampled battery (reported as such in the
     details, still returning verified only when every sample passes).  The
-    count that decides the mode, capped, comes from count_lambda_data: from
-    _known_lambda_count (a closed form in one direction, or a lower bound
-    from an initial object that already reaches the cap), or else from
-    listing the data up to the cap, the list an exhaustive run then checks.
-    That list holds up to SPANLAB_MAX_CELLS / |cells| + 1 packed data, so
-    where no count is known peak memory grows with the ceiling, also in a
-    run that turns out sampled and drops the list."""
+    count that decides the mode, capped, and the data an exhaustive run
+    checks come from count_lambda_data: a count from _known_lambda_count (a
+    closed form in one direction, or a lower bound from an initial object
+    that already reaches the cap) with a fresh enumeration, or else the
+    data listed up to the cap.  That list holds up to SPANLAB_MAX_CELLS /
+    |cells| + 1 packed data, so where no count is known peak memory grows
+    with the ceiling, also in a run that turns out sampled and drops the
+    list."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -939,22 +919,15 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     # not the raw datum count, so large shapes degrade to sampling too.
     per_datum = len(shape.objects)
     max_data = ceiling // per_datum + 1
-    count, listed = count_lambda_data(shape, base, bound, max_data)
+    count, data = count_lambda_data(shape, base, bound, max_data)
     exhaustive = count * per_datum <= ceiling
     rng = random.Random(seed)
-    if exhaustive:
-        if listed is None:
-            batch = enumerate_lambda_data(shape, base, bound)
-        else:
-            batch = _unpacked_lambda_data(listed)
-        total = count
-    else:
-        listed = None  # a sampled run checks none of them
-        batch = (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
-        total = samples
-    twist_at = set(rng.sample(range(total), min(samples, total)))
+    if not exhaustive:  # a sampled run checks none of the counted data
+        count = samples
+        data = (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
+    twist_at = set(rng.sample(range(count), min(samples, count)))
     checked = 0
-    for idx, (lo, lm) in enumerate(batch):
+    for idx, (lo, lm) in enumerate(data):
         v, ext = _check_one_datum(shape, base, lo, lm, dirs)
         if not v:
             return Verdict.refuted(witness=v.witness, mode="exhaustive" if exhaustive else "sampled")

@@ -26,8 +26,6 @@ from spanlab.spans import (
     _check_one_datum,
     _check_twist,
     _edge_piece,
-    _packed_lambda_data,
-    _unpacked_lambda_data,
     all_spans,
     completeness_check,
     compose_spans,
@@ -442,15 +440,19 @@ class TestSegal:
         ],
         ids=["finset1-2-1", "finset2-2", "lattice12-2", "slice-2", "no-pullback-2"],
     )
-    def test_packed_data_unpack_to_the_enumerated_ones(self, make_base, arities, bound):
-        """The packed free data unpack to the enumerated ones, in order and
-        with the same key order in each dict, and stop at the cap."""
+    def test_packed_data_unpack_to_the_enumerated_ones(self, make_base, arities, bound, monkeypatch):
+        """With no count known, count_lambda_data lists the free data packed
+        and hands them out unpacked: the enumerated ones, in order and with
+        the same key order in each dict, stopping at the cap."""
+        monkeypatch.setattr(spans_module, "_known_lambda_count", lambda *args: None)
         base, shape = make_base(), sigma_shape(arities)
         data = list(enumerate_lambda_data(shape, base, bound))
-        unpacked = list(_unpacked_lambda_data(_packed_lambda_data(shape, base, bound, len(data) + 1)))
-        assert unpacked == data
+        count, unpacked = count_lambda_data(shape, base, bound, len(data) + 1)
+        unpacked = list(unpacked)
+        assert count == len(data) and unpacked == data
         assert [(list(lo), list(lm)) for lo, lm in unpacked] == [(list(lo), list(lm)) for lo, lm in data]
-        assert len(_packed_lambda_data(shape, base, bound, 3)[1]) == min(3, len(data))
+        count, few = count_lambda_data(shape, base, bound, 3)
+        assert count == len(list(few)) == min(3, len(data))
 
     def test_sampled_stream_over_listed_data_pinned(self, monkeypatch):
         """Under a ceiling of 2,000 the 518 data of finset:1 at (2, 1) are
@@ -487,7 +489,7 @@ class TestSegal:
         monkeypatch.setattr(
             spans_module,
             "random_natural_family",
-            lambda base, shape, cells, d, rng: draws.append(shape.arities) or draw(base, shape, cells, d, rng),
+            lambda base, shape, d, rng: draws.append(shape.arities) or draw(base, shape, d, rng),
         )
         for base, arities in ((finset(1), (5,)), (divisor_lattice(30), (2,))):
             calls.clear()
@@ -608,7 +610,7 @@ class TestSegal:
         piece = _edge_piece(ext, r, draw.randrange(1, arities[r] + 1))
         small = piece.shape
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        fam = random_natural_family(base, small, small.lambda_cells, piece, rng)
+        fam = random_natural_family(base, small, piece, rng)
         assert fam == random_natural_family_oracle(base, small, small.lambda_cells, piece, oracle_rng)
         assert rng.getstate() == oracle_rng.getstate()
 
@@ -711,13 +713,24 @@ def natural_families_oracle(base, shape, d1, d2):
 
 
 def check_families_oracle(base, shape, d):
-    """Every natural family other than the identity extended, in
-    natural_families order, until one fails: the oracle of
-    spans._check_families."""
-    for fam in natural_families(base, shape, d, d):
+    """Every natural family other than the identity extended, in the order
+    of the fill-order search, until one fails: the oracle of
+    spans._check_families' verdict."""
+    for fam in natural_families_oracle(base, shape, d, d):
         if not spans_module._is_identity_family(base, d, fam) and extend_natural_family(d, d, fam) is None:
             return Verdict.refuted(witness={"reason": "free-data automorphism fails to extend", "family": fam})
     return Verdict.verified()
+
+
+def assert_families_checked_as_the_full_loop(base, shape, d):
+    """_check_families gives the status of check_families_oracle, and a
+    refutation names the first generator, in chain order, that fails to
+    extend.  Returns the verdict."""
+    v = _check_families(base, shape, d)
+    assert v.status == check_families_oracle(base, shape, d).status
+    failing = [g for g in natural_family_generators(base, shape, d)[0] if extend_natural_family(d, d, g) is None]
+    assert v.witness == (None if v else {"reason": "free-data automorphism fails to extend", "family": failing[0]})
+    return v
 
 
 def generated_group(base, cells, generators, identity):
@@ -765,8 +778,9 @@ class TestFamilyGenerators:
     @settings(max_examples=25, deadline=None)
     def test_matches_the_full_loop(self, case, data):
         """The generator battery against extending every family: the same
-        verdict and witness, and the product of the orbit sizes is the
-        number of natural families, which the generators generate.  The
+        verdict, the first failing generator as witness, and the product of
+        the orbit sizes is the number of natural families, which the
+        generators generate.  The
         free datum is sampled and Kan-extended, and may have one arrow of
         any kind replaced; a replaced arrow between filled cells keeps the
         diagram Cartesian and makes the families that do not commute with
@@ -786,15 +800,16 @@ class TestFamilyGenerators:
         assert order == len(families)
         identity = {c: base.identity(d.obj[c]) for c in lam}
         assert generated_group(base, lam, generators, identity) == {tuple(f[c] for c in lam) for f in families}
-        assert _check_families(base, shape, d) == check_families_oracle(base, shape, d)
+        assert_families_checked_as_the_full_loop(base, shape, d)
 
     @pytest.mark.parametrize("case", CASES)
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_families_match_the_fill_order_search(self, case, data):
-        """natural_families, which searches along lambda_search_order and
-        sorts back, against the search in fill
-        order: the same families, in the same order.  The diagrams are
+        """natural_families, which searches along lambda_search_order,
+        against the search in fill order: the same families, which sorted
+        by the position of each component in base.isos, cells in fill
+        order, come in the fill-order search's order.  The diagrams are
         drawn as in test_matches_the_full_loop, Cartesian or not, and
         compared with themselves or with each other."""
         make_base, arities = self.CASES[case]
@@ -804,7 +819,9 @@ class TestFamilyGenerators:
         kind = data.draw(st.sampled_from(["none", "lambda", "filled-lambda", "filled-filled"]))
         bad = ext if kind == "none" else with_one_arrow_replaced(ext, kind, data)
         d1, d2 = data.draw(st.sampled_from([(ext, ext), (bad, bad), (ext, bad), (bad, ext)]))
-        got = list(natural_families(base, shape, d1, d2))
+        lam = sorted(shape.lambda_cells, key=shape.fill_rank.__getitem__)
+        isos = {c: base.isos(d1.obj[c], d2.obj[c]) for c in lam}
+        got = sorted(natural_families(base, shape, d1, d2), key=lambda fam: [isos[c].index(fam[c]) for c in lam])
         assert got == list(natural_families_oracle(base, shape, d1, d2))
 
     def test_identity_data_on_three_points_at_two_two(self):
@@ -824,14 +841,13 @@ class TestFamilyGenerators:
         the filled cell (0,3) to (0,2) replaced by a transposition: only
         the families that commute with it extend.  Every family is
         constant, so each of the five others is a generator, and the first
-        to fail in natural_families order is the other transposition."""
+        to fail in chain order is the other transposition."""
         base, shape = finset(3), sigma_shape(3)
         ext = kan_extend(shape, base, *identity_lambda_data(shape, 3))
         bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (V(0, 3), V(0, 2)): FinFunction(3, 3, (1, 0, 2))})
         generators, order = natural_family_generators(base, shape, bad)
         assert order == 6 and len(generators) == 5
-        v = _check_families(base, shape, bad)
-        assert v == check_families_oracle(base, shape, bad)
+        v = assert_families_checked_as_the_full_loop(base, shape, bad)
         assert v.witness["family"] == {c: FinFunction(3, 3, (0, 2, 1)) for c in shape.lambda_cells}
 
     @pytest.mark.parametrize("arities, n", [((3,), 3), ((2, 2), 2)])
@@ -840,7 +856,8 @@ class TestFamilyGenerators:
         cells replaced by any other map: the diagram stays Cartesian, the
         families are the n! constant ones, and those that fail to extend
         are the ones that do not commute with the map.  The battery gives
-        the full loop's verdict and witness on each."""
+        the full loop's verdict on each, naming the first failing
+        generator."""
         base, shape = finset(n), sigma_shape(arities)
         ext = kan_extend(shape, base, *identity_lambda_data(shape, n))
         lam = shape.lambda_set
@@ -852,9 +869,7 @@ class TestFamilyGenerators:
                 bad = SpanDiagram(shape, base, ext.obj, {**ext.mor, (a, b): m})
                 assert is_cartesian(bad)
                 assert natural_family_generators(base, shape, bad)[1] == math.factorial(n)
-                v = _check_families(base, shape, bad)
-                assert v == check_families_oracle(base, shape, bad)
-                refuted += not v
+                refuted += not assert_families_checked_as_the_full_loop(base, shape, bad)
         assert refuted > 0
 
     def test_cells_with_one_automorphism_are_not_searched(self, monkeypatch):
@@ -867,12 +882,13 @@ class TestFamilyGenerators:
             assert natural_family_generators(base, shape, kan_extend(shape, base, lo, lm)) == ([], 1)
         assert searches == []
 
-    def test_fallback_names_the_first_failing_family(self, monkeypatch):
+    def test_names_the_first_failing_generator(self, monkeypatch):
         """Empty edges between three 2-point vertices: the 8 families are
         the vertex swaps in any combination, and the chain's generators
         swap one vertex each.  With extension failing on a family that is
-        no generator and on every family after it, a generator fails, and
-        the full loop names that family, not the generator."""
+        no generator and on every family after it, the witness is the
+        first generator, in chain order, among them; the generators after
+        it and the families that are none are not extended."""
         base, shape = finset(2), sigma_shape(2)
         obj, mor = empty_edge_data(shape, 2)
         ext = kan_extend(shape, base, obj, mor)
@@ -882,15 +898,16 @@ class TestFamilyGenerators:
         # after the first family other than the identity, which extends
         first = next(k for k in range(2, len(families)) if families[k] not in generators)
         failing = families[first:]
-        assert any(g in failing for g in generators)
-        extend = spans_module.extend_natural_family
+        witness = next(g for g in generators if g in failing)
+        extended, extend = [], spans_module.extend_natural_family
         monkeypatch.setattr(
             spans_module,
             "extend_natural_family",
-            lambda d1, d2, fam: None if fam in failing else extend(d1, d2, fam),
+            lambda d1, d2, fam: extended.append(fam) or (None if fam in failing else extend(d1, d2, fam)),
         )
         v, _ = _check_one_datum(shape, base, obj, mor, [0])
-        assert v.witness == {"reason": "free-data automorphism fails to extend", "family": families[first]}
+        assert v.witness == {"reason": "free-data automorphism fails to extend", "family": witness}
+        assert extended == generators[: generators.index(witness) + 1]
 
 
 class TestCertificateReuse:
@@ -950,7 +967,11 @@ def enumerated_count(shape, base, bound, cap):
 
 
 def refuse_enumeration(*args):
+    """A stand-in for enumerate_lambda_data that raises once iterated, not
+    when called: count_lambda_data hands out an enumeration it has not
+    started."""
     raise AssertionError("free data enumerated")
+    yield
 
 
 class TestFreeDataCount:
@@ -999,15 +1020,14 @@ class TestFreeDataCount:
     def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, count):
         """Table bases, one with no product of its two objects, so that
         _lambda_extensions takes the cone branch, and slices, under caps
-        above and below the count.  Where the data are listed to count
-        them, the list is the enumeration up to the cap."""
+        above and below the count.  The data handed out with the count are,
+        up to the cap, the enumeration."""
         base, shape = make_base(), sigma_shape(arities)
         for cap in (8000, 100, 7, 1):
-            counted, listed = count_lambda_data(shape, base, bound, cap)
-            assert counted == enumerated_count(shape, base, bound, cap)
-            if listed is not None:
-                enumerated = itertools.islice(enumerate_lambda_data(shape, base, bound), cap)
-                assert list(_unpacked_lambda_data(listed)) == list(enumerated)
+            counted, data = count_lambda_data(shape, base, bound, cap)
+            enumerated = list(itertools.islice(enumerate_lambda_data(shape, base, bound), cap))
+            assert counted == len(enumerated)
+            assert list(itertools.islice(data, cap)) == enumerated
         if count is not None:
             assert count_lambda_data(shape, base, bound, 8000)[0] == count
 
@@ -1429,8 +1449,9 @@ class TestRestriction:
 
 def pairwise_level(base, arities, bound=None):
     """The level groupoid as a search over every ordered pair of diagrams:
-    each hom lists the natural Lambda families that natural_families finds,
-    each extended to the full shape (the slow oracle of span_level)."""
+    each hom lists the natural Lambda families that the fill-order search
+    (natural_families_oracle) finds, in its order, each extended to the
+    full shape (the slow oracle of span_level)."""
     shape = sigma_shape(arities)
     diagrams = {}
     for lo, lm in enumerate_lambda_data(shape, base, bound):
@@ -1445,7 +1466,7 @@ def pairwise_level(base, arities, bound=None):
             return []
         fulls = (
             extend_natural_family(d1, d2, fam)
-            for fam in natural_families(base, shape, d1, d2)
+            for fam in natural_families_oracle(base, shape, d1, d2)
         )
         return [tuple(sorted(full.items())) for full in fulls if full is not None]
 
@@ -1510,17 +1531,19 @@ class TestCanonicalLevel:
         assert len(level.all_morphisms()) == 15537
         assert len(level.components()) == 219
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_finset2_arity2_homs_sampled(self, data):
-        """Homs between members of one component, or of two, against the
-        pairwise hom on the shared finset:2 level at arity 2."""
+    def test_finset2_arity2_homs_within_components(self):
+        """The hom between every two members of one component, in order,
+        and from the first member of each component to those of the first
+        five, against the pairwise hom on the shared finset:2 level at
+        arity 2."""
         level, oracle = _finset2_arity2()
         components = level.components()
-        first = data.draw(st.sampled_from(components))
-        second = data.draw(st.sampled_from([first, *components[:5]]))
-        x, y = data.draw(st.sampled_from(first)), data.draw(st.sampled_from(second))
-        assert level.hom(x, y) == oracle.hom(x, y)
+        for component in components:
+            for x in component:
+                for y in component:
+                    assert level.hom(x, y) == oracle.hom(x, y)
+            for other in components[:5]:
+                assert level.hom(component[0], other[0]) == oracle.hom(component[0], other[0])
 
     def test_hom_is_only_searched_inside_buckets(self, monkeypatch):
         """On a poset every bucket is one diagram: one hom call per object,
