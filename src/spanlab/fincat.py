@@ -49,6 +49,7 @@ class FinCategory:
         self.identities = dict(identities)
         self.composition = dict(composition)
         self._hom = {}
+        self._isos = {}
         for m, (s, t) in self.morphisms.items():
             self._hom.setdefault((s, t), []).append(m)
 
@@ -90,7 +91,10 @@ class FinCategory:
         return None
 
     def isos(self, x, y):
-        return [m for m in self.hom(x, y) if self.is_iso(m)]
+        fs = self._isos.get((x, y))
+        if fs is None:
+            fs = self._isos[(x, y)] = [m for m in self.hom(x, y) if self.is_iso(m)]
+        return list(fs)
 
     def is_initial(self, x):
         return all(len(self._hom.get((x, y), ())) == 1 for y in self.objects)

@@ -97,14 +97,12 @@ class SpanDiagram:
             m = self.mor[(a, b)]
             if self.base.src(m) != self.obj[a] or self.base.tgt(m) != self.obj[b]:
                 return Verdict.refuted(witness={"pair": (a, b), "reason": "wrong endpoints"})
-        order = self.shape.order
         for a, b in self.comparable_pairs():
-            for c in self.shape.objects:
-                if c != b and c != a and (b, c) in order:
-                    if self.base.compose(self.mor[(b, c)], self.mor[(a, b)]) != self.mor[(a, c)]:
-                        return Verdict.refuted(
-                            witness={"triple": (a, b, c), "reason": "composition mismatch"}
-                        )
+            for c in self.shape.strict_up[b]:
+                if self.base.compose(self.mor[(b, c)], self.mor[(a, b)]) != self.mor[(a, c)]:
+                    return Verdict.refuted(
+                        witness={"triple": (a, b, c), "reason": "composition mismatch"}
+                    )
         return Verdict.verified()
 
 
@@ -908,7 +906,15 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     data listed up to the cap.  That list holds up to SPANLAB_MAX_CELLS /
     |cells| + 1 packed data, so where no count is known peak memory grows
     with the ceiling, also in a run that turns out sampled and drops the
-    list."""
+    list.
+
+    An exhaustive run checks its data in shares (fanout.first_failure),
+    one process per CPU, each datum in one of them; the twists are checked
+    here in index order, on a rebuilt extension where another process
+    checked the datum, and the first failure in index order is reported,
+    so the verdict, witness and details are those of the in-order run.  A
+    sampled run draws its data from the twists' rng, between twist draws,
+    so it runs in order in this process."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -926,26 +932,40 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
         count = samples
         data = (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
     twist_at = set(rng.sample(range(count), min(samples, count)))
-    checked = 0
-    for idx, (lo, lm) in enumerate(data):
-        v, ext = _check_one_datum(shape, base, lo, lm, dirs)
-        if not v:
-            return Verdict.refuted(witness=v.witness, mode="exhaustive" if exhaustive else "sampled")
+    mode = "exhaustive" if exhaustive else "sampled"
+    exts = {}
+
+    def check(idx, datum):
+        v, ext = _check_one_datum(shape, base, *datum, dirs)
         if idx in twist_at:
-            vt = _check_twist(shape, base, ext, dirs, rng)
-            if not vt:
-                return Verdict.refuted(witness=vt.witness, mode="twist")
-        checked += 1
+            exts[idx] = ext
+        return v or Verdict.refuted(witness=v.witness, mode=mode)
+
+    def visit(idx, datum):
+        if idx not in twist_at:
+            return True
+        ext = exts.pop(idx) if idx in exts else kan_extend(shape, base, *datum)
+        vt = _check_twist(shape, base, ext, dirs, rng)
+        return vt or Verdict.refuted(witness=vt.witness, mode="twist")
+
+    # imported here: compiling fanout on import of spanlab would add to
+    # the start-up and peak memory of every process, Segal checks or not
+    from .fanout import first_failure, share_count
+
+    shares = share_count(count) if exhaustive else 1
+    failure = first_failure(data, check, visit, shares, lambda: count_lambda_data(shape, base, bound, max_data)[1])
+    if failure is not None:
+        return failure
     # the bound enumerated: a table base lists all its objects whatever the
     # bound, and finset:N lists none above N
     size = getattr(base, "max_size", None)
     details = dict(
-        mode="exhaustive" if exhaustive else "sampled",
-        data_checked=checked,
+        mode=mode,
+        data_checked=count,
         seed=seed,
         bound=size if size is None or bound is None else min(bound, size),
     )
-    if not checked:
+    if not count:
         return Verdict.inconclusive(witness={"reason": "no free data were checked"}, **details)
     return Verdict.verified(**details)
 

@@ -2,6 +2,7 @@
 import functools
 import gc
 import itertools
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -393,6 +394,19 @@ class TestFinCategoryAxioms:
         v = C.validate()
         assert not v
         assert v.witness == {"pair": ("id1", "f"), "reason": "wrong-typed composite"}
+
+    def test_isos_searched_once_per_pair(self, monkeypatch):
+        """isos(x, y) tests each morphism for an inverse on the first call
+        for the pair only, and every call hands out a fresh list."""
+        C, S = finset_table(finset(2)), finset(2)
+        tested, is_iso = [], C.is_iso
+        monkeypatch.setattr(C, "is_iso", lambda m: tested.append(m) or is_iso(m))
+        for x, y in itertools.product(C.objects, repeat=2):
+            first = C.isos(x, y)
+            assert [m[3] for m in first] == [f.values for f in S.isos(x, y)]
+            first.append("spoiled")
+            assert C.isos(x, y) == first[:-1]
+        assert sorted(tested) == sorted(C.all_morphisms())
 
     def test_json_roundtrip(self):
         C = walking_arrow()
@@ -788,7 +802,9 @@ class TestCanonicalLimits:
         """segal_check(finset(2), (2,)) takes 1,127 limits over 3 topologies
         and leaves no more compiled plans than topologies.  The Cartesian
         certificate of each of the 971 data reuses the limit that Kan
-        extension took for its one filled cell."""
+        extension took for its one filled cell.  Counted on one CPU, so
+        that no datum is checked in a worker, whose calls are not seen here."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         topologies, calls, limit = set(), [], FinSetCategory.limit_of_diagram
 
         def spy(self, node_obj, arrows):

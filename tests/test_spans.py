@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import math
+import os
 import random
 import time
 
@@ -88,6 +89,18 @@ def identity_lambda_data(shape, n):
     lam = shape.lambda_cells
     ident = FinFunction(n, n, tuple(range(n)))
     return {c: n for c in lam}, {ab: ident for ab in shape.arrows_among(lam)}
+
+
+def validate_oracle(d: SpanDiagram) -> Verdict:
+    """SpanDiagram.validate's composition test as a scan over every object
+    c with a (b, c) in order test (its endpoints hold by construction)."""
+    order = d.shape.order
+    for a, b in d.comparable_pairs():
+        for c in d.shape.objects:
+            if c != b and c != a and (b, c) in order:
+                if d.base.compose(d.mor[(b, c)], d.mor[(a, b)]) != d.mor[(a, c)]:
+                    return Verdict.refuted(witness={"triple": (a, b, c), "reason": "composition mismatch"})
+    return Verdict.verified()
 
 
 def random_natural_family_oracle(base, shape, cells, d, rng):
@@ -396,7 +409,9 @@ class TestSegal:
         times: 55,362 while every family was extended.  The chain's
         searches, which reach each Lambda arrow as soon as its ends are
         placed, compare 11,333 squares where the full family search
-        compared 23,191 (23,716 composites fewer)."""
+        compared 23,191 (23,716 composites fewer).  Counted on one CPU, so
+        that no datum is checked in a worker, whose calls are not seen here."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
         assert segal_check(finset(2), (2,))
@@ -409,7 +424,9 @@ class TestSegal:
     def test_extension_calls_pinned(self, monkeypatch):
         """segal_check(finset(2), (2,)) extends 945 families: the
         generators of each datum's stabilizer chain.  Extending every
-        family other than the identity took 1,130."""
+        family other than the identity took 1,130.  Counted on one CPU,
+        as test_compose_calls_pinned is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, extend = [], spans_module.extend_natural_family
         monkeypatch.setattr(
             spans_module, "extend_natural_family", lambda d1, d2, fam: calls.append(1) or extend(d1, d2, fam)
@@ -577,6 +594,24 @@ class TestSegal:
             assert v.status == "refuted"
             assert v.witness["reason"] == "composition mismatch"
         assert _check_twist(shape, base, ext, [0, 1], random.Random(0))
+
+    @pytest.mark.parametrize("arities", [(2,), (2, 1), (2, 2), (3,)])
+    def test_validate_names_the_first_triple_of_the_full_scan(self, arities):
+        """validate walks each b's strict up-set, which lists the triples
+        (a, b, c) of the scan over every object c with a (b, c) in order
+        test, in the same order; the scan is the oracle."""
+        base, shape = finset(2), sigma_shape(arities)
+        ext = kan_extend(shape, base, *identity_lambda_data(shape, 2))
+        rng, swap, seen = random.Random(0), FinFunction(2, 2, (1, 0)), set()
+        for k in range(1, 30):
+            mor = dict(ext.mor)
+            for ab in rng.sample(sorted(mor), k % 4):
+                mor[ab] = swap
+            bad = SpanDiagram(shape, base, ext.obj, mor)
+            v, oracle = bad.validate(), validate_oracle(bad)
+            assert (v.status, v.witness) == (oracle.status, oracle.witness)
+            seen.add(v.status)
+        assert seen == {"verified", "refuted"}
 
     def test_twist_family_that_fails_to_extend(self, monkeypatch):
         """A twist family that fails to extend refutes in mode twist.  At
