@@ -210,23 +210,24 @@ def _run_certify(args) -> tuple[Verdict, dict]:
         if args.span:
             w = duality.build_adjunction(base, _parse_span(args.span, base))
             return duality.triangle_check(w), {"witness_data": w.to_json()}
-        # The check is a function of (base, span) alone, so a span drawn
-        # again is skipped; it is still drawn, so the rng sequence, and with
-        # it the first refuting trial, stays the same.
-        rng = random.Random(args.seed)
-        verified = set()
+        # The check is a function of (base, span) alone, so each distinct
+        # span is checked once.  Every trial is drawn first: first maps the
+        # distinct spans, in draw order, to the first trial that drew each,
+        # and they are checked in shares (fanout.first_failure), so the
+        # first refuting span in draw order is reported, at that trial.
+        from .fanout import first_failure, share_count
+
+        rng, first = random.Random(args.seed), {}
         for trial in range(_at_least(0, args.trials, "--trials")):
-            s = _random_span(base, args.bound, rng)
-            if s in verified:
-                continue
-            w = duality.build_adjunction(base, s)
-            v = duality.triangle_check(w)
-            if not v:
-                return (
-                    Verdict.refuted(witness={"trial": trial, "span": repr(s), "inner": v.witness}),
-                    {},
-                )
-            verified.add(s)
+            first.setdefault(_random_span(base, args.bound, rng), trial)
+
+        def check(i, s):
+            v = duality.triangle_check(duality.build_adjunction(base, s))
+            return v or Verdict.refuted(witness={"trial": first[s], "span": repr(s), "inner": v.witness})
+
+        failure = first_failure(first, check, shares=share_count(len(first)), restart=lambda: first)
+        if failure is not None:
+            return failure, {}
         details = dict(trials=args.trials, seed=args.seed)
         if not args.trials:
             return Verdict.inconclusive(witness={"reason": "no spans were sampled"}, **details), {}

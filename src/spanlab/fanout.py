@@ -1,13 +1,17 @@
 """Check an indexed stream of items in shares, one process per CPU.
 
-The free data of an exhaustive Segal battery do not depend on one another.
-first_failure deals their indices to S shares in blocks of BLOCK, block j
-to share j mod S, and forks one worker for each share but the first.  Each
-process iterates its own copy of the item stream, so no list of the items
-is made, and checks the items of its own blocks.  This process checks
-share 0 and visits every item in index order; the answer is the first
-failure in index order, whichever share it lies in, which is the failure an
-in-order run meets first.  S = 1 forks nothing and is that in-order run.
+Three checks are loops of independent items: the exhaustive Segal battery
+over its free data (spans.segal_check), the inverse search over every span
+within the bound (spans.invertible_span_check), and the triangle checks of
+the distinct spans that certify adjoint draws (cli._run_certify).
+first_failure deals the indices of such a stream to S shares in blocks of
+BLOCK, block j to share j mod S, and forks one worker for each share but
+the first.  Each process iterates its own copy of the item stream, so a
+generator of items is never listed, and checks the items of its own
+blocks.  This process checks share 0 and visits every item in index
+order; the answer is the first failure in index order, whichever share it
+lies in, which is the failure an in-order run meets first.  S = 1 forks
+nothing and is that in-order run.
 
 Processes are handled with os alone: importing multiprocessing or pickle
 would add to the start-up time and peak memory of every check that fans
@@ -45,16 +49,16 @@ def _attempt(f, i, item):
     return bool(outcome), outcome
 
 
-def first_failure(items, check, visit, shares=1, restart=None):
+def first_failure(items, check, visit=None, shares=1, restart=None):
     """The outcome of the first failure among items in index order, or
     None when every item passes.
 
     check(i, item) runs once for each item, in the share that owns index
     i; visit(i, item) runs in this process for every item, in index order,
     after check where share 0 owns i, so it may draw from a random stream
-    in that order.  Each returns a truthy value when the item passes; a
-    falsy value or an exception is a failure, and at one index check's
-    failure comes before visit's.  The first failure is returned, or its
+    in that order, and visit None passes every item.  Each returns a
+    truthy value when the item passes; a falsy value or an exception is a
+    failure, and at one index check's failure comes before visit's.  The first failure is returned, or its
     exception raised, as it happened here.  A worker reports only the index
     of its first failure, so check runs again here on that item, taken
     from restart(), a fresh stream of the same items: as check is a
@@ -78,6 +82,8 @@ def first_failure(items, check, visit, shares=1, restart=None):
                 if not passed:
                     first = i, outcome
                     break
+            if visit is None:
+                continue
             passed, outcome = _attempt(visit, i, item)
             if not passed:
                 first = i, outcome

@@ -980,27 +980,29 @@ def both_legs_iso(base, s: Span) -> bool:
 
 def invertible_span_check(base, bound=None) -> Verdict:
     """Exhaustive agreement between the inverse-search notion of
-    invertibility and the both-legs-invertible predicate.  The inverse
-    searches share one rows dict (inverse.inverse_candidates), so each
-    key's pullbacks are taken once per check."""
+    invertibility and the both-legs-invertible predicate.  The spans are
+    checked in shares (fanout.first_failure), one process per CPU, and the
+    first failure in all_spans order is reported.  The inverse searches of
+    one process share one rows dict (inverse.inverse_candidates), so each
+    key's pullbacks are taken once per share."""
+    from .fanout import first_failure, share_count
     from .inverse import has_inverse
 
-    checked, rows = 0, {}
-    for s in all_spans(base, bound):
+    items, rows = all_spans(base, bound), {}
+
+    def check(i, s):
         pred = both_legs_iso(base, s)
         found = has_inverse(base, s, bound, rows)
-        if found != pred:
-            return Verdict.refuted(
-                witness={
-                    "span": repr(s),
-                    "both_legs_iso": pred,
-                    "inverse_found": found,
-                }
-            )
-        checked += 1
-    if not checked:
+        return found == pred or Verdict.refuted(
+            witness={"span": repr(s), "both_legs_iso": pred, "inverse_found": found}
+        )
+
+    failure = first_failure(items, check, shares=share_count(len(items)), restart=lambda: items)
+    if failure is not None:
+        return failure
+    if not items:
         return Verdict.inconclusive(witness={"reason": "no spans were checked"}, spans_checked=0)
-    return Verdict.verified(spans_checked=checked)
+    return Verdict.verified(spans_checked=len(items))
 
 
 def invertible_span_groupoid(base, bound=None) -> FinGroupoid:

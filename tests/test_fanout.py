@@ -1,6 +1,8 @@
-"""The exhaustive Segal battery checked in shares (spanlab.fanout): the
-verdicts, witnesses and reports of the in-order run, and no process left
-behind.  S is forced through a patched os.sched_getaffinity."""
+"""Checks run in shares (spanlab.fanout): the exhaustive Segal battery,
+check invertible and certify adjoint give the verdicts, witnesses and
+reports of the in-order run, and leave no process behind.  S is forced
+through a patched os.sched_getaffinity."""
+import json
 import os
 import random
 import time
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 
 from spanlab import fanout
 from spanlab import spans as spans_module
-from spanlab.cli import run_request
+from spanlab import duality
+from spanlab.cli import _parse_base, _random_span, run_request
 from spanlab.fincat import finset
+from spanlab.inverse import has_inverse
 from spanlab.shapes import sigma_shape
-from spanlab.spans import enumerate_lambda_data, segal_check
-from spanlab.verdict import Verdict
-from test_fincat import divisor_lattice
+from spanlab.spans import all_spans, enumerate_lambda_data, segal_check
+from spanlab.verdict import NoLimitError, Verdict
+from test_fincat import divisor_lattice, no_pullback_poset
 
 
 @pytest.fixture(autouse=True)
@@ -270,7 +274,7 @@ def test_a_worker_that_dies_is_an_error():
         return True
 
     with pytest.raises(RuntimeError, match="worker 1 of 2 ended"):
-        fanout.first_failure(iter(range(200)), check, lambda i, item: True, 2, lambda: iter(range(200)))
+        fanout.first_failure(iter(range(200)), check, shares=2, restart=lambda: iter(range(200)))
 
 
 def test_a_worker_that_cannot_fail_first_is_not_waited_for():
@@ -282,7 +286,7 @@ def test_a_worker_that_cannot_fail_first_is_not_waited_for():
         return i != 0
 
     start = time.monotonic()
-    assert fanout.first_failure(iter(range(2000)), check, lambda i, item: True, 2, None) is False
+    assert fanout.first_failure(iter(range(2000)), check, shares=2) is False
     assert time.monotonic() - start < 2.5
 
 
@@ -295,7 +299,7 @@ def test_this_share_stops_once_a_worker_has_failed_before_it():
         return i != 32
 
     start = time.monotonic()
-    assert fanout.first_failure(iter(range(2000)), check, lambda i, item: True, 2, lambda: iter(range(2000))) is False
+    assert fanout.first_failure(iter(range(2000)), check, shares=2, restart=lambda: iter(range(2000))) is False
     assert time.monotonic() - start < 2.5
 
 
@@ -303,6 +307,132 @@ def test_workers_never_flush_this_process_stdio(capfd):
     """Text written here but not yet flushed when the workers fork is
     printed once: a worker leaves through os._exit."""
     print("written once", end="")
-    assert fanout.first_failure(iter(range(300)), lambda i, item: True, lambda i, item: True, 3) is None
+    assert fanout.first_failure(iter(range(300)), lambda i, item: True, shares=3) is None
     print()
     assert capfd.readouterr().out == "written once\n"
+
+
+def test_no_visit_passes_every_item():
+    """visit None: the first failure of check alone, found in a worker."""
+    items = list(range(300))
+    assert fanout.first_failure(items, lambda i, item: i not in (100, 250), shares=2, restart=lambda: items) is False
+    assert fanout.first_failure(items, lambda i, item: True, shares=2) is None
+
+
+def reports_in_shares(monkeypatch, argv):
+    """The report, timing removed, and exit code of argv on 1, 2 and 3
+    CPUs, each with the number of workers it forked."""
+
+    def run():
+        report, code = run_request(argv)
+        report.pop("timing")
+        return report, code
+
+    return in_shares(monkeypatch, run)
+
+
+def forks(cpus, count):
+    return max(1, min(cpus, count // fanout.PER_SHARE)) - 1
+
+
+def adjoint_draws(seed, trials):
+    """The spans certify adjoint draws on finset:4, repeats included."""
+    rng = random.Random(seed)
+    return [_random_span(finset(4), None, rng) for _ in range(trials)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("trials", [2000, 200])
+def test_certify_adjoint_in_shares_gives_the_in_order_report(trials, seed, monkeypatch):
+    argv = ["certify", "adjoint", "--base", "finset:4", "--trials", str(trials), "--seed", str(seed)]
+    (alone, none), *shared = reports_in_shares(monkeypatch, argv)
+    assert none == 0 and alone[1] == 0
+    count = len(set(adjoint_draws(seed, trials)))
+    for cpus, (got, forked) in zip((2, 3), shared):
+        assert got == alone
+        assert forked == forks(cpus, count) > 0
+
+
+def category_file(tmp_path, C):
+    """A category file of C, its morphisms labelled by strings."""
+    label = {m: str(k) for k, m in enumerate(C.morphisms)}
+    data = {
+        "objects": list(C.objects),
+        "morphisms": [{"id": label[m], "src": s, "tgt": t} for m, (s, t) in C.morphisms.items()],
+        "identities": {str(x): label[m] for x, m in C.identities.items()},
+        "compose": [[label[g], label[f], label[h]] for (g, f), h in C.composition.items()],
+    }
+    f = tmp_path / "base.json"
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
+@pytest.mark.parametrize("base", ["finset:2", "finset:3", "lattice12"])
+def test_check_invertible_in_shares_gives_the_in_order_report(base, tmp_path, monkeypatch):
+    if base == "lattice12":
+        base = category_file(tmp_path, divisor_lattice(12))
+    (alone, none), *shared = reports_in_shares(monkeypatch, ["check", "invertible", "--base", base])
+    assert none == 0 and alone[1] == 0
+    count = alone[0]["details"]["spans_checked"]
+    assert count == len(all_spans(_parse_base(base)))
+    for cpus, (got, forked) in zip((2, 3), shared):
+        assert got == alone
+        assert forked == forks(cpus, count)
+
+
+def test_a_refutation_in_a_worker_share_names_the_first_trial_that_drew_it(monkeypatch):
+    """The first distinct span that a worker owns and that is drawn again
+    is refuted, and so is a later span of this process's share."""
+    draws = adjoint_draws(0, 200)
+    distinct = list(dict.fromkeys(draws))
+    at = next(i for i, s in enumerate(distinct) if owner(i) == 1 and draws.count(s) > 1)
+    later = next(i for i in range(at, len(distinct)) if owner(i) == 0)
+    target, check = distinct[at], duality.triangle_check
+
+    def refute(w):
+        return Verdict.refuted(witness={"reason": "planted"}) if w.span in (target, distinct[later]) else check(w)
+
+    monkeypatch.setattr(duality, "triangle_check", refute)
+    argv = ["certify", "adjoint", "--base", "finset:4", "--trials", "200", "--seed", "0"]
+    results = reports_in_shares(monkeypatch, argv)
+    witness = {"trial": draws.index(target), "span": repr(target), "inner": {"reason": "planted"}}
+    assert [(code, report["witness"]) for (report, code), _ in results] == [(1, witness)] * 3
+    assert [forked for _, forked in results] == [0, 1, 1]
+
+
+def test_a_missing_pullback_in_a_worker_share_gives_the_in_order_report(tmp_path, monkeypatch):
+    """Over the poset p, q <= x, y the first span whose inverse search
+    raises NoLimitError is span 4 of 20.  With blocks of 4 and a share
+    for every span, a worker owns it on 2 and on 3 CPUs."""
+    monkeypatch.setattr(fanout, "PER_SHARE", 1)
+    monkeypatch.setattr(fanout, "BLOCK", 4)
+    f = category_file(tmp_path, no_pullback_poset())
+    base = _parse_base(f)
+
+    def raised(s):
+        try:
+            has_inverse(base, s, None)
+        except NoLimitError as exc:
+            return exc
+        return None
+
+    spans = all_spans(base)
+    at = next(i for i, s in enumerate(spans) if raised(s))
+    assert (len(spans), at, owner(at, 2), owner(at, 3)) == (20, 4, 1, 1)
+    results = reports_in_shares(monkeypatch, ["check", "invertible", "--base", f])
+    alone = results[0][0]
+    assert alone[1] == 3 and alone[0]["witness"] == {"error": str(raised(spans[at]))}
+    assert results == [(alone, 0), (alone, 1), (alone, 2)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "adjoint", "--base", "finset:4", "--trials", "0"],
+        ["check", "invertible", "--base", "finset:2", "--bound", "-1"],
+    ],
+    ids=["no-trials", "no-spans"],
+)
+def test_nothing_to_check_is_inconclusive_and_forks_nothing(argv, monkeypatch):
+    results = reports_in_shares(monkeypatch, argv)
+    assert [(report["verdict"], code, forked) for (report, code), forked in results] == [("inconclusive", 2, 0)] * 3

@@ -1347,7 +1347,9 @@ class TestInverseRows:
     def test_pullback_calls_pinned(self, monkeypatch):
         """invertible_span_check(finset(3)) takes 6,158 pullbacks: one per
         row of each key (s.left, s.rleg, s.right), and one per composite of
-        a candidate.  Taking one per (span, B, l) took 50,218."""
+        a candidate.  Taking one per (span, B, l) took 50,218.  Counted on
+        one CPU, as test_compose_calls_pinned is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, pullback = [], FinSetCategory.pullback
         monkeypatch.setattr(FinSetCategory, "pullback", lambda B, f, g: calls.append(1) or pullback(B, f, g))
         v = invertible_span_check(finset(3))
