@@ -225,7 +225,7 @@ def _run_certify(args) -> tuple[Verdict, dict]:
             v = duality.triangle_check(duality.build_adjunction(base, s))
             return v or Verdict.refuted(witness={"trial": first[s], "span": repr(s), "inner": v.witness})
 
-        failure = first_failure(first, check, shares=share_count(len(first)), restart=lambda: first)
+        failure = first_failure(lambda: first, check, shares=share_count(len(first)))
         if failure is not None:
             return failure, {}
         details = dict(trials=args.trials, seed=args.seed)

@@ -6,7 +6,7 @@ within the bound (spans.invertible_span_check), and the triangle checks of
 the distinct spans that certify adjoint draws (cli._run_certify).
 first_failure deals the indices of such a stream to S shares in blocks of
 BLOCK, block j to share j mod S, and forks one worker for each share but
-the first.  Each process iterates its own copy of the item stream, so a
+the first.  Each process iterates a fresh stream of the items, so a
 generator of items is never listed, and checks the items of its own
 blocks.  This process checks share 0 and visits every item in index
 order; the answer is the first failure in index order, whichever share it
@@ -49,20 +49,23 @@ def _attempt(f, i, item):
     return bool(outcome), outcome
 
 
-def first_failure(items, check, visit=None, shares=1, restart=None):
-    """The outcome of the first failure among items in index order, or
-    None when every item passes.
+def first_failure(stream, check, visit=None, shares=1):
+    """The outcome of the first failure among the items in index order,
+    or None when every item passes.  stream() returns a fresh iterable of
+    the items, the same items in the same order on every call; this
+    process, each worker and the re-derivation of a worker's failure each
+    call it once.
 
     check(i, item) runs once for each item, in the share that owns index
     i; visit(i, item) runs in this process for every item, in index order,
     after check where share 0 owns i, so it may draw from a random stream
     in that order, and visit None passes every item.  Each returns a
     truthy value when the item passes; a falsy value or an exception is a
-    failure, and at one index check's failure comes before visit's.  The first failure is returned, or its
-    exception raised, as it happened here.  A worker reports only the index
-    of its first failure, so check runs again here on that item, taken
-    from restart(), a fresh stream of the same items: as check is a
-    function of (i, item), it returns or raises what it did there.
+    failure, and at one index check's failure comes before visit's.  The
+    first failure is returned, or its exception raised, as it happened
+    here.  A worker reports only the index of its first failure, so check
+    runs again here on that item, taken from a fresh stream(): as check is
+    a function of (i, item), it returns or raises what it did there.
 
     A worker writes one b"." to its pipe for each block it passes and
     b"!<index>\\n" at its first failure.  This process reads the pipes
@@ -72,9 +75,9 @@ def first_failure(items, check, visit=None, shares=1, restart=None):
     workers = []
     try:
         for share in range(1, shares):
-            workers.append(_Worker(items, check, share, shares, workers))
+            workers.append(_Worker(stream, check, share, shares, workers))
         first = None  # (index, outcome) of the first failure found so far
-        for i, item in enumerate(items):
+        for i, item in enumerate(stream()):
             if i % BLOCK == 0 and any(w.failed_before(i) for w in workers):
                 break
             if (i // BLOCK) % shares == 0:
@@ -100,7 +103,7 @@ def first_failure(items, check, visit=None, shares=1, restart=None):
         return None
     i, outcome = first
     if outcome is _REPORTED:
-        outcome = check(i, next(itertools.islice(restart(), i, None)))
+        outcome = check(i, next(itertools.islice(stream(), i, None)))
         if outcome:
             raise RuntimeError(f"item {i} failed in a worker process and passes in this one")
     elif isinstance(outcome, Exception):
@@ -112,7 +115,7 @@ class _Worker:
     """A forked share of first_failure, and what it has written to its
     pipe: the blocks it has passed, and its first failing index."""
 
-    def __init__(self, items, check, share, shares, siblings):
+    def __init__(self, stream, check, share, shares, siblings):
         self.share, self.shares = share, shares
         self.passed, self.tail, self.failed, self.ended = 0, b"", None, False
         self.fd, w = os.pipe()
@@ -127,7 +130,7 @@ class _Worker:
             try:
                 for fd in [self.fd, *(s.fd for s in siblings)]:
                     os.close(fd)
-                for i, item in enumerate(items):
+                for i, item in enumerate(stream()):
                     if (i // BLOCK) % shares != share:
                         continue
                     if not _attempt(check, i, item)[0]:

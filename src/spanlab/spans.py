@@ -9,6 +9,7 @@ or enumeration ceiling truncates a search.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -62,7 +63,7 @@ class SpanDiagram:
     @property
     def key(self):
         """The arities and the sorted obj and mor items, computed on first
-        use; nothing mutates obj or mor after construction."""
+        use; obj and mor never change to unequal dicts after construction."""
         if self._key is None:
             self._key = (
                 self.shape.arities,
@@ -201,72 +202,56 @@ def _lambda_extensions(shape, base, order, objects, i, obj, mor):
         mor.pop((c, b), None)
 
 
-def count_lambda_data(shape: SigmaShape, base, bound, cap: int):
-    """(count, data), count being min(cap, the number of free data
-    enumerate_lambda_data yields) and data an iterator over them as (obj,
-    mor) dict pairs.  Where _known_lambda_count tells the count, nothing is
-    enumerated and data is an enumeration not yet started, which yields
-    more than cap data when count is cap; otherwise data unpacks the data
-    up to the cap, listed from one enumeration (_packed_lambda_data), and
-    count is their number."""
-    known = _known_lambda_count(shape, base, bound, cap)
-    if known is not None:
-        return known, enumerate_lambda_data(shape, base, bound)
-    (cells, arrows), packed = _packed_lambda_data(shape, base, bound, cap)
-    data = ((dict(zip(cells, values)), dict(zip(arrows, values[len(cells):]))) for values in packed)
-    return len(packed), data
+def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
+    """min(cap, the number of free data enumerate_lambda_data yields),
+    with no datum of this shape enumerated.
 
-
-def _known_lambda_count(shape: SigmaShape, base, bound, cap: int):
-    """min(cap, the number of free data) where it follows without
-    enumerating them, else None.
-
-    - Lower bound, any directions: an initial object extends every other
-      Lambda cell in exactly one way (one morphism into the limit, or one
-      cone when there is none).  With one among the objects, every choice
-      of vertex objects extends to a datum, so there are at least
-      |objects| ** v data, v the number of vertex cells; when that reaches
-      the cap, the cap is the answer.
-    - Closed form, one direction: an edge's up-set is its two vertices x
-      and y, with no arrow between them.  _lambda_extensions picks an
-      object A and a morphism into their limit, or a cone from A when there
-      is no limit; either way a pair of morphisms A -> x, A -> y, by the
-      limit's universal property.  So the edge has N(x, y) = sum_A |hom(A,
-      x)| |hom(A, y)| choices, and the count is the sum over vertex objects
-      x_0..x_n of prod_i N(x_{i-1}, x_i): the vector-matrix product 1^T N^n
-      1, with N = H^T H for H[A][x] = |hom(A, x)|, which is x ** A on
-      finite sets."""
+    - Lower bound: an initial object extends every other Lambda cell in
+      exactly one way (one morphism into the limit, or one cone when there
+      is none), so with one among the objects there are at least |objects|
+      ** v data, v the number of vertex cells; when that reaches the cap,
+      the cap is the answer, and nothing is enumerated.
+    - Lifted form: the Lambda sub-poset of arities (p, q...) is Lambda^(p)
+      x Lambda^(q...), so a datum is a zigzag V_0 <- E_1 -> V_1 ... V_p of
+      lower data, Lambda^(q...) data within the bound, and natural
+      transformations.  With p the largest arity and H[E][V] = |Nat(E, V)|
+      over the lower data, the count is 1^T (H^T H)^p 1.  With no other
+      direction the lower data are objects and Nat is hom, x ** A on finite
+      sets; otherwise the family search counts Nat with base.hom.
+    - Cap exits: the constant zigzags are M data, one per lower datum, so
+      M >= cap gives the cap.  The count at p = 1, sum_E (sum_V H[E][V])
+      ** 2, is at most the count at any p >= 1 (extend by constant steps),
+      so H is filled row by row and the cap returned once that partial sum
+      reaches it."""
     objects = base.objects_within(bound)
     vertices = sum(1 for c in shape.lambda_cells if not shape.lambda_up[c])
     if len(objects) ** vertices >= cap and any(map(base.is_initial, objects)):
         return cap
-    if shape.k != 1:
-        return None
-    if isinstance(base, FinSetCategory):
-        H = [[x**A for x in objects] for A in objects]
+    rest = list(shape.arities)
+    p = rest.pop(rest.index(max(rest)))
+    if rest:
+        small = sigma_shape(rest)
+        data = itertools.islice(enumerate_lambda_data(small, base, bound), cap)
+        lower = [SpanDiagram(small, base, *datum) for datum in data]
+        order = small.lambda_search_order
+        nat = lambda E, V: sum(1 for _ in _natural_extensions(base, small, order, E, V, 0, {}, base.hom))
     else:
-        H = [[len(base.hom(A, x)) for x in objects] for A in objects]
+        lower = objects
+        nat = (lambda A, x: x**A) if isinstance(base, FinSetCategory) else (lambda A, x: len(base.hom(A, x)))
+    if len(lower) >= cap or not p:
+        return min(cap, len(lower))
+    H, partial = [], 0
+    for E in lower:
+        H.append([nat(E, V) for V in lower])
+        partial += sum(H[-1]) ** 2
+        if partial >= cap:
+            return cap
     columns = list(zip(*H))
-    row = [1] * len(objects)
-    for _ in range(shape.arities[0]):
+    row = [1] * len(lower)
+    for _ in range(p):
         through = [sum(map(operator.mul, row, h)) for h in H]
         row = [sum(map(operator.mul, through, col)) for col in columns]
     return min(cap, sum(row))
-
-
-def _packed_lambda_data(shape: SigmaShape, base, bound, cap: int):
-    """Up to cap free data from one enumeration, as (keys, packed).  keys
-    are the first datum's obj and mor keys, in the order _lambda_extensions
-    inserts them, which every datum shares; each datum is packed as one
-    tuple of its obj values and then its mor values in that order, equal
-    values shared: on finset:1 at (2, 1) its 518 data take 0.2 MB packed
-    where their dicts take 2.2 MB."""
-    keys, packed, shared = ((), ()), [], {}
-    for lo, lm in itertools.islice(enumerate_lambda_data(shape, base, bound), cap):
-        if not packed:
-            keys = list(lo), list(lm)
-        packed.append(tuple(shared.setdefault(x, x) for x in [*lo.values(), *lm.values()]))
-    return keys, packed
 
 
 def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
@@ -394,22 +379,24 @@ def natural_families(base, shape, d1: SpanDiagram, d2: SpanDiagram):
     the cells above it, so natural_with tests every arrow and both
     searches find the same families.  It is a generator, so that
     bench/tracer.py counts the families it yields."""
-    yield from _natural_extensions(base, shape, shape.lambda_search_order, d1, d2, 0, {})
+    yield from _natural_extensions(base, shape, shape.lambda_search_order, d1, d2, 0, {}, base.isos)
 
 
-def _natural_extensions(base, shape, order, d1, d2, i, fam):
+def _natural_extensions(base, shape, order, d1, d2, i, fam, homs):
     """The natural families that extend fam, given on order[:i], over the
-    rest of order.  A module function rather than a closure that calls
+    rest of order, each component drawn from homs(d1.obj[c], d2.obj[c]):
+    base.isos for natural isomorphisms, base.hom for natural
+    transformations.  A module function rather than a closure that calls
     itself: such a closure is a reference cycle, which keeps every
     family and diagram it saw alive until the cyclic collector runs."""
     if i == len(order):
         yield dict(fam)
         return
     c = order[i]
-    for g in base.isos(d1.obj[c], d2.obj[c]):
+    for g in homs(d1.obj[c], d2.obj[c]):
         if natural_with(base, shape, d1, d2, fam, c, g):
             fam[c] = g
-            yield from _natural_extensions(base, shape, order, d1, d2, i + 1, fam)
+            yield from _natural_extensions(base, shape, order, d1, d2, i + 1, fam, homs)
             del fam[c]
 
 
@@ -645,7 +632,7 @@ def natural_family_generators(base, shape, d: SpanDiagram):
             if g != ident and natural_with(base, shape, d, d, fixed, c, g):
                 # a fresh family: the search abandoned after its first
                 # completion leaves the cells it assigned in place
-                search = _natural_extensions(base, shape, order, d, d, i + 1, {**fixed, c: g})
+                search = _natural_extensions(base, shape, order, d, d, i + 1, {**fixed, c: g}, base.isos)
                 first = next(search, None)
                 if first is not None:
                     generators.append(first)
@@ -701,6 +688,10 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
       list depends on which member is r or on the order in which
       natural_families finds Aut(r).
 
+    A level over SPANLAB_MAX_CELLS data is refused before any datum of
+    its shape is enumerated (count_lambda_data); the data are then
+    enumerated once, and the diagrams share equal arrow keys and morphisms.
+
     The key is a cheap invariant, the class representatives of the Lambda
     objects in fill order.  A diagram gets its form when a row of its key
     group first needs it; r is the first diagram canonicalised with a form.
@@ -711,12 +702,13 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     arities = tuple(arities)
     shape = sigma_shape(arities)
     ceiling = enumeration_ceiling()
-    count, data = count_lambda_data(shape, base, bound, ceiling + 1)
-    if count > ceiling:
+    if count_lambda_data(shape, base, bound, ceiling + 1) > ceiling:
         raise ResourceError(f"level enumeration for arities {arities} exceeds the ceiling {ceiling}")
-    diagrams = {}
-    for lo, lm in data:
+    diagrams, shared = {}, {}  # shared: one object per equal arrow key or morphism
+    for lo, lm in enumerate_lambda_data(shape, base, bound):
         d = kan_extend(shape, base, lo, lm)
+        # an equal dict, before the key is taken
+        d.mor = {shared.setdefault(ab, ab): shared.setdefault(m, m) for ab, m in d.mor.items()}
         diagrams[d.key] = d
     keys = sorted(diagrams)
     listed = [diagrams[k] for k in keys]
@@ -899,14 +891,13 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     Exhaustive over all free data when the enumeration fits under the
     ceiling; otherwise a seeded sampled battery (reported as such in the
     details, still returning verified only when every sample passes).  The
-    count that decides the mode, capped, and the data an exhaustive run
-    checks come from count_lambda_data: a count from _known_lambda_count (a
-    closed form in one direction, or a lower bound from an initial object
-    that already reaches the cap) with a fresh enumeration, or else the
-    data listed up to the cap.  That list holds up to SPANLAB_MAX_CELLS /
-    |cells| + 1 packed data, so where no count is known peak memory grows
-    with the ceiling, also in a run that turns out sampled and drops the
-    list.
+    count that decides the mode is count_lambda_data's, capped one datum
+    past the ceiling: the lifted form 1^T (H^T H)^p 1, with its two cap
+    exits (as many lower data as the cap, or a partial count at p = 1
+    that reaches it) and the initial-object lower bound before them, so
+    no datum of this shape is enumerated to decide.  An exhaustive run
+    then enumerates its data with enumerate_lambda_data, afresh in each
+    process.
 
     An exhaustive run checks its data in shares (fanout.first_failure),
     one process per CPU, each datum in one of them; the twists are checked
@@ -925,12 +916,13 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     # not the raw datum count, so large shapes degrade to sampling too.
     per_datum = len(shape.objects)
     max_data = ceiling // per_datum + 1
-    count, data = count_lambda_data(shape, base, bound, max_data)
+    count = count_lambda_data(shape, base, bound, max_data)
     exhaustive = count * per_datum <= ceiling
     rng = random.Random(seed)
-    if not exhaustive:  # a sampled run checks none of the counted data
-        count = samples
-        data = (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
+    stream = functools.partial(enumerate_lambda_data, shape, base, bound)
+    if not exhaustive:  # checks none of the counted data; one share draws once
+        count, sampled = samples, (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
+        stream = lambda: sampled
     twist_at = set(rng.sample(range(count), min(samples, count)))
     mode = "exhaustive" if exhaustive else "sampled"
     exts = {}
@@ -953,7 +945,7 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     from .fanout import first_failure, share_count
 
     shares = share_count(count) if exhaustive else 1
-    failure = first_failure(data, check, visit, shares, lambda: count_lambda_data(shape, base, bound, max_data)[1])
+    failure = first_failure(stream, check, visit, shares)
     if failure is not None:
         return failure
     # the bound enumerated: a table base lists all its objects whatever the
@@ -997,7 +989,7 @@ def invertible_span_check(base, bound=None) -> Verdict:
             witness={"span": repr(s), "both_legs_iso": pred, "inverse_found": found}
         )
 
-    failure = first_failure(items, check, shares=share_count(len(items)), restart=lambda: items)
+    failure = first_failure(lambda: items, check, shares=share_count(len(items)))
     if failure is not None:
         return failure
     if not items:

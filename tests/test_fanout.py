@@ -253,7 +253,7 @@ def test_first_failure_is_the_in_order_one(n, shares, fail_check, fail_visit, ra
         return Verdict.refuted(witness=("visit", i)) if i in fail_visit else True
 
     try:
-        v = fanout.first_failure(iter(range(n)), check, visit, shares, lambda: iter(range(n)))
+        v = fanout.first_failure(lambda: range(n), check, visit, shares)
         got = None if v is None else v.witness
     except ValueError as exc:
         got = "raised", exc.args[0]
@@ -274,7 +274,7 @@ def test_a_worker_that_dies_is_an_error():
         return True
 
     with pytest.raises(RuntimeError, match="worker 1 of 2 ended"):
-        fanout.first_failure(iter(range(200)), check, shares=2, restart=lambda: iter(range(200)))
+        fanout.first_failure(lambda: range(200), check, shares=2)
 
 
 def test_a_worker_that_cannot_fail_first_is_not_waited_for():
@@ -286,7 +286,7 @@ def test_a_worker_that_cannot_fail_first_is_not_waited_for():
         return i != 0
 
     start = time.monotonic()
-    assert fanout.first_failure(iter(range(2000)), check, shares=2) is False
+    assert fanout.first_failure(lambda: range(2000), check, shares=2) is False
     assert time.monotonic() - start < 2.5
 
 
@@ -299,7 +299,7 @@ def test_this_share_stops_once_a_worker_has_failed_before_it():
         return i != 32
 
     start = time.monotonic()
-    assert fanout.first_failure(iter(range(2000)), check, shares=2, restart=lambda: iter(range(2000))) is False
+    assert fanout.first_failure(lambda: range(2000), check, shares=2) is False
     assert time.monotonic() - start < 2.5
 
 
@@ -307,7 +307,7 @@ def test_workers_never_flush_this_process_stdio(capfd):
     """Text written here but not yet flushed when the workers fork is
     printed once: a worker leaves through os._exit."""
     print("written once", end="")
-    assert fanout.first_failure(iter(range(300)), lambda i, item: True, shares=3) is None
+    assert fanout.first_failure(lambda: range(300), lambda i, item: True, shares=3) is None
     print()
     assert capfd.readouterr().out == "written once\n"
 
@@ -315,8 +315,8 @@ def test_workers_never_flush_this_process_stdio(capfd):
 def test_no_visit_passes_every_item():
     """visit None: the first failure of check alone, found in a worker."""
     items = list(range(300))
-    assert fanout.first_failure(items, lambda i, item: i not in (100, 250), shares=2, restart=lambda: items) is False
-    assert fanout.first_failure(items, lambda i, item: True, shares=2) is None
+    assert fanout.first_failure(lambda: items, lambda i, item: i not in (100, 250), shares=2) is False
+    assert fanout.first_failure(lambda: items, lambda i, item: True, shares=2) is None
 
 
 def reports_in_shares(monkeypatch, argv):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from spanlab import groupoid as groupoid_module
 from spanlab import spans as spans_module
+from spanlab.cli import run_request
 from spanlab.fincat import FinCategory, FinFunction, FinSetCategory, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
 from spanlab.inverse import has_inverse, inverse_candidates
@@ -435,48 +436,24 @@ class TestSegal:
         assert len(calls) == 945
 
     def test_free_data_listed_once(self, monkeypatch):
-        """finset:1 at (2, 1) has no closed form and no initial-object bound
-        that reaches the cap, so its 518 free data are listed, once: the
-        list decides the mode and is the batch the exhaustive run checks."""
+        """finset:1 at (2, 1) has no initial-object bound that reaches the
+        cap, so its 518 data are counted by the lifted form, from the 5
+        data of shape (1,), and the data of shape (2, 1) are enumerated
+        once in this process, by the exhaustive run that checks them."""
         calls, enumerate_data = [], spans_module.enumerate_lambda_data
         monkeypatch.setattr(
-            spans_module, "enumerate_lambda_data", lambda *a: calls.append(a) or enumerate_data(*a)
+            spans_module, "enumerate_lambda_data", lambda *a: calls.append(a[0].arities) or enumerate_data(*a)
         )
         v = segal_check(finset(1), (2, 1))
         assert v.details["mode"] == "exhaustive" and v.details["data_checked"] == 518
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize(
-        "make_base, arities, bound",
-        [
-            (lambda: finset(1), (2, 1), None),
-            (lambda: finset(2), (2,), None),
-            (lambda: divisor_lattice(12), (2,), None),
-            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 1),
-            (no_pullback_poset, (2,), None),
-        ],
-        ids=["finset1-2-1", "finset2-2", "lattice12-2", "slice-2", "no-pullback-2"],
-    )
-    def test_packed_data_unpack_to_the_enumerated_ones(self, make_base, arities, bound, monkeypatch):
-        """With no count known, count_lambda_data lists the free data packed
-        and hands them out unpacked: the enumerated ones, in order and with
-        the same key order in each dict, stopping at the cap."""
-        monkeypatch.setattr(spans_module, "_known_lambda_count", lambda *args: None)
-        base, shape = make_base(), sigma_shape(arities)
-        data = list(enumerate_lambda_data(shape, base, bound))
-        count, unpacked = count_lambda_data(shape, base, bound, len(data) + 1)
-        unpacked = list(unpacked)
-        assert count == len(data) and unpacked == data
-        assert [(list(lo), list(lm)) for lo, lm in unpacked] == [(list(lo), list(lm)) for lo, lm in data]
-        count, few = count_lambda_data(shape, base, bound, 3)
-        assert count == len(list(few)) == min(3, len(data))
+        assert calls.count((2, 1)) == 1 and calls.count((1,)) == 1
 
     def test_sampled_stream_over_listed_data_pinned(self, monkeypatch):
         """Under a ceiling of 2,000 the 518 data of finset:1 at (2, 1) are
-        over the cap of 112, so the listed data only decide the mode: the
-        run samples, and the samples it checks, which follow the twist
-        draws from the same Random, are those it drew while it counted the
-        data by enumerating them."""
+        over the cap of 112, so the count only decides the mode: the run
+        samples, and the samples it checks, which follow the twist draws
+        from the same Random, are those it drew when the data were listed
+        to count them."""
         monkeypatch.setenv("SPANLAB_MAX_CELLS", "2000")
         seen, check = [], spans_module._check_one_datum
 
@@ -744,7 +721,7 @@ def natural_families_oracle(base, shape, d1, d2):
     places every vertex before the first edge: the oracle of
     spans.natural_families."""
     order = sorted(shape.lambda_cells, key=shape.fill_rank.__getitem__)
-    return spans_module._natural_extensions(base, shape, order, d1, d2, 0, {})
+    return spans_module._natural_extensions(base, shape, order, d1, d2, 0, {}, base.isos)
 
 
 def check_families_oracle(base, shape, d):
@@ -1002,18 +979,54 @@ def enumerated_count(shape, base, bound, cap):
 
 
 def refuse_enumeration(*args):
-    """A stand-in for enumerate_lambda_data that raises once iterated, not
-    when called: count_lambda_data hands out an enumeration it has not
-    started."""
+    """A stand-in for enumerate_lambda_data that raises once iterated."""
     raise AssertionError("free data enumerated")
     yield
+
+
+def recorded_enumeration(monkeypatch):
+    """The arities of every free datum enumerate_lambda_data yields from
+    here on, one entry per datum."""
+    listed, enumerate_data = [], spans_module.enumerate_lambda_data
+
+    def listing(shape, *args):
+        for datum in enumerate_data(shape, *args):
+            listed.append(shape.arities)
+            yield datum
+
+    monkeypatch.setattr(spans_module, "enumerate_lambda_data", listing)
+    return listed
+
+
+def divisors_of_30_without_1():
+    """The divisor lattice of 30 without 1: no initial object, and 2 and 3
+    have no meet, so that _lambda_extensions takes the cone branch."""
+    divisors = [d for d in range(2, 31) if 30 % d == 0]
+    return poset_category(divisors, [(a, b) for a in divisors for b in divisors if b % a == 0])
+
+
+def subset_poset(members, bottom):
+    """The family members of subsets of {0, 1, 2}, closed under
+    intersection, ordered by inclusion and named by their elements; with
+    bottom False the empty set is left out, so two disjoint members have
+    no meet and the family may have no least element."""
+    family = set(members)
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            break
+        family |= meets
+    if not bottom and len(family) > 1:
+        family.discard(frozenset())
+    names = sorted("".join(map(str, sorted(m))) for m in family)
+    return poset_category(names, [(a, b) for a in names for b in names if set(a) <= set(b)])
 
 
 class TestFreeDataCount:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from([None, *range(n)]))),
-        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (1, 1)]),
+        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2), (1, 1), (2, 2), (1, 1, 1)]),
         st.integers(1, 12000),
     )
     def test_matches_the_enumerated_count_on_finite_sets(self, size_bound, arities, ceiling):
@@ -1021,7 +1034,7 @@ class TestFreeDataCount:
         segal_check derives from a small SPANLAB_MAX_CELLS."""
         (n, bound), shape = size_bound, sigma_shape(arities)
         cap = ceiling // len(shape.objects) + 1
-        assert count_lambda_data(shape, finset(n), bound, cap)[0] == enumerated_count(shape, finset(n), bound, cap)
+        assert count_lambda_data(shape, finset(n), bound, cap) == enumerated_count(shape, finset(n), bound, cap)
 
     @pytest.mark.parametrize("n, size", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
     def test_closed_form_on_finite_sets(self, n, size):
@@ -1034,41 +1047,69 @@ class TestFreeDataCount:
             math.prod(sum((x * y) ** a for a in sizes) for x, y in zip(xs, xs[1:]))
             for xs in itertools.product(sizes, repeat=n + 1)
         )
-        assert count_lambda_data(sigma_shape((n,)), finset(size), None, 10**12)[0] == formula
+        assert count_lambda_data(sigma_shape((n,)), finset(size), None, 10**12) == formula
 
     @pytest.mark.parametrize(
-        "make_base, arities, bound, count",
+        "make_base, arities, count",
         [
-            (lambda: divisor_lattice(30), (2,), None, 2197),
-            (lambda: divisor_lattice(30), (3,), None, None),
-            (lambda: divisor_lattice(12), (2, 1), None, None),
-            (lambda: divisor_lattice(6), (1, 1), None, 2304),
-            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2,), None, 2),
-            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2, 1), None, 2),
-            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 2, 971),
-            (lambda: slice_over_pair(finset(2), 2, 1), (2,), 2, 7271),
-            (lambda: slice_over_pair(finset(2), 1, 1), (1, 1), 1, None),
+            (lambda: finset(1), (2, 2), 24898),
+            (lambda: finset(1), (1, 1, 1), 15936),
+            (lambda: divisor_lattice(6), (2, 1), 268324),
+        ],
+        ids=["finset1-2-2", "finset1-1-1-1", "lattice6-2-1"],
+    )
+    def test_lifted_counts_pinned(self, make_base, arities, count):
+        """Counts in several directions, each checked against a full
+        enumeration of the data."""
+        assert count_lambda_data(sigma_shape(arities), make_base(), None, 10**12) == count
+
+    @pytest.mark.parametrize(
+        "make_base, arities, bound, caps, count",
+        [
+            (lambda: divisor_lattice(30), (2,), None, (8000, 100, 7, 1), 2197),
+            (lambda: divisor_lattice(30), (3,), None, (8000, 100, 7, 1), None),
+            (lambda: divisor_lattice(12), (2, 1), None, (8000, 100, 7, 1), None),
+            (lambda: divisor_lattice(6), (1, 1), None, (8000, 100, 7, 1), 2304),
+            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2,), None, (8000, 100, 7, 1), 2),
+            (lambda: poset_category([0, 1], [(0, 0), (1, 1)]), (2, 1), None, (8000, 100, 7, 1), 2),
+            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 2, (8000, 100, 7, 1), 971),
+            (lambda: slice_over_pair(finset(2), 2, 1), (2,), 2, (8000, 100, 7, 1), 7271),
+            (lambda: slice_over_pair(finset(2), 1, 1), (1, 1), 1, (8000, 100, 7, 1), None),
+            (divisors_of_30_without_1, (2, 1), None, (100, 7, 1), None),
+            (divisors_of_30_without_1, (2, 2), None, (100, 7, 1), None),
         ],
         ids=["lattice30-2", "lattice30-3", "lattice12-2-1", "lattice6-1-1", "no-products-2", "no-products-2-1",
-             "slice1x1-2", "slice2x1-2", "slice1x1-1-1"],
+             "slice1x1-2", "slice2x1-2", "slice1x1-1-1", "lattice30-without-1-2-1", "lattice30-without-1-2-2"],
     )
-    def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, count):
-        """Table bases, one with no product of its two objects, so that
+    def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, caps, count):
+        """Table bases, one with no product of its two objects and one with
+        no initial object and a pair with no meet, so that
         _lambda_extensions takes the cone branch, and slices, under caps
-        above and below the count.  The data handed out with the count are,
-        up to the cap, the enumeration."""
+        above and below the count."""
         base, shape = make_base(), sigma_shape(arities)
-        for cap in (8000, 100, 7, 1):
-            counted, data = count_lambda_data(shape, base, bound, cap)
-            enumerated = list(itertools.islice(enumerate_lambda_data(shape, base, bound), cap))
-            assert counted == len(enumerated)
-            assert list(itertools.islice(data, cap)) == enumerated
+        for cap in caps:
+            assert count_lambda_data(shape, base, bound, cap) == enumerated_count(shape, base, bound, cap)
         if count is not None:
-            assert count_lambda_data(shape, base, bound, 8000)[0] == count
+            assert count_lambda_data(shape, base, bound, 8000) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=6),
+        st.booleans(),
+        st.sampled_from([(2, 1), (1, 1)]),
+        st.integers(1, 60),
+    )
+    def test_matches_the_enumerated_count_on_random_posets(self, members, bottom, arities, cap):
+        """Families of subsets of a 3-set closed under intersection, with
+        and without a bottom, under small caps: the initial-object lower
+        bound, both cap exits and the lifted form are each reached."""
+        base, shape = subset_poset(members, bottom), sigma_shape(arities)
+        assert count_lambda_data(shape, base, None, cap) == enumerated_count(shape, base, None, cap)
 
     def test_sampled_runs_enumerate_nothing(self, monkeypatch):
         """An initial object's lower bound puts finset:2 at arities (2, 2)
-        over the cap, and the closed form finset:3 at arity 2."""
+        over the cap, and the one-direction count finset:3 at arity 2,
+        whose lower data are the objects."""
         monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
         v = segal_check(finset(2), (2, 2), samples=3)
         assert v and v.details["mode"] == "sampled" and v.details["data_checked"] == 3
@@ -1076,26 +1117,30 @@ class TestFreeDataCount:
         assert v.status == "inconclusive" and v.details["mode"] == "sampled"
 
     def test_level_over_the_ceiling_refused_before_listing(self, monkeypatch):
-        """The closed form refuses finset:3 at arity 2 (1,387,616 data) with
-        the error the listing gave; an undecided level is listed once."""
-        enumerate_data = spans_module.enumerate_lambda_data
+        """finset:3 at arity 2 (1,387,616 data) is refused with nothing
+        enumerated, and finset:1 at (2, 1) (518 data) under a ceiling of
+        100 with no datum of its own shape enumerated: only the 5 lower
+        data of shape (1,) that its count reads."""
         monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
         with pytest.raises(ResourceError, match=r"^level enumeration for arities \(2,\) exceeds the ceiling 50000$"):
             span_level(finset(3), (2,))
-        # two directions on finset:1: the lower bound 2 ** 6 does not reach
-        # the ceiling, so the data are listed once, up to one past it
+        monkeypatch.undo()
         monkeypatch.setenv("SPANLAB_MAX_CELLS", "100")
-        listed = []
-
-        def listing(*args):
-            for datum in enumerate_data(*args):
-                listed.append(datum)
-                yield datum
-
-        monkeypatch.setattr(spans_module, "enumerate_lambda_data", listing)
-        with pytest.raises(ResourceError, match="exceeds the ceiling 100"):
+        listed = recorded_enumeration(monkeypatch)
+        with pytest.raises(ResourceError, match=r"^level enumeration for arities \(2, 1\) exceeds the ceiling 100$"):
             span_level(finset(1), (2, 1))
-        assert len(listed) == 101
+        assert listed == [(1,)] * 5
+
+    def test_mapping_fiber_over_the_ceiling_lists_no_datum(self, monkeypatch):
+        """check mapping --base finset:2 -X 1 -Y 2 --arities 2 needs the
+        (1, 2) level, whose 37,521,787,379 data are over the ceiling: the
+        report stays inconclusive, and no datum of shape (1, 2) is
+        enumerated to find that out."""
+        listed = recorded_enumeration(monkeypatch)
+        report, code = run_request(["check", "mapping", "--base", "finset:2", "-X", "1", "-Y", "2", "--arities", "2"])
+        assert code == 2 and report["verdict"] == "inconclusive" and report["details"] == {}
+        assert report["witness"] == {"reason": "level enumeration for arities (1, 2) exceeds the ceiling 50000"}
+        assert (1, 2) not in listed
 
 
 class TestInvertibility:
