@@ -5,14 +5,16 @@ The bases share one duck-typed surface:
 
     objects_within, hom, isos, src, tgt, identity, compose, commutes,
     is_iso, inverse, is_initial, random_hom, limit_of_diagram,
-    factor_through_limit
+    factor_through_limit, pullback, product, terminal
 
 commutes(g, f, k, h) asks whether the square g . f = k . h commutes
 without building either composite; on a non-composable pair it raises, as
 compose does.  is_initial(x) is true only when x has exactly one morphism
-to every object of the base, listed within a bound or not.  The table and
-finite-set bases add pullback, product and terminal; the table base and
-the slice add cones.
+to every object of the base, listed within a bound or not.  Every base
+inherits pullback, product, terminal and random_hom from Base, which
+derives them from limit_of_diagram and hom; the finite-set base overrides
+pullback with a faster equal and random_hom with a draw that lists no
+hom.  The table base and the slice add cones.
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
   search with a universality check.  The cones of an apex grow as rows of
@@ -37,10 +39,39 @@ from .verdict import NoLimitError, SpanlabError, Verdict
 
 
 # ---------------------------------------------------------------------------
+# the derived surface
+
+
+class Base:
+    """The part of the surface every base derives the same way: pullback,
+    product and terminal as limits of diagrams, and random_hom as a draw
+    from hom.  A limit the base lacks raises NoLimitError."""
+
+    def pullback(self, f, g):
+        """Canonical pullback of the cospan (f: A -> X, g: B -> X)."""
+        if self.tgt(f) != self.tgt(g):
+            raise SpanlabError("cospan legs must share a target")
+        node_obj = {"A": self.src(f), "B": self.src(g), "X": self.tgt(f)}
+        apex, legs = self.limit_of_diagram(node_obj, [("A", "X", f), ("B", "X", g)])
+        return apex, legs["A"], legs["B"]
+
+    def product(self, x, y):
+        apex, legs = self.limit_of_diagram({"L": x, "R": y}, [])
+        return apex, legs["L"], legs["R"]
+
+    def terminal(self):
+        return self.limit_of_diagram({}, [])[0]
+
+    def random_hom(self, x, y, rng):
+        homs = self.hom(x, y)
+        return rng.choice(homs) if homs else None
+
+
+# ---------------------------------------------------------------------------
 # explicit finite categories
 
 
-class FinCategory:
+class FinCategory(Base):
     def __init__(self, objects, morphisms, identities, composition):
         """morphisms: label -> (src, tgt); identities: obj -> label;
         composition: (g, f) -> label for tgt(f) = src(g)."""
@@ -98,10 +129,6 @@ class FinCategory:
 
     def is_initial(self, x):
         return all(len(self._hom.get((x, y), ())) == 1 for y in self.objects)
-
-    def random_hom(self, x, y, rng):
-        homs = self.hom(x, y)
-        return rng.choice(homs) if homs else None
 
     # -- validation
 
@@ -205,24 +232,6 @@ class FinCategory:
                 f"{len(hs)} factorizations through claimed limit apex {lim_apex}"
             )
         return hs[0]
-
-    def pullback(self, f, g):
-        """Canonical pullback of the cospan (f: A -> X, g: B -> X)."""
-        if self.tgt(f) != self.tgt(g):
-            raise SpanlabError("cospan legs must share a target")
-        node_obj = {"A": self.src(f), "B": self.src(g), "X": self.tgt(f)}
-        arrows = [("A", "X", f), ("B", "X", g)]
-        apex, legs = self.limit_of_diagram(node_obj, arrows)
-        return apex, legs["A"], legs["B"]
-
-    def product(self, x, y):
-        node_obj = {"L": x, "R": y}
-        apex, legs = self.limit_of_diagram(node_obj, [])
-        return apex, legs["L"], legs["R"]
-
-    def terminal(self):
-        apex, _ = self.limit_of_diagram({}, [])
-        return apex
 
     def to_json(self) -> dict:
         return {
@@ -404,7 +413,7 @@ class FinFunction:
         return self.source == self.target and len(set(self.values)) == self.source
 
 
-class FinSetCategory:
+class FinSetCategory(Base):
     """Skeletal finite sets; objects are natural numbers n = {0..n-1}.
 
     max_size only bounds enumeration (objects_within, hom listings used by
@@ -486,7 +495,7 @@ class FinSetCategory:
 
     def pullback(self, f: FinFunction, g: FinFunction):
         """Canonical pullback of (f: A -> X, g: B -> X): pairs (a, b) with
-        f(a) = g(b), in lexicographic order."""
+        f(a) = g(b), in lexicographic order, as Base.pullback gives it."""
         if f.target != g.target:
             raise SpanlabError("cospan legs must share a target")
         fibers = {}  # x -> the points b with g(b) = x, in order
@@ -500,16 +509,6 @@ class FinSetCategory:
                 qs += bs
         apex = len(ps)
         return apex, FinFunction(apex, f.source, tuple(ps)), FinFunction(apex, g.source, tuple(qs))
-
-    def product(self, x, y):
-        pairs = list(itertools.product(range(x), range(y)))
-        apex = len(pairs)
-        pr1 = FinFunction(apex, x, tuple(a for a, _ in pairs))
-        pr2 = FinFunction(apex, y, tuple(b for _, b in pairs))
-        return apex, pr1, pr2
-
-    def terminal(self):
-        return 1
 
     def limit_of_diagram(self, node_obj: dict, arrows):
         """Canonical limit: the tuples over the sorted nodes that every
@@ -658,7 +657,7 @@ class _First:
 _OVER = _First()
 
 
-class SliceCategory:
+class SliceCategory(Base):
     """The slice C/P, lazily: objects (A, h: A -> P) for A in
     C.objects_within(bound), morphisms (a, b, u) with h_b . u = h_a.  All
     else is C's; limits, factorizations and cones are taken with P added as
@@ -704,10 +703,6 @@ class SliceCategory:
         from A to B commutes over P.  Over finite sets no other object is
         initial; over a table base this test can miss one."""
         return self.C.is_initial(a[0])
-
-    def random_hom(self, x, y, rng):
-        homs = self.hom(x, y)
-        return rng.choice(homs) if homs else None
 
     def _in_base(self, node_obj, arrows):
         """The diagram in C with P adjoined as a terminal node."""

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanlab import fincat as fincat_module
-from spanlab.duality import _pair, build_adjunction, triangle_check
+from spanlab.duality import _pair, build_adjunction, object_duality_check, triangle_check
 from spanlab.fincat import (
+    Base,
     FinCategory,
     FinFunction,
     FinSetCategory,
@@ -23,7 +24,7 @@ from spanlab.fincat import (
     finset,
     slice_over_pair,
 )
-from spanlab.spans import Span, segal_check
+from spanlab.spans import Span, all_spans, invertible_span_check, segal_check
 from spanlab.verdict import NoLimitError, SpanlabError
 
 
@@ -911,8 +912,9 @@ class TestSlice:
     @given(st.data())
     def test_matches_the_table_oracle(self, data):
         """On finset:2 over every foot pair X, Y <= 2: objects, homs and
-        isomorphisms, then composites and inverses, then limits and
-        factorizations wherever the table has the limit."""
+        isomorphisms, then composites and inverses, then the terminal
+        object, products, pullbacks, limits and factorizations wherever the
+        table has the limit."""
         X, Y = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
         S, table = slice_over_pair(finset(2), X, Y), _slice_table(X, Y)
         objs = S.objects_within()
@@ -926,6 +928,14 @@ class TestSlice:
             assert S.inverse(f) == table.inverse(f)
             for g in S.hom(y, z):
                 assert S.compose(g, f) == table.compose(g, f)
+        limits = [("terminal", ()), ("product", (x, y))]
+        limits += [("pullback", (f, g)) for f in S.hom(x, z) for g in S.hom(y, z)]
+        for name, args in limits:
+            try:
+                expected = getattr(table, name)(*args)
+            except NoLimitError:
+                continue
+            assert getattr(S, name)(*args) == expected, name
         names = data.draw(st.lists(st.sampled_from(["p", "b", "a"]), min_size=1, max_size=3, unique=True))
         node_obj = {n: data.draw(st.sampled_from(objs)) for n in names}
         arrows = []
@@ -962,6 +972,24 @@ class TestSlice:
                     table.cones(apex, ["a", "b"], node_obj, [])
                 )
         assert missing == 1  # 2 x 2 has 4 points, above the bound
+
+    @pytest.mark.parametrize(
+        "X, Y, spans, objects, triangles",
+        [(1, 1, 43, 3, True), (2, 1, 205, 7, True), (2, 2, 1297, 21, False)],
+        ids=["1x1", "2x1", "2x2"],
+    )
+    def test_checks_that_take_pullbacks_run_on_slices(self, X, Y, spans, objects, triangles):
+        """The slice inherits pullback, product and terminal, so the
+        invertibility, adjunction and duality checks run on it at bound 2:
+        every span, and over 1 x 1 and 2 x 1 every span's triangles, and
+        every object's zigzags, verified."""
+        S = slice_over_pair(finset(2), X, Y)
+        v = invertible_span_check(S, 2)
+        assert v and v.details["spans_checked"] == spans
+        if triangles:
+            assert all(triangle_check(build_adjunction(S, s)) for s in all_spans(S, 2))
+        assert len(S.objects_within(2)) == objects
+        assert all(object_duality_check(S, x) for x in S.objects_within(2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1033,7 +1061,10 @@ class TestFinSetCategory:
         """compose, pullback and factor_through_limit, on functions with
         sizes 0-4 and random finite-set diagrams, agree with the point-by-
         point versions they replaced, errors included: a cone that does
-        not factor raises NoLimitError in both."""
+        not factor raises NoLimitError in both.  The fast pullback also
+        equals the one Base derives from limit_of_diagram, and the derived
+        product lists the pairs in itertools.product order, an empty
+        factor included."""
         B = finset(4)
         f = FinFunction(*data.draw(finfunctions()))
         g = FinFunction(*data.draw(finfunctions(source=f.target)))
@@ -1047,8 +1078,15 @@ class TestFinSetCategory:
         apex, p, q = B.pullback(f, k)
         oracle_apex, oracle_p, oracle_q = pullback_oracle(f, k)
         assert (apex, triple(p), triple(q)) == (oracle_apex, triple(oracle_p), triple(oracle_q))
+        assert B.pullback(f, k) == Base.pullback(B, f, k)
+        for x, y in ((f.source, k.source), (f.source, 0), (0, k.source)):
+            pairs = list(itertools.product(range(x), range(y)))
+            n = len(pairs)
+            pr1, pr2 = FinFunction(n, x, tuple(a for a, _ in pairs)), FinFunction(n, y, tuple(b for _, b in pairs))
+            assert B.product(x, y) == (n, pr1, pr2)
+        assert B.terminal() == 1
         if h.target != f.target:
-            for pullback in (B.pullback, pullback_oracle):
+            for pullback in (B.pullback, pullback_oracle, functools.partial(Base.pullback, B)):
                 with pytest.raises(SpanlabError):
                     pullback(f, h)
         node_obj, arrows = data.draw(finset_diagrams())
