@@ -8,10 +8,11 @@ first_failure deals the indices of such a stream to S shares in blocks of
 BLOCK, block j to share j mod S, and forks one worker for each share but
 the first.  Each process iterates a fresh stream of the items, so a
 generator of items is never listed, and checks the items of its own
-blocks.  This process checks share 0 and visits every item in index
-order; the answer is the first failure in index order, whichever share it
-lies in, which is the failure an in-order run meets first.  S = 1 forks
-nothing and is that in-order run.
+blocks, this process those of share 0.  An item's check depends on the
+item and its index alone, never on the items checked before it, so the
+answer, the first failure in index order whichever share it lies in, is
+the failure an in-order run meets first.  S = 1 forks nothing and is that
+in-order run.
 
 Processes are handled with os alone: importing multiprocessing or pickle
 would add to the start-up time and peak memory of every check that fans
@@ -49,7 +50,7 @@ def _attempt(f, i, item):
     return bool(outcome), outcome
 
 
-def first_failure(stream, check, visit=None, shares=1):
+def first_failure(stream, check, shares=1):
     """The outcome of the first failure among the items in index order,
     or None when every item passes.  stream() returns a fresh iterable of
     the items, the same items in the same order on every call; this
@@ -57,11 +58,8 @@ def first_failure(stream, check, visit=None, shares=1):
     call it once.
 
     check(i, item) runs once for each item, in the share that owns index
-    i; visit(i, item) runs in this process for every item, in index order,
-    after check where share 0 owns i, so it may draw from a random stream
-    in that order, and visit None passes every item.  Each returns a
-    truthy value when the item passes; a falsy value or an exception is a
-    failure, and at one index check's failure comes before visit's.  The
+    i, in index order within the share.  It returns a truthy value when
+    the item passes; a falsy value or an exception is a failure.  The
     first failure is returned, or its exception raised, as it happened
     here.  A worker reports only the index of its first failure, so check
     runs again here on that item, taken from a fresh stream(): as check is
@@ -80,21 +78,15 @@ def first_failure(stream, check, visit=None, shares=1):
         for i, item in enumerate(stream()):
             if i % BLOCK == 0 and any(w.failed_before(i) for w in workers):
                 break
-            if (i // BLOCK) % shares == 0:
-                passed, outcome = _attempt(check, i, item)
-                if not passed:
-                    first = i, outcome
-                    break
-            if visit is None:
+            if (i // BLOCK) % shares:
                 continue
-            passed, outcome = _attempt(visit, i, item)
+            passed, outcome = _attempt(check, i, item)
             if not passed:
                 first = i, outcome
                 break
         for w in workers:
             failed = w.collect(None if first is None else first[0])
-            # a worker checks indices this process only visits
-            if failed is not None and (first is None or failed <= first[0]):
+            if failed is not None and (first is None or failed < first[0]):
                 first = failed, _REPORTED
     finally:
         for w in workers:

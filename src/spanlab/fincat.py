@@ -4,17 +4,15 @@ category of finite sets, and lazy slices of either.
 The bases share one duck-typed surface:
 
     objects_within, hom, isos, src, tgt, identity, compose, commutes,
-    is_iso, inverse, is_initial, random_hom, limit_of_diagram,
-    factor_through_limit, pullback, product, terminal
+    is_iso, inverse, random_hom, limit_of_diagram, factor_through_limit,
+    pullback, product, terminal
 
 commutes(g, f, k, h) asks whether the square g . f = k . h commutes
 without building either composite; on a non-composable pair it raises, as
-compose does.  is_initial(x) is true only when x has exactly one morphism
-to every object of the base, listed within a bound or not.  Every base
-inherits pullback, product, terminal and random_hom from Base, which
-derives them from limit_of_diagram and hom; the finite-set base overrides
-pullback with a faster equal and random_hom with a draw that lists no
-hom.  The table base and the slice add cones.
+compose does.  Every base inherits pullback, product, terminal and
+random_hom from Base, which derives them from limit_of_diagram and hom;
+the finite-set base overrides pullback with a faster equal and random_hom
+with a draw that lists no hom.  The table base and the slice add cones.
 
 * FinCategory — explicit object/morphism tables; limits by exhaustive cone
   search with a universality check.  The cones of an apex grow as rows of
@@ -126,9 +124,6 @@ class FinCategory(Base):
         if fs is None:
             fs = self._isos[(x, y)] = [m for m in self.hom(x, y) if self.is_iso(m)]
         return list(fs)
-
-    def is_initial(self, x):
-        return all(len(self._hom.get((x, y), ())) == 1 for y in self.objects)
 
     # -- validation
 
@@ -485,9 +480,6 @@ class FinSetCategory(Base):
             fs = self._isos[x] = [FinFunction(x, x, perm) for perm in itertools.permutations(range(x))]
         return list(fs)
 
-    def is_initial(self, x):
-        return x == 0
-
     def random_hom(self, x, y, rng):
         if y == 0:
             return FinFunction(0, 0, ()) if x == 0 else None
@@ -585,8 +577,9 @@ def _limit_plan(node_names, ends):
     * nodes, sorted, as a tuple: the plan is shared by every call;
     * steps, one (node, forcing, filters) per node in root-first order.
       Each arrow i is tested where its later end is placed, as (i, j, k)
-      on the grown row, row[k] = values_i[row[j]]; the first arrow into the
-      node from an earlier one, (i, j), forces the node's value instead;
+      on the grown row, row[k] = values_i[row[j]], the tests _cone_plan
+      places; the first arrow into the node from an earlier one, (i, j),
+      forces the node's value instead;
     * regroup, an itemgetter that puts a grown row back in sorted-node
       order, or None when root-first order is the sorted one.
 
@@ -595,19 +588,12 @@ def _limit_plan(node_names, ends):
     collapse diagrams, and segal_check(finset(2), (2,)) for three."""
     nodes = sorted(node_names)
     order = _root_first_order(nodes, ends)
-    at = {n: i for i, n in enumerate(order)}
-    tests = [[] for _ in order]
-    for i, (a, b) in enumerate(ends):
-        tests[max(at[a], at[b])].append((i, at[a], at[b]))
     steps = []
-    for n, here in zip(order, tests):
+    for n, here in zip(order, _cone_plan(tuple(order), ends)):
         forcing = next((t for t in here if t[1] < t[2]), None)
-        if forcing:
-            here.remove(forcing)
-            forcing = forcing[:2]
-        steps.append((n, forcing, tuple(here)))
+        steps.append((n, forcing and forcing[:2], tuple(t for t in here if t != forcing)))
     # two or more nodes when the orders differ, so itemgetter gives tuples
-    regroup = None if order == nodes else itemgetter(*[at[n] for n in nodes])
+    regroup = None if order == nodes else itemgetter(*map(order.index, nodes))
     return tuple(nodes), tuple(steps), regroup
 
 
@@ -697,12 +683,6 @@ class SliceCategory(Base):
     def inverse(self, m):
         u = self.C.inverse(m[2])
         return None if u is None else (m[1], m[0], u)
-
-    def is_initial(self, a):
-        """(A, h) is initial when A is initial in C, as the one morphism
-        from A to B commutes over P.  Over finite sets no other object is
-        initial; over a table base this test can miss one."""
-        return self.C.is_initial(a[0])
 
     def _in_base(self, node_obj, arrows):
         """The diagram in C with P adjoined as a terminal node."""

@@ -379,6 +379,8 @@ def locsys_battery_check(C: InternalCategory, bound=1) -> Verdict:
     v = validate_internal(C)
     if not v:
         return Verdict.refuted(witness={"stage": "coefficients", "inner": v.witness})
+    if bound < 0:
+        return Verdict.inconclusive(witness={"reason": f"no labeled spans within the bound {bound}"})
     base = FinSetCategory(bound)
     spans = all_locsys_spans(C, base, bound)
     for s in spans:
@@ -451,6 +453,8 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
     v = validate_internal(C)
     if not v:
         return Verdict.refuted(witness={"stage": "coefficients", "inner": v.witness})
+    if bound < 0:
+        return Verdict.inconclusive(witness={"reason": f"no labeled spans within the bound {bound}"})
     base = FinSetCategory(bound)
     checked, rows = 0, {}
     invertible = []

@@ -206,11 +206,6 @@ def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
     """min(cap, the number of free data enumerate_lambda_data yields),
     with no datum of this shape enumerated.
 
-    - Lower bound: an initial object extends every other Lambda cell in
-      exactly one way (one morphism into the limit, or one cone when there
-      is none), so with one among the objects there are at least |objects|
-      ** v data, v the number of vertex cells; when that reaches the cap,
-      the cap is the answer, and nothing is enumerated.
     - Lifted form: the Lambda sub-poset of arities (p, q...) is Lambda^(p)
       x Lambda^(q...), so a datum is a zigzag V_0 <- E_1 -> V_1 ... V_p of
       lower data, Lambda^(q...) data within the bound, and natural
@@ -219,29 +214,36 @@ def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
       direction the lower data are objects and Nat is hom, x ** A on finite
       sets; otherwise the family search counts Nat with base.hom.
     - Cap exits: the constant zigzags are M data, one per lower datum, so
-      M >= cap gives the cap.  The count at p = 1, sum_E (sum_V H[E][V])
-      ** 2, is at most the count at any p >= 1 (extend by constant steps),
-      so H is filled row by row and the cap returned once that partial sum
-      reaches it."""
-    objects = base.objects_within(bound)
-    vertices = sum(1 for c in shape.lambda_cells if not shape.lambda_up[c])
-    if len(objects) ** vertices >= cap and any(map(base.is_initial, objects)):
-        return cap
+      M >= cap gives the cap.  For p >= 1 the count is at least its value
+      at p = 1, sum_E (sum_V H[E][V]) ** 2 (extend by constant steps), and
+      so at least the square of a partial sum of one row.  So row 0 of H
+      is summed while the lower data are listed, the rest of H is filled
+      row by row after them, and the cap is returned once either partial
+      sum reaches it.  Where the first lower datum is initial, as the
+      empty set is on finite sets, row 0 is all ones and reaches the cap
+      after about its square root of lower data."""
     rest = list(shape.arities)
     p = rest.pop(rest.index(max(rest)))
     if rest:
         small = sigma_shape(rest)
-        data = itertools.islice(enumerate_lambda_data(small, base, bound), cap)
-        lower = [SpanDiagram(small, base, *datum) for datum in data]
+        listed = (SpanDiagram(small, base, *datum) for datum in enumerate_lambda_data(small, base, bound))
         order = small.lambda_search_order
         nat = lambda E, V: sum(1 for _ in _natural_extensions(base, small, order, E, V, 0, {}, base.hom))
     else:
-        lower = objects
+        listed = base.objects_within(bound)
         nat = (lambda A, x: x**A) if isinstance(base, FinSetCategory) else (lambda A, x: len(base.hom(A, x)))
+    lower, row, first = [], [], 0  # row 0 of H and its sum so far
+    for V in itertools.islice(listed, cap):
+        lower.append(V)
+        if p:
+            row.append(nat(lower[0], V))
+            first += row[-1]
+            if first**2 >= cap:
+                return cap
     if len(lower) >= cap or not p:
         return min(cap, len(lower))
-    H, partial = [], 0
-    for E in lower:
+    H, partial = [row], first**2
+    for E in lower[1:]:
         H.append([nat(E, V) for V in lower])
         partial += sum(H[-1]) ** 2
         if partial >= cap:
@@ -892,20 +894,21 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     ceiling; otherwise a seeded sampled battery (reported as such in the
     details, still returning verified only when every sample passes).  The
     count that decides the mode is count_lambda_data's, capped one datum
-    past the ceiling: the lifted form 1^T (H^T H)^p 1, with its two cap
-    exits (as many lower data as the cap, or a partial count at p = 1
-    that reaches it) and the initial-object lower bound before them, so
-    no datum of this shape is enumerated to decide.  An exhaustive run
+    past the ceiling: the lifted form 1^T (H^T H)^p 1 with its cap exits,
+    so no datum of this shape is enumerated to decide.  An exhaustive run
     then enumerates its data with enumerate_lambda_data, afresh in each
     process.
 
-    An exhaustive run checks its data in shares (fanout.first_failure),
-    one process per CPU, each datum in one of them; the twists are checked
-    here in index order, on a rebuilt extension where another process
-    checked the datum, and the first failure in index order is reported,
-    so the verdict, witness and details are those of the in-order run.  A
-    sampled run draws its data from the twists' rng, between twist draws,
-    so it runs in order in this process."""
+    The battery is a property of each datum on its own, and so is its
+    twist: at the indices drawn for twists, the twist battery runs on the
+    extension the datum's check has just built.  An exhaustive run checks
+    its data in shares (fanout.first_failure), one process per CPU, each
+    datum in one of them, and reports the first failure in index order,
+    so the verdict, witness and details are those of the in-order run;
+    each twist draws from its own Random(f"{seed}/{index}"), whose string
+    seed no CPU count or hash seed changes.  A sampled run draws
+    its data and then each datum's twist from the run's rng, so it runs in
+    order in this process."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -925,19 +928,14 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
         stream = lambda: sampled
     twist_at = set(rng.sample(range(count), min(samples, count)))
     mode = "exhaustive" if exhaustive else "sampled"
-    exts = {}
 
     def check(idx, datum):
         v, ext = _check_one_datum(shape, base, *datum, dirs)
-        if idx in twist_at:
-            exts[idx] = ext
-        return v or Verdict.refuted(witness=v.witness, mode=mode)
-
-    def visit(idx, datum):
+        if not v:
+            return Verdict.refuted(witness=v.witness, mode=mode)
         if idx not in twist_at:
-            return True
-        ext = exts.pop(idx) if idx in exts else kan_extend(shape, base, *datum)
-        vt = _check_twist(shape, base, ext, dirs, rng)
+            return v
+        vt = _check_twist(shape, base, ext, dirs, random.Random(f"{seed}/{idx}") if exhaustive else rng)
         return vt or Verdict.refuted(witness=vt.witness, mode="twist")
 
     # imported here: compiling fanout on import of spanlab would add to
@@ -945,7 +943,7 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     from .fanout import first_failure, share_count
 
     shares = share_count(count) if exhaustive else 1
-    failure = first_failure(stream, check, visit, shares)
+    failure = first_failure(stream, check, shares=shares)
     if failure is not None:
         return failure
     # the bound enumerated: a table base lists all its objects whatever the

@@ -356,14 +356,21 @@ class TestErrors:
             (["check", "complete", "--base", "finset:2", "--bound", "-1"], {"objects": 0}),
             (["check", "mapping", "--base", "finset:3", "-X", "2", "-Y", "1", "--bound", "1"], {}),
             (["check", "mapping", "--base", "finset:2", "-X", "3", "-Y", "1"], {}),
+            (["locsys", "check", "--coeff", "bz2", "--kind", "battery", "--bound", "-1"], {}),
+            (["locsys", "check", "--coeff", "bz2", "--kind", "equivalence", "--bound", "-1"], {}),
         ],
-        ids=["invertible-no-spans", "complete-no-objects", "mapping-feet-over-bound", "mapping-feet-over-base"],
+        ids=["invertible-no-spans", "complete-no-objects", "mapping-feet-over-bound", "mapping-feet-over-base",
+             "locsys-battery-no-spans", "locsys-equivalence-no-spans"],
     )
     def test_nothing_checked_inconclusive(self, argv, details):
+        """Nothing within the bound or the feet: inconclusive, and the
+        locsys checks name the bound in their reason."""
         report, code = run(argv)
         assert code == 2
         assert report["verdict"] == "inconclusive"
         assert report["details"] == details
+        if argv[0] == "locsys":
+            assert report["witness"] == {"reason": "no labeled spans within the bound -1"}
 
     def test_empty_level_inconclusive(self):
         """No object within --bound -1: a level with nothing in it is not

@@ -136,12 +136,17 @@ def plant(monkeypatch, refute=(), raise_at=(), twist_at=()):
     def planted_twist(shape, base, ext, dirs, rng):
         v = twist(shape, base, ext, dirs, rng)  # the rng stream does not move
         for key, i in twisting.items():
-            if all(ext.obj[c] == x for c, x in key[0]) and all(ext.mor[p] == m for p, m in key[1]):
+            if extends(ext, key):
                 return Verdict.refuted(witness={"planted twist": i})
         return v
 
     monkeypatch.setattr(spans_module, "_check_one_datum", planted_check)
     monkeypatch.setattr(spans_module, "_check_twist", planted_twist)
+
+
+def extends(ext, key):
+    """Is ext the extension of the datum with this datum_key?"""
+    return all(ext.obj[c] == x for c, x in key[0]) and all(ext.mor[p] == m for p, m in key[1])
 
 
 def twist_indices(seed=0):
@@ -186,9 +191,9 @@ def test_an_exception_in_a_share_gives_the_in_order_report(raise_at, refute, mon
 
 
 def test_a_twist_refutation_before_a_datum_refutation_is_reported(monkeypatch):
-    """Twists run here in index order, each on a rebuilt extension where a
-    worker checked its datum; a twist before the first failing datum
-    refutes first, and one after it is never reached."""
+    """A twist runs in the share that checks its datum, on the extension
+    that check built; a twist before the first failing datum refutes
+    first, and one after it is never reached."""
     t = next(i for i in twist_indices() if owner(i) == 1)
     later = next(i for i in range(t + 1, 971) if owner(i) == 1)
     plant(monkeypatch, refute=(later,), twist_at=(t,))
@@ -198,6 +203,24 @@ def test_a_twist_refutation_before_a_datum_refutation_is_reported(monkeypatch):
     plant(monkeypatch, refute=(t,), twist_at=(t, later))
     for v, _ in in_shares(monkeypatch, lambda: segal_check(finset(2), (2,))):
         assert summary(v) == ("refuted", {"planted": t}, {"mode": "exhaustive"})
+
+
+def test_a_twist_draws_alike_on_any_number_of_cpus(monkeypatch):
+    """Each twist of an exhaustive run draws from its own Random, seeded
+    with the run's seed and the twist's index.  A planted twist on a datum
+    that a worker owns on 2 and on 3 CPUs, refuting with a draw from that
+    Random after the battery's own, gives one report on 1, 2 and 3 CPUs;
+    the draw is pinned, so it depends on no hash seed either."""
+    t = next(i for i in twist_indices() if owner(i, 2) and owner(i, 3))
+    key, twist = finset2_data()[t], spans_module._check_twist
+
+    def drawing_twist(shape, base, ext, dirs, rng):
+        v = twist(shape, base, ext, dirs, rng)
+        return Verdict.refuted(witness={"draw": rng.randrange(10**6)}) if extends(ext, key) else v
+
+    monkeypatch.setattr(spans_module, "_check_twist", drawing_twist)
+    results = in_shares(monkeypatch, lambda: summary(segal_check(finset(2), (2,))))
+    assert results == [(("refuted", {"draw": 676273}, {"mode": "twist"}), forked) for forked in (0, 1, 2)]
 
 
 def test_an_interrupt_here_ends_every_worker(monkeypatch):
@@ -216,15 +239,13 @@ def test_an_interrupt_here_ends_every_worker(monkeypatch):
     assert len(pids) == 1
 
 
-def in_order(n, fail_check, fail_visit, raising):
+def in_order(n, failing, raising):
     """The first failure of an in-order run, as first_failure reports it."""
     for i in range(n):
         if i in raising:
             return "raised", i
-        if i in fail_check:
-            return "check", i
-        if i in fail_visit:
-            return "visit", i
+        if i in failing:
+            return "failed", i
     return None
 
 
@@ -232,39 +253,25 @@ def in_order(n, fail_check, fail_visit, raising):
 @given(
     n=st.integers(0, 300),
     shares=st.integers(1, 3),
-    fail_check=st.sets(st.integers(0, 299), max_size=3),
-    fail_visit=st.sets(st.integers(0, 299), max_size=3),
+    failing=st.sets(st.integers(0, 299), max_size=3),
     raising=st.sets(st.integers(0, 299), max_size=2),
 )
-def test_first_failure_is_the_in_order_one(n, shares, fail_check, fail_visit, raising):
-    """Against the in-order loop, for any failures of check and visit and
-    any exceptions; visit sees a prefix of the indices, in order, that
-    reaches the first failure."""
-    visited = []
+def test_first_failure_is_the_in_order_one(n, shares, failing, raising):
+    """Against the in-order loop, for any failures and exceptions in any
+    share."""
 
     def check(i, item):
         assert item == i
         if i in raising:
             raise ValueError(i)
-        return Verdict.refuted(witness=("check", i)) if i in fail_check else True
-
-    def visit(i, item):
-        visited.append(i)
-        return Verdict.refuted(witness=("visit", i)) if i in fail_visit else True
+        return Verdict.refuted(witness=("failed", i)) if i in failing else True
 
     try:
-        v = fanout.first_failure(lambda: range(n), check, visit, shares)
+        v = fanout.first_failure(lambda: range(n), check, shares)
         got = None if v is None else v.witness
     except ValueError as exc:
         got = "raised", exc.args[0]
-    assert got == in_order(n, fail_check, fail_visit, raising)
-    assert visited == list(range(len(visited)))
-    if got is None:
-        assert len(visited) == n
-    elif got[0] == "visit":
-        assert visited[-1] == got[1]
-    else:
-        assert len(visited) >= got[1]
+    assert got == in_order(n, failing, raising)
 
 
 def test_a_worker_that_dies_is_an_error():
@@ -310,13 +317,6 @@ def test_workers_never_flush_this_process_stdio(capfd):
     assert fanout.first_failure(lambda: range(300), lambda i, item: True, shares=3) is None
     print()
     assert capfd.readouterr().out == "written once\n"
-
-
-def test_no_visit_passes_every_item():
-    """visit None: the first failure of check alone, found in a worker."""
-    items = list(range(300))
-    assert fanout.first_failure(lambda: items, lambda i, item: i not in (100, 250), shares=2) is False
-    assert fanout.first_failure(lambda: items, lambda i, item: True, shares=2) is None
 
 
 def reports_in_shares(monkeypatch, argv):

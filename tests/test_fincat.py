@@ -1035,24 +1035,6 @@ class TestBaseSurface:
         for base in (FinCategory, FinSetCategory, SliceCategory):
             assert [n for n in names if not callable(getattr(base, n, None))] == [], base.__name__
 
-    @pytest.mark.parametrize(
-        "base, within, beyond",
-        [
-            (finset(2), 2, 4),
-            (walking_arrow(), None, None),
-            (slice_over_pair(finset(4), 2, 1), 2, 4),
-            (slice_over_pair(walking_arrow(), 1, 1), None, None),
-        ],
-        ids=["finset2", "walking-arrow", "slice2x1", "walking-arrow-slice"],
-    )
-    def test_is_initial_matches_the_definition(self, base, within, beyond):
-        """is_initial against one morphism to each object, those beyond the
-        bound included: over 2 x 1, (A, h) with A nonempty has 2 ** |A|
-        morphisms to (4, the fold map)."""
-        objects = base.objects_within(beyond)
-        for x in base.objects_within(within):
-            assert base.is_initial(x) == all(len(base.hom(x, y)) == 1 for y in objects), x
-
 
 class TestFinSetCategory:
     @given(st.data())

@@ -406,12 +406,15 @@ class TestSegal:
         families, on edge pieces of shape (1,) with no filled cell, are
         not extended, which saves the two composites of each of their 2
         Lambda squares (96 in all).  With commutes building both
-        composites of each square it compares, the run composes 30,536
+        composites of each square it compares, the run composes 30,602
         times: 55,362 while every family was extended.  The chain's
         searches, which reach each Lambda arrow as soon as its ends are
         placed, compare 11,333 squares where the full family search
-        compared 23,191 (23,716 composites fewer).  Counted on one CPU, so
-        that no datum is checked in a worker, whose calls are not seen here."""
+        compared 23,191 (23,716 composites fewer).  The twists' family
+        draws compare squares too, so this figure also depends on the
+        pieces and families that each twist draws from its own Random.
+        Counted on one CPU, so that no datum is checked in a worker, whose
+        calls are not seen here."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, compose = [], FinSetCategory.compose
         monkeypatch.setattr(FinSetCategory, "compose", lambda B, g, f: calls.append(1) or compose(B, g, f))
@@ -420,7 +423,7 @@ class TestSegal:
         calls.clear()
         monkeypatch.setattr(FinSetCategory, "commutes", lambda B, g, f, k, h: B.compose(g, f) == B.compose(k, h))
         assert segal_check(finset(2), (2,))
-        assert len(calls) == 30536
+        assert len(calls) == 30602
 
     def test_extension_calls_pinned(self, monkeypatch):
         """segal_check(finset(2), (2,)) extends 945 families: the
@@ -436,10 +439,10 @@ class TestSegal:
         assert len(calls) == 945
 
     def test_free_data_listed_once(self, monkeypatch):
-        """finset:1 at (2, 1) has no initial-object bound that reaches the
-        cap, so its 518 data are counted by the lifted form, from the 5
-        data of shape (1,), and the data of shape (2, 1) are enumerated
-        once in this process, by the exhaustive run that checks them."""
+        """finset:1 at (2, 1) has no partial count that reaches the cap, so
+        its 518 data are counted by the lifted form, from the 5 data of
+        shape (1,), and the data of shape (2, 1) are enumerated once in
+        this process, by the exhaustive run that checks them."""
         calls, enumerate_data = [], spans_module.enumerate_lambda_data
         monkeypatch.setattr(
             spans_module, "enumerate_lambda_data", lambda *a: calls.append(a[0].arities) or enumerate_data(*a)
@@ -472,7 +475,9 @@ class TestSegal:
         have only the identity family, which the battery does not extend.
         The only extensions are the twist battery's, one per draw, on edge
         pieces with a filled cell: in one direction the pieces, of shape
-        (1,), have none, so their 24 families are drawn and not extended."""
+        (1,), have none, so their 24 families are drawn and not extended.
+        Counted on one CPU, as test_compose_calls_pinned is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, extend = [], spans_module.extend_natural_family
         draws, draw = [], spans_module.random_natural_family
         monkeypatch.setattr(
@@ -498,7 +503,9 @@ class TestSegal:
     def test_edge_pieces_built_only_for_twists(self, monkeypatch):
         """In one direction every edge piece has only Lambda cells, so the
         battery builds none; segal_check(finset(2), (2,)) builds one for
-        each of its 24 twist draws."""
+        each of its 24 twist draws.  Counted on one CPU, as
+        test_compose_calls_pinned is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, piece = [], spans_module._edge_piece
         monkeypatch.setattr(spans_module, "_edge_piece", lambda d, r, i: calls.append(1) or piece(d, r, i))
         assert segal_check(finset(2), (2,))
@@ -984,13 +991,15 @@ def refuse_enumeration(*args):
     yield
 
 
-def recorded_enumeration(monkeypatch):
+def recorded_enumeration(monkeypatch, limit=None):
     """The arities of every free datum enumerate_lambda_data yields from
-    here on, one entry per datum."""
+    here on, one entry per datum; past limit data it raises instead."""
     listed, enumerate_data = [], spans_module.enumerate_lambda_data
 
     def listing(shape, *args):
         for datum in enumerate_data(shape, *args):
+            if len(listed) == limit:
+                raise AssertionError(f"more than {limit} free data enumerated")
             listed.append(shape.arities)
             yield datum
 
@@ -1002,6 +1011,13 @@ def divisors_of_30_without_1():
     """The divisor lattice of 30 without 1: no initial object, and 2 and 3
     have no meet, so that _lambda_extensions takes the cone branch."""
     divisors = [d for d in range(2, 31) if 30 % d == 0]
+    return poset_category(divisors, [(a, b) for a in divisors for b in divisors if b % a == 0])
+
+
+def divisors_of_30_from_the_top():
+    """The divisor lattice of 30 with its objects listed from 30 down, so
+    that the initial object 1 is listed last."""
+    divisors = [d for d in range(30, 0, -1) if 30 % d == 0]
     return poset_category(divisors, [(a, b) for a in divisors for b in divisors if b % a == 0])
 
 
@@ -1077,15 +1093,20 @@ class TestFreeDataCount:
             (lambda: slice_over_pair(finset(2), 1, 1), (1, 1), 1, (8000, 100, 7, 1), None),
             (divisors_of_30_without_1, (2, 1), None, (100, 7, 1), None),
             (divisors_of_30_without_1, (2, 2), None, (100, 7, 1), None),
+            (divisors_of_30_from_the_top, (2,), None, (8000, 100, 7, 1), 2197),
+            (divisors_of_30_from_the_top, (2, 1), None, (8000, 100, 7, 1), None),
+            (divisors_of_30_from_the_top, (2, 2), None, (100, 7, 1), None),
         ],
         ids=["lattice30-2", "lattice30-3", "lattice12-2-1", "lattice6-1-1", "no-products-2", "no-products-2-1",
-             "slice1x1-2", "slice2x1-2", "slice1x1-1-1", "lattice30-without-1-2-1", "lattice30-without-1-2-2"],
+             "slice1x1-2", "slice2x1-2", "slice1x1-1-1", "lattice30-without-1-2-1", "lattice30-without-1-2-2",
+             "lattice30-from-the-top-2", "lattice30-from-the-top-2-1", "lattice30-from-the-top-2-2"],
     )
     def test_matches_the_enumerated_count_on_other_bases(self, make_base, arities, bound, caps, count):
-        """Table bases, one with no product of its two objects and one with
+        """Table bases, one with no product of its two objects, one with
         no initial object and a pair with no meet, so that
-        _lambda_extensions takes the cone branch, and slices, under caps
-        above and below the count."""
+        _lambda_extensions takes the cone branch, and one whose initial
+        object is listed last, so that row 0 of the count is not an initial
+        object's; and slices, under caps above and below the count."""
         base, shape = make_base(), sigma_shape(arities)
         for cap in caps:
             assert count_lambda_data(shape, base, bound, cap) == enumerated_count(shape, base, bound, cap)
@@ -1101,20 +1122,36 @@ class TestFreeDataCount:
     )
     def test_matches_the_enumerated_count_on_random_posets(self, members, bottom, arities, cap):
         """Families of subsets of a 3-set closed under intersection, with
-        and without a bottom, under small caps: the initial-object lower
-        bound, both cap exits and the lifted form are each reached."""
+        and without a bottom, under small caps: the cap exits, on row 0
+        while the lower data are listed and on the later rows, and the
+        lifted form are each reached."""
         base, shape = subset_poset(members, bottom), sigma_shape(arities)
         assert count_lambda_data(shape, base, None, cap) == enumerated_count(shape, base, None, cap)
 
-    def test_sampled_runs_enumerate_nothing(self, monkeypatch):
-        """An initial object's lower bound puts finset:2 at arities (2, 2)
-        over the cap, and the one-direction count finset:3 at arity 2,
-        whose lower data are the objects."""
-        monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
+    def test_sampled_runs_list_no_datum_of_their_shape(self, monkeypatch):
+        """finset:2 at (2, 2) is over the cap of 1,389 once row 0 of its
+        count, the empty lower datum's, one natural transformation to each
+        lower datum, sums to 38, as 38 ** 2 >= 1,389: 38 lower data of
+        shape (2,) are listed and none of shape (2, 2).  finset:3 at arity
+        2, whose lower data are the objects, lists no datum at all."""
+        listed = recorded_enumeration(monkeypatch)
         v = segal_check(finset(2), (2, 2), samples=3)
         assert v and v.details["mode"] == "sampled" and v.details["data_checked"] == 3
+        assert listed == [(2,)] * 38
+        monkeypatch.setattr(spans_module, "enumerate_lambda_data", refuse_enumeration)
         v = segal_check(finset(3), (2,), samples=0)
         assert v.status == "inconclusive" and v.details["mode"] == "sampled"
+
+    def test_first_row_reaches_the_cap_after_its_square_root(self, monkeypatch):
+        """check segal --base finset:4 --arities 2 2 under
+        SPANLAB_MAX_CELLS=100000000 counts with the cap 2,777,778.  Row 0,
+        the empty lower datum's, reaches it after 1,667 lower data of
+        shape (2,), as 1,667 ** 2 >= 2,777,778.  An initial-object bound,
+        5 ** 9 data, falls short of that cap; the count then listed every
+        lower datum up to the cap, 2.78 million, taking 33 s and 2.7 GB."""
+        listed = recorded_enumeration(monkeypatch, limit=1667)
+        assert count_lambda_data(sigma_shape((2, 2)), finset(4), None, 2_777_778) == 2_777_778
+        assert listed == [(2,)] * 1667
 
     def test_level_over_the_ceiling_refused_before_listing(self, monkeypatch):
         """finset:3 at arity 2 (1,387,616 data) is refused with nothing
