@@ -79,8 +79,10 @@ class FinCategory(Base):
         self.composition = dict(composition)
         self._hom = {}
         self._isos = {}
+        self._reach = {x: set() for x in self.objects}  # the objects x has a morphism to
         for m, (s, t) in self.morphisms.items():
             self._hom.setdefault((s, t), []).append(m)
+            self._reach.setdefault(s, set()).add(t)
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -172,17 +174,14 @@ class FinCategory(Base):
         in object order, are rows of legs over the sorted nodes
         (_cone_rows); the first that every cone factors through exactly
         once is the limit.  An object with no morphism to some node's object
-        is the apex of no cone and is skipped.  Raises NoLimitError."""
+        is the apex of no cone and is skipped: an apex x is kept only when
+        the nodes' objects are all in x's reach, the set of objects it has
+        a morphism to, built once per base.  Raises NoLimitError."""
         nodes = sorted(node_obj)
         steps = _cone_steps(nodes, node_obj, arrows)
-        comp, hom = self.composition, self._hom
+        comp, hom, reach = self.composition, self._hom, self._reach
         targets = set(node_obj.values())
-        cones = [
-            (x, row)
-            for x in self.objects
-            if all((x, y) in hom for y in targets)
-            for row in self._cone_rows(x, steps)
-        ]
+        cones = [(x, row) for x in self.objects if targets <= reach[x] for row in self._cone_rows(x, steps)]
         for apex, legs in cones:
             if all(
                 sum(all(comp[(leg, h)] == m for leg, m in zip(legs, row)) for h in hom.get((x, apex), ())) == 1

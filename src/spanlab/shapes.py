@@ -9,9 +9,11 @@ and JSON dumps are deterministic.
 A shape is compiled once per process: sigma_shape returns one shared
 instance per arity tuple, and that instance builds its order tables (the
 order as a set of pairs, strict and Lambda up-sets, the fill order, the
-arrows among a node list, restriction maps) on first use and keeps them,
-so checks that visit thousands of diagrams on one shape never re-derive
-its order.  Nothing is built at import time.
+arrows among a node list, restriction maps, the steps at which the
+free-data search takes each Lambda cell's limit, and the covers through
+which Kan extension factors each filled cell) on first use and keeps
+them, so checks that visit thousands of diagrams on one shape never
+re-derive its order.  Nothing is built at import time.
 """
 from __future__ import annotations
 
@@ -146,6 +148,44 @@ class SigmaShape:
         the nodes of the diagram whose limit fills the cell."""
         lam = self.lambda_set
         return {a: tuple(b for b in ups if b in lam) for a, ups in self.strict_up.items()}
+
+    @cached_property
+    def lambda_up_arrows(self) -> dict:
+        """The arrows among each cell's Lambda up-set, as arrows_among
+        gives them: the arrows of the diagram whose limit fills the cell."""
+        return {a: self.arrows_among(ups) for a, ups in self.lambda_up.items()}
+
+    @cached_property
+    def lambda_due(self) -> tuple:
+        """The steps of the free-data search, one per Lambda cell in fill
+        order: (cell, due), due the Lambda cells whose Lambda up-set is
+        complete once the cell is assigned, as it is the last of their
+        up-set in fill order.  Their limits are due at that step."""
+        order = sorted(self.lambda_cells, key=self.fill_rank.__getitem__)
+        at = {c: i for i, c in enumerate(order)}
+        due = [[] for _ in order]
+        for c in order:
+            if self.lambda_up[c]:
+                due[max(map(at.__getitem__, self.lambda_up[c]))].append(c)
+        return tuple(zip(order, map(tuple, due)))
+
+    @cached_property
+    def filled_up(self) -> dict:
+        """Each filled cell c (an interval of length >= 2) mapped to the
+        filled cells b strictly above it, as (b, via) pairs in which via is
+        None when b covers c, and otherwise the first filled cover of c
+        below b; the covers come first.  Cover lemma: such a via always
+        exists, as the first step of a chain from c up to b covers c, and
+        it is filled, as its intervals contain b's long one."""
+        lam, table = self.lambda_set, {}
+        for c in self.objects:
+            if c not in lam:
+                ups = [b for b in self.strict_up[c] if b not in lam]
+                covers = [b for b in ups if self._total_length(c) - self._total_length(b) == 1]
+                table[c] = tuple((b, None) for b in covers) + tuple(
+                    (b, next(v for v in covers if (v, b) in self.order)) for b in ups if b not in covers
+                )
+        return table
 
     @cached_property
     def fill_order(self) -> tuple:

@@ -14,6 +14,7 @@ import itertools
 import operator
 import os
 import random
+from collections import Counter
 
 from .fincat import FinSetCategory, Functor
 from .groupoid import FinGroupoid, equivalent, positions
@@ -115,9 +116,8 @@ def _cell_diagram(shape: SigmaShape, c, obj, mor):
     """The diagram whose limit presents cell c: the Lambda cells strictly
     above c, as node objects and arrows (a, b, morphism) read off (obj,
     mor)."""
-    nodes = shape.lambda_up[c]
-    node_obj = {b: obj[b] for b in nodes}
-    arrows = [(a, b, mor[(a, b)]) for a, b in shape.arrows_among(nodes)]
+    node_obj = {b: obj[b] for b in shape.lambda_up[c]}
+    arrows = [(a, b, mor[(a, b)]) for a, b in shape.lambda_up_arrows[c]]
     return node_obj, arrows
 
 
@@ -161,45 +161,53 @@ def enumerate_lambda_data(shape: SigmaShape, base, bound=None):
 
     Cells are processed vertices-first; each new cell's data is a choice of
     object plus a morphism into the limit of the already-assigned up-set,
-    which parametrizes exactly the compatible families.
+    which parametrizes exactly the compatible families.  A cell's limit is
+    taken once, as soon as the last cell of its up-set is assigned
+    (shape.lambda_due), and every branch below shares it: the objects and
+    morphisms of the up-set stay as they are until the search backtracks
+    past that depth, so the data and their order are those of taking it
+    again at the cell.  Where there is no limit, the cell's diagram is kept
+    for base.cones instead.
     """
-    order = _cells_by_length(shape, shape.lambda_cells)
-    yield from _lambda_extensions(shape, base, order, base.objects_within(bound), 0, {}, {})
+    yield from _lambda_extensions(shape, base, base.objects_within(bound), 0, {}, {}, {})
 
 
-def _lambda_extensions(shape, base, order, objects, i, obj, mor):
-    """The functors that extend (obj, mor), given on order[:i], over the
-    rest of order.  Not a closure that calls itself: that is a reference cycle."""
-    if i == len(order):
+def _lambda_extensions(shape, base, objects, i, obj, mor, limits):
+    """The functors that extend (obj, mor), given on the first i steps of
+    shape.lambda_due, over the rest.  limits holds (True, L, legs) or, with
+    no limit, (False, node_obj, arrows) for each cell whose up-set is
+    assigned; those due at step i - 1 are taken on entry.  Not a closure
+    that calls itself: that is a reference cycle."""
+    for e in shape.lambda_due[i - 1][1] if i else ():
+        node_obj, arrows = _cell_diagram(shape, e, obj, mor)
+        try:
+            limits[e] = True, *base.limit_of_diagram(node_obj, arrows)
+        except NoLimitError:
+            limits[e] = False, node_obj, arrows
+    if i == len(shape.lambda_due):
         yield dict(obj), dict(mor)
         return
-    c = order[i]
+    c = shape.lambda_due[i][0]
     ups = shape.lambda_up[c]
-    if not ups:
-        for A in objects:
-            obj[c] = A
-            yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
-        obj.pop(c, None)  # never set when no object is within the bound
-        return
-    node_obj, arrows = _cell_diagram(shape, c, obj, mor)
-    try:
-        L, legs = base.limit_of_diagram(node_obj, arrows)
-        for A in objects:
-            obj[c] = A
-            for h in base.hom(A, L):
-                for b in ups:
-                    mor[(c, b)] = base.compose(legs[b], h)
-                yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
-    except NoLimitError:
-        for A in objects:
-            obj[c] = A
-            for legs_c in base.cones(A, ups, node_obj, arrows):
-                for b in ups:
-                    mor[(c, b)] = legs_c[b]
-                yield from _lambda_extensions(shape, base, order, objects, i + 1, obj, mor)
-    del obj[c]
-    for b in ups:
-        mor.pop((c, b), None)
+    limit, x, y = limits.get(c, (None, None, None))
+    keys, compose = [(c, b) for b in ups], base.compose
+    for A in objects:
+        obj[c] = A
+        if not ups:
+            yield from _lambda_extensions(shape, base, objects, i + 1, obj, mor, limits)
+        elif limit:
+            for h in base.hom(A, x):
+                for key, b in zip(keys, ups):
+                    mor[key] = compose(y[b], h)
+                yield from _lambda_extensions(shape, base, objects, i + 1, obj, mor, limits)
+        else:
+            for legs in base.cones(A, ups, x, y):
+                for key, b in zip(keys, ups):
+                    mor[key] = legs[b]
+                yield from _lambda_extensions(shape, base, objects, i + 1, obj, mor, limits)
+    obj.pop(c, None)  # never set when no object is within the bound
+    for key in keys:
+        mor.pop(key, None)
 
 
 def count_lambda_data(shape: SigmaShape, base, bound, cap: int) -> int:
@@ -285,10 +293,16 @@ def kan_extend(shape: SigmaShape, base, lam_obj: dict, lam_mor: dict, limits=Non
     """Extend free Lambda data to the full shape, filling each remaining
     cell with the canonical limit of the Lambda part of its up-set.
 
-    Morphisms between filled cells are the unique cone factorizations.
-    Raises NoLimitError naming the first unfillable cell.  When limits is a
-    dict, it receives each filled cell's presentation (node_obj, arrows, L,
-    legs), for is_cartesian; the diagram itself keeps none of them.
+    Morphisms between filled cells are the unique cone factorizations.  A
+    filled cell c is factored only through the filled cells that cover it;
+    a filled b further up gets mor[(via, b)] . mor[(c, via)], via a filled
+    cover of c below b (shape.filled_up, by the cover lemma there).  Both
+    have c's legs as their legs into b's Lambda up-set, and factorization
+    through b's limit is unique, so they are the same morphism on every
+    base.  Raises NoLimitError naming the first unfillable cell.  When
+    limits is a dict, it receives each filled cell's presentation
+    (node_obj, arrows, L, legs), for is_cartesian; the diagram itself keeps
+    none of them.
     """
     lam = shape.lambda_set
     obj = dict(lam_obj)
@@ -306,13 +320,13 @@ def kan_extend(shape: SigmaShape, base, lam_obj: dict, lam_mor: dict, limits=Non
         obj[c] = L
         for b in node_obj:
             mor[(c, b)] = legs[b]
-        # factor through the earlier-filled big cells above c
-        for b in shape.strict_up[c]:
-            if b in lam:
-                continue
-            node_b, _, _, legs_b = limits[b]
-            cone = {lb: mor[(c, lb)] for lb in node_b}
-            mor[(c, b)] = base.factor_through_limit(obj[b], legs_b, obj[c], cone, node_b)
+        for b, via in shape.filled_up[c]:
+            if via is None:
+                node_b, _, _, legs_b = limits[b]
+                cone = {lb: mor[(c, lb)] for lb in node_b}
+                mor[(c, b)] = base.factor_through_limit(obj[b], legs_b, obj[c], cone, node_b)
+            else:
+                mor[(c, b)] = base.compose(mor[(via, b)], mor[(c, via)])
     return SpanDiagram(shape, base, obj, mor)
 
 
@@ -697,6 +711,9 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     The key is a cheap invariant, the class representatives of the Lambda
     objects in fill order.  A diagram gets its form when a row of its key
     group first needs it; r is the first diagram canonicalised with a form.
+    A diagram alone in its key group is its own r and takes no form:
+    buckets refine key groups, so its hom(d, d) is Aut(d) and no other
+    bucket's r changes.  On a poset every diagram is alone.
 
     The returned groupoid carries a .diagrams dict from object keys to
     SpanDiagram values.
@@ -719,8 +736,12 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     lam = _cells_by_length(shape, shape.lambda_cells)
     lam_at = [cells.index(c) for c in lam]
     reps = _iso_class_reps(base, base.objects_within(bound))
+    key = lambda d: tuple(reps[d.obj[c]] for c in lam)
+    group_sizes = Counter(map(key, listed))
     firsts = {}  # canonical form -> position of r, its bucket's representative
-    canon = [None] * len(listed)  # (position of r, phi_d), once canonicalised
+    # (position of r, phi_d), once canonicalised; a diagram alone in its key
+    # group is its own bucket's r, with no form taken
+    canon = [(i, None) if group_sizes[key(d)] == 1 else None for i, d in enumerate(listed)]
     psis = [None] * len(listed)  # (psi_d, psi_d^-1)
     auts = {}  # position of r -> Aut(r)
     ranks = {}  # (x, y) -> position of each iso in base.isos(x, y)
@@ -774,7 +795,7 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
         lambda g, f: tuple((c, base.compose(gc, fc)) for (c, gc), (_, fc) in zip(g, f)),
         lambda m: tuple((c, base.inverse(mc)) for c, mc in m),
         lambda k: tuple((c, base.identity(x)) for c, x in sorted(listed[at(k)].obj.items())),
-        key=lambda k: tuple(reps[listed[at(k)].obj[c]] for c in lam),
+        key=lambda k: key(listed[at(k)]),
     )
     gpd.diagrams = diagrams
     return gpd

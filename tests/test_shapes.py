@@ -252,3 +252,42 @@ def test_lambda_search_order_places_each_cell_once_its_up_set_is(arities):
         if s.lambda_up[c]:
             last = max(at[b] for b in s.lambda_up[c] if not s.lambda_up[b])
             assert all(s.lambda_up[x] for x in order[last + 1 : at[c]])
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_lambda_due_lists_each_limit_at_the_last_of_its_up_set(arities):
+    """lambda_due steps through the Lambda cells in fill order, and names
+    each Lambda cell with a Lambda up-set once, at the step of the last
+    cell of that up-set; lambda_up_arrows are the arrows among each
+    cell's Lambda up-set."""
+    s = sigma_shape(arities)
+    steps = [c for c, _ in s.lambda_due]
+    assert steps == [c for c in s.fill_order if c in s.lambda_set]
+    at = {c: k for k, c in enumerate(steps)}
+    due = [e for _, cells in s.lambda_due for e in cells]
+    assert sorted(due) == sorted(c for c in s.lambda_cells if s.lambda_up[c])
+    for k, (_, cells) in enumerate(s.lambda_due):
+        assert all(max(at[b] for b in s.lambda_up[e]) == k < at[e] for e in cells)
+    assert s.lambda_up_arrows == {c: s.arrows_among(s.lambda_up[c]) for c in s.objects}
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(lambda a: sum(a) <= 6))
+@settings(max_examples=40, deadline=None)
+def test_filled_up_factors_through_covers(arities):
+    """filled_up lists every pair c < b of filled cells once, under c.  A
+    pair with no via has b covering c; otherwise via is a filled cover of
+    c with via <= b, and the pair (c, via) comes before (c, b)."""
+    s = sigma_shape(arities)
+    length = lambda c: sum(j - i for i, j in c)
+    filled = [c for c in s.objects if c not in s.lambda_set]
+    assert sorted(s.filled_up) == filled
+    for c, pairs in s.filled_up.items():
+        assert sorted(b for b, _ in pairs) == [b for b in filled if b != c and _brute_leq(c, b)]
+        placed = set()
+        for b, via in pairs:
+            cover = via if via is not None else b
+            assert cover in filled and _brute_leq(c, cover) and length(c) - length(cover) == 1
+            if via is not None:
+                assert via in placed and via != b and _brute_leq(via, b)
+            placed.add(b)

@@ -1180,6 +1180,184 @@ class TestFreeDataCount:
         assert (1, 2) not in listed
 
 
+def lambda_data_oracle(shape, base, bound=None):
+    """The free data by the recursion that takes each Lambda cell's limit
+    at the cell, again in every branch below the depth where its up-set
+    was fixed: the oracle of enumerate_lambda_data, which takes it once."""
+    order = sorted(shape.lambda_cells, key=shape.fill_rank.__getitem__)
+    yield from _lambda_data_oracle(shape, base, order, base.objects_within(bound), 0, {}, {})
+
+
+def _lambda_data_oracle(shape, base, order, objects, i, obj, mor):
+    if i == len(order):
+        yield dict(obj), dict(mor)
+        return
+    c = order[i]
+    ups = shape.lambda_up[c]
+    if not ups:
+        for A in objects:
+            obj[c] = A
+            yield from _lambda_data_oracle(shape, base, order, objects, i + 1, obj, mor)
+        obj.pop(c, None)
+        return
+    node_obj = {b: obj[b] for b in ups}
+    arrows = [(a, b, mor[(a, b)]) for a, b in shape.arrows_among(ups)]
+    try:
+        L, legs = base.limit_of_diagram(node_obj, arrows)
+        choices = lambda A: [{b: base.compose(legs[b], h) for b in ups} for h in base.hom(A, L)]
+    except NoLimitError:
+        choices = lambda A: base.cones(A, ups, node_obj, arrows)
+    for A in objects:
+        obj[c] = A
+        for legs_c in choices(A):
+            for b in ups:
+                mor[(c, b)] = legs_c[b]
+            yield from _lambda_data_oracle(shape, base, order, objects, i + 1, obj, mor)
+    del obj[c]
+    for b in ups:
+        mor.pop((c, b), None)
+
+
+def assert_enumerated_as_the_oracle(shape, base, bound=None, cap=None):
+    """The same data in the same order, each dict's items in the same
+    order too, up to the first cap of them; returns how many."""
+    items = lambda data: [(list(obj.items()), list(mor.items())) for obj, mor in itertools.islice(data, cap)]
+    data = items(enumerate_lambda_data(shape, base, bound))
+    assert data == items(lambda_data_oracle(shape, base, bound))
+    return len(data)
+
+
+def kan_extend_oracle(shape, base, lam_obj, lam_mor):
+    """Kan extension that factors each filled cell through the limit of
+    every filled cell above it: the oracle of kan_extend, which factors
+    only through the filled cells that cover it."""
+    lam = shape.lambda_set
+    obj, mor, limits = dict(lam_obj), dict(lam_mor), {}
+    for c in shape.fill_order:
+        if c in lam:
+            continue
+        ups = shape.lambda_up[c]
+        node_obj = {b: obj[b] for b in ups}
+        L, legs = base.limit_of_diagram(node_obj, [(a, b, mor[(a, b)]) for a, b in shape.arrows_among(ups)])
+        obj[c], limits[c] = L, (node_obj, legs)
+        mor.update(((c, b), legs[b]) for b in ups)
+        for b in shape.strict_up[c]:
+            if b not in lam:
+                node_b, legs_b = limits[b]
+                cone = {n: mor[(c, n)] for n in node_b}
+                mor[(c, b)] = base.factor_through_limit(obj[b], legs_b, L, cone, node_b)
+    return SpanDiagram(shape, base, obj, mor)
+
+
+class TestEnumerationTree:
+    @pytest.mark.parametrize(
+        "n, arities, bound",
+        [(n, arities, None) for n in (0, 1) for arities in [(1,), (2,), (3,), (2, 1), (1, 1)]]
+        + [(1, (5,), None), (1, (0,), None), (1, (2, 0, 1), None)]
+        + [(2, (1,), None), (2, (2,), None), (2, (3,), None), (2, (2, 1), 1), (2, (1, 1), 1)]
+        + [(3, (1,), None), (3, (2,), 2), (3, (3,), 1), (3, (2, 1), 1), (3, (1, 1), 1)],
+    )
+    def test_matches_the_oracle_on_finite_sets(self, n, arities, bound):
+        """finset:0-3, under a bound where all the data would be too many."""
+        assert assert_enumerated_as_the_oracle(sigma_shape(arities), finset(n), bound) > 0
+
+    @pytest.mark.parametrize(
+        "make_base, arities, bound, count",
+        [
+            (lambda: divisor_lattice(6), (1, 1), None, 2304),
+            (lambda: divisor_lattice(12), (2,), None, 910),
+            (lambda: divisor_lattice(30), (2,), None, 2197),
+            (no_pullback_poset, (2,), None, 116),
+            (no_pullback_poset, (1, 1), None, None),
+            (divisors_of_30_without_1, (2,), None, None),
+            (divisors_of_30_from_the_top, (2,), None, 2197),
+            (lambda: slice_over_pair(finset(2), 1, 1), (2,), 1, 13),
+            (lambda: slice_over_pair(finset(2), 2, 1), (1, 1), 1, None),
+            (lambda: finset(2), (2,), 0, 1),
+            (lambda: finset(2), (2,), -1, 0),
+            (lambda: finset(2), (1, 1), -1, 0),
+            (lambda: divisor_lattice(30), (2,), -1, None),
+        ],
+        ids=["lattice6-1-1", "lattice12-2", "lattice30-2", "no-pullback-2", "no-pullback-1-1",
+             "lattice30-without-1-2", "lattice30-from-the-top-2", "slice1x1-2-bound1", "slice2x1-1-1-bound1",
+             "finset2-2-bound0", "finset2-2-bound-1", "finset2-1-1-bound-1", "lattice30-2-bound-1"],
+    )
+    def test_matches_the_oracle_on_other_bases(self, make_base, arities, bound, count):
+        """Table bases, those with no limit over some Lambda cell among
+        them, so that the cone branch is taken, and slices; bounds 0 and
+        -1, which a table base ignores."""
+        n = assert_enumerated_as_the_oracle(sigma_shape(arities), make_base(), bound)
+        assert count is None or n == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=6),
+        st.booleans(),
+        st.sampled_from([(2,), (1, 1), (2, 1), (3,)]),
+    )
+    def test_matches_the_oracle_on_random_posets(self, members, bottom, arities):
+        """Families of subsets of a 3-set closed under intersection, with
+        and without a bottom, so that some Lambda cells have no limit; the
+        first 2,000 data, as a family of 8 members has too many."""
+        assert_enumerated_as_the_oracle(sigma_shape(arities), subset_poset(members, bottom), None, 2000)
+
+    @pytest.mark.parametrize(
+        "make_base, arities, limits",
+        [
+            (lambda: divisor_lattice(30), (2,), 576),
+            (lambda: finset(1), (2, 1), 883),
+            (lambda: finset(1), (5,), 124),
+            (lambda: finset(2), (2,), 36),
+            (lambda: divisor_lattice(12), (2,), 252),
+        ],
+        ids=["lattice30-2", "finset1-2-1", "finset1-5", "finset2-2", "lattice12-2"],
+    )
+    def test_each_limit_taken_once_per_up_set(self, make_base, arities, limits):
+        """The enumeration takes a Lambda cell's limit once for each
+        assignment of its up-set: at lattice30 (2,) the edge (0, 1) once
+        per pair of vertices and (1, 2) once per triple, 8 ** 2 + 8 ** 3 =
+        576 limits, where taking it again at the cell in every branch took
+        1,512.  Likewise 2,173 -> 883 at finset:1 (2, 1), 562 -> 124 at
+        finset:1 (5,), 156 -> 36 at finset:2 (2,) and 636 -> 252 at
+        lattice12 (2,)."""
+        base = make_base()
+        calls, limit = [], base.limit_of_diagram
+        base.limit_of_diagram = lambda *a: calls.append(1) or limit(*a)
+        list(enumerate_lambda_data(sigma_shape(arities), base))
+        assert len(calls) == limits
+
+
+class TestKanExtensionThroughCovers:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6))
+    @pytest.mark.parametrize("arities", [(5,), (2, 2), (3, 1), (2, 1, 1)])
+    @pytest.mark.parametrize(
+        "make_base, bound",
+        [(lambda: finset(2), None), (lambda: divisor_lattice(30), None), (lambda: slice_over_pair(finset(2), 1, 2), 2)],
+        ids=["finset2", "lattice30", "slice1x2"],
+    )
+    def test_matches_the_oracle(self, make_base, bound, arities, seed):
+        """Random free data: the same objects and morphisms as factoring
+        each filled cell through every filled cell above it."""
+        base, shape = make_base(), sigma_shape(arities)
+        lo, lm = sample_lambda_data(shape, base, bound, random.Random(seed))
+        assert kan_extend(shape, base, lo, lm).key == kan_extend_oracle(shape, base, lo, lm).key
+
+    def test_factorizations_pinned(self, monkeypatch):
+        """span_level(finset(1), (5,)) factors 12 times per datum, once into
+        each filled cover of a filled cell, 2,796 times for its 233 data;
+        factoring through every filled cell above took 25 per datum,
+        5,825 in all."""
+        calls, factor = [], FinSetCategory.factor_through_limit
+        monkeypatch.setattr(FinSetCategory, "factor_through_limit", lambda B, *a: calls.append(1) or factor(B, *a))
+        assert len(span_level(finset(1), (5,)).objects) == 233
+        assert len(calls) == 2796
+        calls.clear()
+        lo, lm = next(enumerate_lambda_data(sigma_shape(5), finset(1)))
+        kan_extend_oracle(sigma_shape(5), finset(1), lo, lm)
+        assert len(calls) == 25
+
+
 class TestInvertibility:
     def test_identity_span_invertible(self):
         base = finset(2)
@@ -1465,15 +1643,21 @@ class TestCompleteness:
 
 class TestMapping:
     def test_fiber_canonicalises_only_its_feet(self, monkeypatch):
-        """On finset:3 the fiber over (1, 1) computes canonical forms only
-        for the diagrams with feet (1, 1), each at most once, rather than
-        for all 1,544 diagrams of the level."""
+        """On finset:3 the fiber over (2, 1) computes canonical forms only
+        for the diagrams with feet (2, 1), each at most once, rather than
+        for all 1,544 diagrams of the level: 14 of its 15, whose key
+        groups are their apex sizes 1 to 3, as the one with an empty apex
+        is alone in its key group and so its own bucket's representative.
+        Over (1, 1) each of the 4 diagrams is alone in its key group, and
+        no form is taken."""
         seen, form = [], spans_module._canonical_form
         monkeypatch.setattr(spans_module, "_canonical_form", lambda *a: seen.append(a[-1].key) or form(*a))
         assert mapping_category_check(finset(3), 1, 1)
+        assert seen == []
+        assert mapping_category_check(finset(3), 2, 1)
         feet = [(dict(k[1])[V(0, 0)], dict(k[1])[V(1, 1)]) for k in seen]
-        assert seen and set(feet) == {(1, 1)}
-        assert len(seen) == len(set(seen)) == 4
+        assert set(feet) == {(2, 1)}
+        assert len(seen) == len(set(seen)) == 14
 
     def test_fiber_asks_for_homs_inside_buckets_only(self, monkeypatch):
         """The iso-comma keys its objects by the level's key, so the
@@ -1609,6 +1793,20 @@ def two_isomorphic_objects():
     return FinCategory(["a", "b", "c"], morphs, {"a": "aa0", "b": "bb0", "c": "cc"}, comp)
 
 
+def refuse_forms(*args):
+    """A stand-in for spans._canonical_form that fails when called."""
+    raise AssertionError("a canonical form was taken")
+
+
+def level_taking_every_form(base, arities, bound=None):
+    """span_level with every key group counted as shared, so that each
+    diagram a hom asks for takes its canonical form: the level without its
+    lone-key shortcut.  The shortcut is decided when the level is built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans_module, "Counter", lambda keys: collections.defaultdict(lambda: 2))
+        return span_level(base, arities, bound)
+
+
 class TestCanonicalLevel:
     @pytest.mark.parametrize(
         "base, arities, sizes",
@@ -1665,16 +1863,58 @@ class TestCanonicalLevel:
                 assert level.hom(component[0], other[0]) == oracle.hom(component[0], other[0])
 
     def test_hom_is_only_searched_inside_buckets(self, monkeypatch):
-        """On a poset every bucket is one diagram: one hom call per object,
-        and the identity family is never extended."""
+        """On a poset every bucket is one diagram, alone in its key group:
+        one hom call per object, no canonical form, and the identity family
+        is never extended."""
         level = span_level(finset(1), (5,))
         calls, hom = [], level._hom
         level._hom = lambda x, y: calls.append((x, y)) or hom(x, y)
         extended, extend = [], spans_module.extend_natural_family
         monkeypatch.setattr(spans_module, "extend_natural_family", lambda *a: extended.append(a) or extend(*a))
+        monkeypatch.setattr(spans_module, "_canonical_form", refuse_forms)
         assert len(level.all_morphisms()) == len(level.objects) == 233
         assert calls == [(x, x) for x in level.objects]
         assert extended == []
+
+    @pytest.mark.parametrize(
+        "make_base, arities, bound",
+        [(lambda: finset(2), (1,), None), (lambda: finset(2), (2,), None), (lambda: finset(2), (1, 1), 1),
+         (two_isomorphic_objects, (1,), None)],
+        ids=["finset2-1", "finset2-2", "finset2-1-1-bound1", "isomorphic-objects-1"],
+    )
+    def test_lone_key_groups_as_with_every_form(self, make_base, arities, bound):
+        """A diagram alone in its key group is its own bucket's
+        representative, with no form taken: the same objects, morphisms in
+        the same order and components as a level that takes the form of
+        every diagram a hom asks for."""
+        level = span_level(make_base(), arities, bound)
+        oracle = level_taking_every_form(make_base(), arities, bound)
+        assert level.objects == oracle.objects
+        assert level.all_morphisms() == oracle.all_morphisms()
+        assert level.components() == oracle.components()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=5),
+        st.sampled_from([(1,), (2,), (1, 1)]),
+    )
+    def test_lone_key_groups_on_random_posets(self, members, arities):
+        """On a poset every diagram is alone in its key group, so the level
+        takes no form, and it is the level that takes every form.  The
+        families of subsets of a 3-set closed under intersection keep the
+        empty set, so that every filled cell has its limit; levels of more
+        than 1,000 diagrams are skipped."""
+        base = subset_poset(members, True)
+        if count_lambda_data(sigma_shape(arities), base, None, 1001) > 1000:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spans_module, "_canonical_form", refuse_forms)
+            level = span_level(base, arities)
+            morphisms, components = level.all_morphisms(), level.components()
+        oracle = level_taking_every_form(base, arities)
+        assert level.objects == oracle.objects
+        assert morphisms == oracle.all_morphisms()
+        assert components == oracle.components()
 
     @pytest.mark.parametrize(
         "level, buckets, skeletal",
