@@ -1,18 +1,30 @@
 """Check an indexed stream of items in shares, one process per CPU.
 
-Three checks are loops of independent items: the exhaustive Segal battery
-over its free data (spans.segal_check), the inverse search over every span
-within the bound (spans.invertible_span_check), and the triangle checks of
-the distinct spans that certify adjoint draws (cli._run_certify).
-first_failure deals the indices of such a stream to S shares in blocks of
-BLOCK, block j to share j mod S, and forks one worker for each share but
-the first.  Each process iterates a fresh stream of the items, so a
-generator of items is never listed, and checks the items of its own
-blocks, this process those of share 0.  An item's check depends on the
-item and its index alone, never on the items checked before it, so the
-answer, the first failure in index order whichever share it lies in, is
-the failure an in-order run meets first.  S = 1 forks nothing and is that
-in-order run.
+Four checks are loops of independent items: the exhaustive Segal battery
+over its free data and the sampled one over its drawn data and twists
+(spans.segal_check), the inverse search over every span within the bound
+(spans.invertible_span_check), and the triangle checks of the distinct
+spans that certify adjoint draws (cli._run_certify).  first_failure deals
+the indices of such a stream to S shares in blocks, block j to share j
+mod S, and forks one worker for each share but the first.  Each process
+iterates a fresh stream of the items, so a generator of items is never
+listed, and checks the items of its own blocks, this process those of
+share 0.  An item's check depends on the item and its index alone, never
+on the items checked before it, so the answer, the first failure in
+index order whichever share it lies in, is the failure an in-order run
+meets first.  S = 1 forks nothing and is that in-order run.
+
+S is share_count's: one share per CPU, each with at least PER_SHARE
+units of work.  A span of check invertible or certify adjoint is one
+unit, and a Segal datum its cells over the 6 of the lightest shape
+checked (spans.segal_check), so 48 sampled data of arity (2, 2) fork.
+Blocks hold BLOCK items, or fewer where that would leave a share fewer
+than two blocks (block_size, which the Segal checks take): 48 items on
+two shares go 12, 12, 12, 12, and not 32 to one share and 16 to the
+other.  check invertible and certify adjoint take blocks of BLOCK, which
+block_size would give them too, as their shares hold at least PER_SHARE
+= 2 * BLOCK spans each; a smaller block would split more inverse-search
+rows between processes (spanlab.inverse).
 
 Processes are handled with os alone: importing multiprocessing or pickle
 would add to the start-up time and peak memory of every check that fans
@@ -25,20 +37,26 @@ from __future__ import annotations
 import itertools
 import os
 
-BLOCK = 32  # items per block; blocks of 1 to 128 items timed alike
-PER_SHARE = 64  # the fewest items worth a process of their own
+BLOCK = 32  # the most items per block; blocks of 1 to 128 items timed alike
+PER_SHARE = 64  # the fewest units of work worth a process of their own
 
 _SIGKILL = 9  # fixed by POSIX; importing signal for it would cost start-up
 _REPORTED = object()  # the outcome of a failure a worker reported by index
 
 
-def share_count(count: int) -> int:
-    """S for count items: one share per CPU in this process's affinity
-    mask, with at least PER_SHARE items each; 1 where os.fork or the mask
-    is missing."""
+def share_count(work: int) -> int:
+    """S for items of work units in all: one share per CPU in this
+    process's affinity mask, with at least PER_SHARE units each; 1 where
+    os.fork or the mask is missing."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), count // PER_SHARE))
+    return max(1, min(len(os.sched_getaffinity(0)), work // PER_SHARE))
+
+
+def block_size(count: int, shares: int) -> int:
+    """Items per block for count items in S shares: BLOCK, or fewer, at
+    least 1, so that each share takes at least two blocks."""
+    return max(1, min(BLOCK, count // (2 * shares)))
 
 
 def _attempt(f, i, item):
@@ -50,7 +68,7 @@ def _attempt(f, i, item):
     return bool(outcome), outcome
 
 
-def first_failure(stream, check, shares=1):
+def first_failure(stream, check, shares=1, block=BLOCK):
     """The outcome of the first failure among the items in index order,
     or None when every item passes.  stream() returns a fresh iterable of
     the items, the same items in the same order on every call; this
@@ -73,12 +91,12 @@ def first_failure(stream, check, shares=1):
     workers = []
     try:
         for share in range(1, shares):
-            workers.append(_Worker(stream, check, share, shares, workers))
+            workers.append(_Worker(stream, check, share, shares, block, workers))
         first = None  # (index, outcome) of the first failure found so far
         for i, item in enumerate(stream()):
-            if i % BLOCK == 0 and any(w.failed_before(i) for w in workers):
+            if i % block == 0 and any(w.failed_before(i) for w in workers):
                 break
-            if (i // BLOCK) % shares:
+            if (i // block) % shares:
                 continue
             passed, outcome = _attempt(check, i, item)
             if not passed:
@@ -107,8 +125,8 @@ class _Worker:
     """A forked share of first_failure, and what it has written to its
     pipe: the blocks it has passed, and its first failing index."""
 
-    def __init__(self, stream, check, share, shares, siblings):
-        self.share, self.shares = share, shares
+    def __init__(self, stream, check, share, shares, block, siblings):
+        self.share, self.shares, self.block = share, shares, block
         self.passed, self.tail, self.failed, self.ended = 0, b"", None, False
         self.fd, w = os.pipe()
         try:
@@ -123,12 +141,12 @@ class _Worker:
                 for fd in [self.fd, *(s.fd for s in siblings)]:
                     os.close(fd)
                 for i, item in enumerate(stream()):
-                    if (i // BLOCK) % shares != share:
+                    if (i // block) % shares != share:
                         continue
                     if not _attempt(check, i, item)[0]:
                         os.write(w, b"!%d\n" % i)
                         break
-                    if i % BLOCK == BLOCK - 1:
+                    if i % block == block - 1:
                         os.write(w, b".")
                 status = 0
             finally:
@@ -158,7 +176,7 @@ class _Worker:
         bound, and then reaps it, killing it in the last case."""
         os.set_blocking(self.fd, True)
         while self.failed is None and not self.ended:
-            if bound is not None and (self.share + self.passed * self.shares) * BLOCK > bound:
+            if bound is not None and (self.share + self.passed * self.shares) * self.block > bound:
                 break
             self._read()
         status = self._reap(kill=self.failed is None and not self.ended)

@@ -9,11 +9,12 @@ and JSON dumps are deterministic.
 A shape is compiled once per process: sigma_shape returns one shared
 instance per arity tuple, and that instance builds its order tables (the
 order as a set of pairs, strict and Lambda up-sets, the fill order, the
-arrows among a node list, restriction maps, the steps at which the
-free-data search takes each Lambda cell's limit, and the covers through
-which Kan extension factors each filled cell) on first use and keeps
-them, so checks that visit thousands of diagrams on one shape never
-re-derive its order.  Nothing is built at import time.
+arrows among a node list, restriction maps and their cut to each edge's
+Lambda cells, the steps at which the free-data search takes each Lambda
+cell's limit, and the covers through which Kan extension factors each
+filled cell) on first use and keeps them, so checks that visit
+thousands of diagrams on one shape never re-derive its order.  Nothing
+is built at import time.
 """
 from __future__ import annotations
 
@@ -258,6 +259,27 @@ class SigmaShape:
             )
             piece = self._memo[key] = (small, phis)
         return piece
+
+    def edge_lambda(self, r: int, i: int) -> tuple:
+        """The i-th edge in direction r on its Lambda cells: the edge's
+        shape, and restriction's tables for the inclusion cut down to the
+        edge's Lambda cells and the arrows among them.  The inclusion
+        sends (i - 1, i) to an interval of length one and is the identity
+        in every other direction, so it sends each Lambda cell to a Lambda
+        cell and distinct cells to distinct cells: the tables pull free
+        data back to the free data of the edge piece."""
+        key = ("edge lambda", r, i)
+        table = self._memo.get(key)
+        if table is None:
+            small, phis = self.edge(r, i)
+            cells, arrows = small.restriction(phis)
+            lam = small.lambda_set
+            table = self._memo[key] = (
+                small,
+                tuple(p for p in cells if p[0] in lam),
+                tuple(p for p in arrows if lam.issuperset(p[0])),
+            )
+        return table
 
     def _total_length(self, a) -> int:
         return sum(j - i for i, j in a)

@@ -9,7 +9,6 @@ or enumeration ceiling truncates a search.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import os
@@ -658,6 +657,11 @@ def natural_family_generators(base, shape, d: SpanDiagram):
     return generators, size
 
 
+def _rigid(base, d: SpanDiagram) -> bool:
+    """Has every Lambda object of d exactly one automorphism?"""
+    return all(len(base.isos(d.obj[c], d.obj[c])) == 1 for c in d.shape.lambda_cells)
+
+
 def _extend(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
     """The natural isomorphism d1 -> d2 extending a natural Lambda family,
     as its components in cell order.  Kan extension builds Cartesian
@@ -697,7 +701,10 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
       the form and psi_d: r -> d the extension of phi_d^-1 . phi_r; then
       hom(d1, d2) = {psi_d2 . a . psi_d1^-1 : a in Aut(r)}, with Aut(r)
       found once per bucket by natural_families.  psi_r is the identity,
-      so hom(r, r) is Aut(r) itself.
+      so hom(r, r) is Aut(r) itself.  Where every Lambda object of r has
+      one automorphism (_rigid), as on a poset, the identity family is the
+      only natural one and extends to the identity, so Aut(r) is the
+      identity alone, with no search.
     - Order lemma: hom sorts each hom, Aut(r) included, by the position of
       each Lambda component in base.isos, cells in fill order.  A morphism
       is fixed by its Lambda components, so the order is total and no hom
@@ -763,7 +770,10 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     def aut(r):
         if r not in auts:
             d = listed[r]
-            auts[r] = [_extend(d, d, fam) for fam in natural_families(base, shape, d, d)]
+            if _rigid(base, d):
+                auts[r] = [tuple(base.identity(d.obj[c]) for c in cells)]
+            else:
+                auts[r] = [_extend(d, d, fam) for fam in natural_families(base, shape, d, d)]
         return auts[r]
 
     def rank(x, y):
@@ -829,85 +839,6 @@ def underlying_2fold_level(base, pq, bound=None) -> FinGroupoid:
 # the Segal condition
 
 
-def _edge_piece(d: SpanDiagram, r: int, i: int) -> SpanDiagram:
-    """Restrict to the i-th edge in direction r (arity collapsed to 1)."""
-    small, phis = d.shape.edge(r, i)
-    return restrict_along(small, phis, d)
-
-
-def _check_one_datum(shape, base, lo, lm, dirs):
-    """The per-datum Segal battery: the extension is Cartesian, its edge
-    restrictions are Cartesian, and every natural family on the free data
-    extends uniquely to the full diagram (_check_families).
-
-    Nothing is built or extended that cannot fail.  An edge piece whose
-    shape has no filled cell (every piece in one direction) is Cartesian
-    with an empty certificate, so it is not built."""
-    limits = {}
-    ext = kan_extend(shape, base, lo, lm, limits)
-    v = is_cartesian(ext, limits)
-    if not v:
-        return v, ext
-    for r in dirs:
-        small = shape.edge(r, 1)[0]
-        if len(small.lambda_cells) == len(small.objects):
-            continue
-        for i in range(1, shape.arities[r] + 1):
-            piece = _edge_piece(ext, r, i)
-            vp = is_cartesian(piece)
-            if not vp:
-                return (
-                    Verdict.refuted(
-                        witness={"direction": r, "edge": i, "inner": vp.witness}
-                    ),
-                    ext,
-                )
-    return _check_families(base, shape, ext), ext
-
-
-def _check_families(base, shape, ext) -> Verdict:
-    """Does every natural automorphism family of ext's free data extend to
-    ext?  ext is Cartesian, so the families that extend form a subgroup
-    (generator lemma, natural_family_generators), and only the generators
-    of a stabilizer chain are extended; never the identity family, which
-    is in every subgroup.  The refutation names the first generator, in
-    chain order, that fails to extend.  On a Kan extension of free data
-    every family extends (the extension lemma of span_level), so only a
-    hand-built diagram is refuted here."""
-    for fam in natural_family_generators(base, shape, ext)[0]:
-        if extend_natural_family(ext, ext, fam) is None:
-            return Verdict.refuted(
-                witness={"reason": "free-data automorphism fails to extend", "family": fam}
-            )
-    return Verdict.verified()
-
-
-def _check_twist(shape, base, ext, dirs, rng):
-    """Twist battery: a random natural automorphism family on the free cells
-    of a random edge piece extends to the piece, which is a functor.  No
-    transport is checked: extend_natural_family returns only families natural
-    on every arrow m: a -> b, and for automorphisms that says fam[b] . m .
-    fam[a]^-1 = m, so twisting the piece by the family gives back the piece.
-
-    The family meets the precondition of extend_natural_family, natural
-    on the Lambda cells: each component random_natural_family draws is an
-    automorphism of its cell's object, chosen natural with the cells drawn
-    before it, and fill order lists every cell after the cells above it,
-    so every arrow among the Lambda cells has been tested; its fallback,
-    the identity family, is natural on every arrow.  So a piece whose
-    shape has no filled cell is not extended: there extend_natural_family
-    would fill nothing and return fam.  The family is still drawn, so the
-    rng sequence stays the same."""
-    r = rng.choice(dirs)
-    i = rng.randrange(1, shape.arities[r] + 1)
-    piece = _edge_piece(ext, r, i)
-    small = piece.shape
-    fam = random_natural_family(base, small, piece, rng)
-    if len(small.lambda_cells) != len(small.objects) and extend_natural_family(piece, piece, fam) is None:
-        return Verdict.refuted(witness={"reason": "twist family fails to extend"})
-    return piece.validate()
-
-
 def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     """Decide the Segal comparison for the given arities at the given bound.
 
@@ -916,20 +847,32 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     details, still returning verified only when every sample passes).  The
     count that decides the mode is count_lambda_data's, capped one datum
     past the ceiling: the lifted form 1^T (H^T H)^p 1 with its cap exits,
-    so no datum of this shape is enumerated to decide.  An exhaustive run
-    then enumerates its data with enumerate_lambda_data, afresh in each
-    process.
+    so no datum of this shape is enumerated to decide.
 
-    The battery is a property of each datum on its own, and so is its
-    twist: at the indices drawn for twists, the twist battery runs on the
-    extension the datum's check has just built.  An exhaustive run checks
-    its data in shares (fanout.first_failure), one process per CPU, each
-    datum in one of them, and reports the first failure in index order,
-    so the verdict, witness and details are those of the in-order run;
-    each twist draws from its own Random(f"{seed}/{index}"), whose string
-    seed no CPU count or hash seed changes.  A sampled run draws
-    its data and then each datum's twist from the run's rng, so it runs in
-    order in this process."""
+    Both modes check a stream of (datum, twist) items with one check, in
+    shares (fanout.first_failure), one process per CPU, each item in one
+    of them; each process iterates a fresh stream and holds one datum at
+    a time.  The first failure in index order is reported, so the verdict,
+    witness and details are those of the in-order run.  twist_at, the
+    indices that get a twist, is the first draw of Random(seed).
+
+    - Exhaustive: the data of enumerate_lambda_data, with no twist drawn.
+      The check draws the twist of a datum at an index in twist_at from
+      its own Random(f"{seed}/{index}"), whose string seed no CPU count or
+      hash seed changes; drawn in the stream, every share would draw them
+      all.
+    - Sampled: each stream() draws, from a fresh Random(seed), twist_at,
+      which holds every index, and then for each index the datum and its
+      twist, on the free datum (the draw lemma of segal.draw_twist), so
+      every process draws the run's one sequence.  A draw that raises ends the
+      stream with an item whose check raises it: it is reported only when
+      no earlier item fails, as the in-order run never draws past a
+      failure.
+
+    The check then runs the datum's battery and the twist battery on the
+    extension the battery has just built.  A datum weighs its cells
+    against the 6 of arity (2,), the lightest shape checked, in the share
+    count, so a few large sampled data fork too."""
     arities = tuple(arities)
     shape = sigma_shape(arities)
     dirs = [r for r, n in enumerate(arities) if n >= 2]
@@ -942,29 +885,46 @@ def segal_check(base, arities, bound=None, seed=0, samples=24) -> Verdict:
     max_data = ceiling // per_datum + 1
     count = count_lambda_data(shape, base, bound, max_data)
     exhaustive = count * per_datum <= ceiling
-    rng = random.Random(seed)
-    stream = functools.partial(enumerate_lambda_data, shape, base, bound)
-    if not exhaustive:  # checks none of the counted data; one share draws once
-        count, sampled = samples, (sample_lambda_data(shape, base, bound, rng) for _ in range(samples))
-        stream = lambda: sampled
-    twist_at = set(rng.sample(range(count), min(samples, count)))
+    if not exhaustive:  # checks none of the counted data
+        count = samples
+    # imported here: compiling them on import of spanlab would add to the
+    # start-up and peak memory of every process, Segal checks or not
+    from . import segal
+    from .fanout import block_size, first_failure, share_count
+
+    twist_at = set(random.Random(seed).sample(range(count), min(samples, count)))
     mode = "exhaustive" if exhaustive else "sampled"
 
-    def check(idx, datum):
-        v, ext = _check_one_datum(shape, base, *datum, dirs)
+    def stream():
+        if exhaustive:
+            yield from zip(enumerate_lambda_data(shape, base, bound), itertools.repeat(None))
+            return
+        rng = random.Random(seed)
+        rng.sample(range(count), count)  # twist_at
+        for _ in range(count):
+            try:
+                datum = sample_lambda_data(shape, base, bound, rng)
+                twist = segal.draw_twist(shape, base, *datum, dirs, rng)
+            except Exception as exc:  # raised by the check at this index
+                yield exc, None
+                return
+            yield datum, twist
+
+    def check(idx, item):
+        datum, twist = item
+        if isinstance(datum, Exception):
+            raise datum
+        v, ext = segal.check_one_datum(shape, base, *datum, dirs)
         if not v:
             return Verdict.refuted(witness=v.witness, mode=mode)
         if idx not in twist_at:
             return v
-        vt = _check_twist(shape, base, ext, dirs, random.Random(f"{seed}/{idx}") if exhaustive else rng)
+        twist = twist or segal.draw_twist(shape, base, *datum, dirs, random.Random(f"{seed}/{idx}"))
+        vt = segal.check_twist(ext, *twist)
         return vt or Verdict.refuted(witness=vt.witness, mode="twist")
 
-    # imported here: compiling fanout on import of spanlab would add to
-    # the start-up and peak memory of every process, Segal checks or not
-    from .fanout import first_failure, share_count
-
-    shares = share_count(count) if exhaustive else 1
-    failure = first_failure(stream, check, shares=shares)
+    shares = share_count(count * per_datum // 6)
+    failure = first_failure(stream, check, shares, block_size(count, shares))
     if failure is not None:
         return failure
     # the bound enumerated: a table base lists all its objects whatever the

@@ -1,7 +1,7 @@
-"""Checks run in shares (spanlab.fanout): the exhaustive Segal battery,
-check invertible and certify adjoint give the verdicts, witnesses and
-reports of the in-order run, and leave no process behind.  S is forced
-through a patched os.sched_getaffinity."""
+"""Checks run in shares (spanlab.fanout): the exhaustive and sampled Segal
+batteries, check invertible and certify adjoint give the verdicts,
+witnesses and reports of the in-order run, and leave no process behind.
+S is forced through a patched os.sched_getaffinity."""
 import json
 import os
 import random
@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanlab import fanout
+from spanlab import segal as segal_module
 from spanlab import spans as spans_module
 from spanlab import duality
 from spanlab.cli import _parse_base, _random_span, run_request
 from spanlab.fincat import finset
 from spanlab.inverse import has_inverse
 from spanlab.shapes import sigma_shape
-from spanlab.spans import all_spans, enumerate_lambda_data, segal_check
+from spanlab.spans import all_spans, enumerate_lambda_data, sample_lambda_data, segal_check
 from spanlab.verdict import NoLimitError, Verdict
 from test_fincat import divisor_lattice, no_pullback_poset
 
@@ -64,6 +65,12 @@ def summary(v):
     return v.status, v.witness, v.details
 
 
+def segal_forks(cpus, count, arities):
+    """The workers a Segal check of count data forks: each datum weighs
+    its cells over the 6 of arity (2,)."""
+    return min(cpus, count * len(sigma_shape(arities).objects) // 6 // fanout.PER_SHARE) - 1
+
+
 # The exhaustive Segal requests of bench/workloads.py (the suite's draws 48 twists).
 BENCH_SHAPES = [
     (lambda: finset(2), (2,), 24),
@@ -88,15 +95,19 @@ def test_shares_give_the_in_order_verdict(make_base, arities, samples, seed, mon
     count = alone.details["data_checked"]
     for cpus, (v, forked) in zip((2, 3), shared):
         assert summary(v) == summary(alone)
-        assert forked == min(cpus, count // fanout.PER_SHARE) - 1 > 0
+        assert forked == segal_forks(cpus, count, arities) > 0
 
 
-def test_sampled_runs_stay_in_order(monkeypatch):
-    """Sampled data are drawn from the twists' rng, so nothing is forked."""
-    base = finset(2)
-    results = in_shares(monkeypatch, lambda: segal_check(base, (2, 2), samples=130))
-    assert results[0][0].details["mode"] == "sampled"
-    assert [(summary(v), forked) for v, forked in results] == [(summary(results[0][0]), 0)] * 3
+def test_sampled_runs_in_shares(monkeypatch):
+    """Every share draws the run's one stream of data and twists, so 48
+    sampled data of arity (2, 2), 36 cells each, are checked in shares
+    and give the in-order verdict."""
+    results = in_shares(monkeypatch, lambda: segal_check(finset(2), (2, 2), samples=48))
+    (alone, none), *shared = results
+    assert none == 0 and alone and alone.details["mode"] == "sampled"
+    for cpus, (v, forked) in zip((2, 3), shared):
+        assert summary(v) == summary(alone)
+        assert forked == segal_forks(cpus, 48, (2, 2)) == cpus - 1
 
 
 def test_share_count(monkeypatch):
@@ -107,6 +118,15 @@ def test_share_count(monkeypatch):
     on_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
     assert fanout.share_count(10**6) == 1
+
+
+def test_block_size():
+    """Every share takes at least two blocks, and items of weight 1 that
+    share_count splits always get blocks of BLOCK."""
+    assert [fanout.block_size(48, s) for s in (1, 2, 3)] == [24, 12, 8]
+    assert [fanout.block_size(n, 3) for n in (0, 5, 6, 12)] == [1, 1, 1, 2]
+    for s in (2, 3, 4):
+        assert fanout.block_size(s * fanout.PER_SHARE, s) == fanout.BLOCK
 
 
 def datum_key(lo, lm):
@@ -124,7 +144,7 @@ def plant(monkeypatch, refute=(), raise_at=(), twist_at=()):
     twist_at.  Patched before the fork, so every worker has them too."""
     data = finset2_data()
     refuting, raising, twisting = ({data[i]: i for i in at} for at in (refute, raise_at, twist_at))
-    check, twist = spans_module._check_one_datum, spans_module._check_twist
+    check, twist = segal_module.check_one_datum, segal_module.check_twist
 
     def planted_check(shape, base, lo, lm, dirs):
         key = datum_key(lo, lm)
@@ -133,15 +153,15 @@ def plant(monkeypatch, refute=(), raise_at=(), twist_at=()):
         v, ext = check(shape, base, lo, lm, dirs)
         return (Verdict.refuted(witness={"planted": refuting[key]}) if key in refuting else v), ext
 
-    def planted_twist(shape, base, ext, dirs, rng):
-        v = twist(shape, base, ext, dirs, rng)  # the rng stream does not move
+    def planted_twist(ext, r, i, fam):
+        v = twist(ext, r, i, fam)
         for key, i in twisting.items():
             if extends(ext, key):
                 return Verdict.refuted(witness={"planted twist": i})
         return v
 
-    monkeypatch.setattr(spans_module, "_check_one_datum", planted_check)
-    monkeypatch.setattr(spans_module, "_check_twist", planted_twist)
+    monkeypatch.setattr(segal_module, "check_one_datum", planted_check)
+    monkeypatch.setattr(segal_module, "check_twist", planted_twist)
 
 
 def extends(ext, key):
@@ -212,28 +232,114 @@ def test_a_twist_draws_alike_on_any_number_of_cpus(monkeypatch):
     Random after the battery's own, gives one report on 1, 2 and 3 CPUs;
     the draw is pinned, so it depends on no hash seed either."""
     t = next(i for i in twist_indices() if owner(i, 2) and owner(i, 3))
-    key, twist = finset2_data()[t], spans_module._check_twist
+    key, draw, twist = finset2_data()[t], segal_module.draw_twist, segal_module.check_twist
 
-    def drawing_twist(shape, base, ext, dirs, rng):
-        v = twist(shape, base, ext, dirs, rng)
-        return Verdict.refuted(witness={"draw": rng.randrange(10**6)}) if extends(ext, key) else v
+    def drawing(shape, base, lo, lm, dirs, rng):
+        r, i, fam = draw(shape, base, lo, lm, dirs, rng)
+        return r, i, (rng.randrange(10**6) if datum_key(lo, lm) == key else fam)
 
-    monkeypatch.setattr(spans_module, "_check_twist", drawing_twist)
+    def checking(ext, r, i, fam):
+        return Verdict.refuted(witness={"draw": fam}) if isinstance(fam, int) else twist(ext, r, i, fam)
+
+    monkeypatch.setattr(segal_module, "draw_twist", drawing)
+    monkeypatch.setattr(segal_module, "check_twist", checking)
     results = in_shares(monkeypatch, lambda: summary(segal_check(finset(2), (2,))))
     assert results == [(("refuted", {"draw": 676273}, {"mode": "twist"}), forked) for forked in (0, 1, 2)]
+
+
+SAMPLED = ["check", "segal", "--base", "finset:2", "--arities", "2", "2", "--samples", "48"]
+
+
+def sampled_stream(samples=48, seed=0):
+    """The data of the sampled run of SAMPLED, each datum_key with the
+    state of the run's Random before the datum is drawn: after twist_at,
+    every index, and each datum drawn before it with its twist."""
+    shape, base = sigma_shape((2, 2)), finset(2)
+    rng = random.Random(seed)
+    rng.sample(range(samples), samples)
+    stream = []
+    for _ in range(samples):
+        state = rng.getstate()
+        datum = sample_lambda_data(shape, base, None, rng)
+        segal_module.draw_twist(shape, base, *datum, [0, 1], rng)
+        stream.append((datum_key(*datum), state))
+    return stream
+
+
+def plant_sampled(monkeypatch, refute=(), raise_at=()):
+    """Refute the data of SAMPLED at the indices in refute, and raise in
+    the draws of those at raise_at.  Patched before the fork."""
+    stream = sampled_stream()
+    keys = [key for key, _ in stream]
+    assert all(keys.index(keys[i]) == i for i in refute)
+    refuting = {keys[i]: i for i in refute}
+    raising = {stream[i][1]: i for i in raise_at}
+    check, sample = segal_module.check_one_datum, spans_module.sample_lambda_data
+
+    def planted_check(shape, base, lo, lm, dirs):
+        v, ext = check(shape, base, lo, lm, dirs)
+        key = datum_key(lo, lm)
+        return (Verdict.refuted(witness={"planted": refuting[key]}) if key in refuting else v), ext
+
+    def planted_sample(shape, base, bound, rng):
+        if rng.getstate() in raising:
+            raise ValueError(f"planted draw {raising[rng.getstate()]}")
+        return sample(shape, base, bound, rng)
+
+    monkeypatch.setattr(segal_module, "check_one_datum", planted_check)
+    monkeypatch.setattr(spans_module, "sample_lambda_data", planted_sample)
+
+
+def sampled_owner(i, shares):
+    return (i // fanout.block_size(48, shares)) % shares
+
+
+def test_a_sampled_refutation_in_a_worker_share_is_reported(monkeypatch):
+    """Blocks of 12 on 2 CPUs and of 8 on 3: a worker owns datum 14 on
+    both, and its refutation gives the in-order report."""
+    assert sampled_owner(14, 2) and sampled_owner(14, 3)
+    plant_sampled(monkeypatch, refute=(14,))
+    results = reports_in_shares(monkeypatch, SAMPLED)
+    alone = results[0][0]
+    assert alone[1] == 1 and alone[0]["witness"] == {"planted": 14}
+    assert results == [(alone, 0), (alone, 1), (alone, 2)]
+
+
+def test_a_draw_exception_after_a_worker_refutation_is_not_reported(monkeypatch):
+    """This process owns datum 30 on 2 and on 3 CPUs and meets its draw's
+    exception before it hears of the worker's refutation of datum 14; the
+    refutation comes first in index order, and the in-order run never
+    draws datum 30."""
+    assert not sampled_owner(30, 2) and not sampled_owner(30, 3)
+    plant_sampled(monkeypatch, refute=(14,), raise_at=(30,))
+    for v, _ in in_shares(monkeypatch, lambda: segal_check(finset(2), (2, 2), samples=48)):
+        assert summary(v) == ("refuted", {"planted": 14}, {"mode": "sampled"})
+
+
+@pytest.mark.parametrize("at", [20, 30])
+def test_a_draw_exception_gives_the_in_order_report(at, monkeypatch):
+    """A draw that raises ends every process's stream; its exception is
+    the exit-3 report of the in-order run, in a worker's share (20) or in
+    this process's (30)."""
+    assert bool(sampled_owner(at, 2)) == bool(sampled_owner(at, 3)) == (at == 20)
+    plant_sampled(monkeypatch, raise_at=(at,))
+    results = reports_in_shares(monkeypatch, SAMPLED)
+    alone = results[0][0]
+    assert alone[1] == 3 and alone[0]["witness"] == {"error": f"ValueError: planted draw {at}"}
+    assert results == [(alone, 0), (alone, 1), (alone, 2)]
 
 
 def test_an_interrupt_here_ends_every_worker(monkeypatch):
     on_cpus(monkeypatch, 2)
     pids = counted_forks(monkeypatch)
-    data, check = finset2_data(), spans_module._check_one_datum
+    data, check = finset2_data(), segal_module.check_one_datum
 
     def interrupted(shape, base, lo, lm, dirs):
         if datum_key(lo, lm) == data[70]:
             raise KeyboardInterrupt
         return check(shape, base, lo, lm, dirs)
 
-    monkeypatch.setattr(spans_module, "_check_one_datum", interrupted)
+    monkeypatch.setattr(segal_module, "check_one_datum", interrupted)
     with pytest.raises(KeyboardInterrupt):
         segal_check(finset(2), (2,))
     assert len(pids) == 1

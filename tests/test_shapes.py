@@ -291,3 +291,29 @@ def test_filled_up_factors_through_covers(arities):
             if via is not None:
                 assert via in placed and via != b and _brute_leq(via, b)
             placed.add(b)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_edge_lambda_pulls_free_data_back_to_free_data(arities, data):
+    """edge_lambda is restriction's table cut to the edge's Lambda cells and
+    the arrows among them, in the same order; the inclusion sends them
+    one to one onto Lambda cells, and each arrow onto a strict pair of
+    Lambda cells, a key of every free datum's morphisms."""
+    s = sigma_shape(arities)
+    long = [r for r, n in enumerate(arities) if n >= 1]
+    if not long:
+        return
+    r = data.draw(st.sampled_from(long))
+    i = data.draw(st.integers(1, arities[r]))
+    small, cells, arrows = s.edge_lambda(r, i)
+    all_cells, all_arrows = small.restriction(s.edge(r, i)[1])
+    assert small is s.edge(r, i)[0]
+    assert [c for c, _ in cells] == list(small.lambda_cells)
+    assert cells == tuple(p for p in all_cells if p[0] in small.lambda_set)
+    assert [ab for ab, _ in arrows] == list(small.arrows_among(small.lambda_cells))
+    assert arrows == tuple(p for p in all_arrows if p[0] in set(small.arrows_among(small.lambda_cells)))
+    images = [m for _, m in cells]
+    assert len(set(images)) == len(images) and set(images) <= s.lambda_set
+    assert all(b in s.lambda_up[a] for _, (a, b) in arrows)
+    assert s.edge_lambda(r, i) is s.edge_lambda(r, i)

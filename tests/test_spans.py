@@ -15,19 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanlab import groupoid as groupoid_module
+from spanlab import segal as segal_module
 from spanlab import spans as spans_module
 from spanlab.cli import run_request
 from spanlab.fincat import FinCategory, FinFunction, FinSetCategory, SliceCategory, core, finset, slice_over_pair
 from spanlab.groupoid import FinGroupoid, groupoids_equivalent, positions
 from spanlab.inverse import has_inverse, inverse_candidates
+from spanlab.segal import check_families, check_one_datum, check_twist, draw_twist, edge_piece
 from spanlab.shapes import SimplexMap, sigma_shape
 from spanlab.spans import (
     Span,
     SpanDiagram,
-    _check_families,
-    _check_one_datum,
-    _check_twist,
-    _edge_piece,
     all_spans,
     completeness_check,
     compose_spans,
@@ -52,10 +50,11 @@ from spanlab.spans import (
     underlying_2fold_level,
 )
 from spanlab.verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError, Verdict
-from test_fincat import divisor_lattice, no_pullback_poset, poset_category, slice_table
+from test_fincat import divisor_lattice, finset_table, no_pullback_poset, poset_category, slice_table
 
 
 V = lambda i, j: ((i, j),)  # one-direction cell shorthand
+FINSET2_TABLE = finset_table(finset(2))
 
 
 def span_isos(base, s: Span, t: Span):
@@ -359,15 +358,17 @@ class TestSegal:
 
     def test_sampled_data_stream_pinned(self, monkeypatch):
         """The free data a sampled run checks are pinned.  The twist battery
-        draws from the sampler's Random, so this also pins its draws."""
+        draws from the sampler's Random, so this also pins its draws.
+        Counted on one CPU, as test_compose_calls_pinned is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setenv("SPANLAB_MAX_CELLS", "100")
-        seen, check = [], spans_module._check_one_datum
+        seen, check = [], segal_module.check_one_datum
 
         def record(shape, base, lo, lm, dirs):
             seen.append((sorted(lo.items()), sorted(lm.items())))
             return check(shape, base, lo, lm, dirs)
 
-        monkeypatch.setattr(spans_module, "_check_one_datum", record)
+        monkeypatch.setattr(segal_module, "check_one_datum", record)
         assert segal_check(finset(2), (2, 2), samples=6, seed=3)
         assert len(seen) == 6
         digest = hashlib.sha256(repr(seen).encode()).hexdigest()
@@ -383,7 +384,7 @@ class TestSegal:
         obj, mor = identity_lambda_data(shape, 2)
         calls, limit = [], base.limit_of_diagram
         monkeypatch.setattr(base, "limit_of_diagram", lambda *a: calls.append(a) or limit(*a))
-        v, ext = _check_one_datum(shape, base, obj, mor, [0])
+        v, ext = check_one_datum(shape, base, obj, mor, [0])
         assert v
         assert len(list(natural_families(base, shape, ext, ext))) == 2
         assert len(calls) == 1
@@ -456,15 +457,17 @@ class TestSegal:
         over the cap of 112, so the count only decides the mode: the run
         samples, and the samples it checks, which follow the twist draws
         from the same Random, are those it drew when the data were listed
-        to count them."""
+        to count them.  Counted on one CPU, as test_compose_calls_pinned
+        is."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setenv("SPANLAB_MAX_CELLS", "2000")
-        seen, check = [], spans_module._check_one_datum
+        seen, check = [], segal_module.check_one_datum
 
         def record(shape, base, lo, lm, dirs):
             seen.append((sorted(lo.items()), sorted(lm.items())))
             return check(shape, base, lo, lm, dirs)
 
-        monkeypatch.setattr(spans_module, "_check_one_datum", record)
+        monkeypatch.setattr(segal_module, "check_one_datum", record)
         v = segal_check(finset(1), (2, 1), samples=5, seed=2)
         assert v.details["mode"] == "sampled" and v.details["data_checked"] == 5
         digest = hashlib.sha256(repr(seen).encode()).hexdigest()
@@ -506,8 +509,8 @@ class TestSegal:
         each of its 24 twist draws.  Counted on one CPU, as
         test_compose_calls_pinned is."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        calls, piece = [], spans_module._edge_piece
-        monkeypatch.setattr(spans_module, "_edge_piece", lambda d, r, i: calls.append(1) or piece(d, r, i))
+        calls, piece = [], segal_module.edge_piece
+        monkeypatch.setattr(segal_module, "edge_piece", lambda d, r, i: calls.append(1) or piece(d, r, i))
         assert segal_check(finset(2), (2,))
         assert len(calls) == 24
 
@@ -527,7 +530,7 @@ class TestSegal:
 
         monkeypatch.setattr(spans_module, "is_cartesian", refute_pieces)
         dirs = [r for r, n in enumerate(arities) if n >= 2]
-        v, _ = _check_one_datum(shape, base, *identity_lambda_data(shape, 1), dirs)
+        v, _ = check_one_datum(shape, base, *identity_lambda_data(shape, 1), dirs)
         if arities == (2, 2):
             assert v.witness == {"direction": 0, "edge": 1, "inner": {"reason": "piece"}}
         else:
@@ -540,7 +543,7 @@ class TestSegal:
         base, shape = finset(2), sigma_shape(2)
         obj, mor = identity_lambda_data(shape, 2)
         monkeypatch.setattr(spans_module, "extend_natural_family", lambda d1, d2, fam: None)
-        v, _ = _check_one_datum(shape, base, obj, mor, [0])
+        v, _ = check_one_datum(shape, base, obj, mor, [0])
         swap = FinFunction(2, 2, (1, 0))
         assert v.witness == {
             "reason": "free-data automorphism fails to extend",
@@ -569,15 +572,16 @@ class TestSegal:
         cells swapped: every natural family still extends (S2 is abelian),
         and piece.validate() refutes the composites."""
         base, shape = finset(2), sigma_shape((2, 2))
-        ext = kan_extend(shape, base, *identity_lambda_data(shape, 2))
+        datum = identity_lambda_data(shape, 2)
+        ext = kan_extend(shape, base, *datum)
         lam, swap = shape.lambda_set, FinFunction(2, 2, (1, 0))
         mor = {ab: m if lam & set(ab) else swap for ab, m in ext.mor.items()}
         bad = SpanDiagram(shape, base, ext.obj, mor)
         for seed in range(4):
-            v = _check_twist(shape, base, bad, [0, 1], random.Random(seed))
+            v = check_twist(bad, *draw_twist(shape, base, *datum, [0, 1], random.Random(seed)))
             assert v.status == "refuted"
             assert v.witness["reason"] == "composition mismatch"
-        assert _check_twist(shape, base, ext, [0, 1], random.Random(0))
+        assert check_twist(ext, *draw_twist(shape, base, *datum, [0, 1], random.Random(0)))
 
     @pytest.mark.parametrize("arities", [(2,), (2, 1), (2, 2), (3,)])
     def test_validate_names_the_first_triple_of_the_full_scan(self, arities):
@@ -626,11 +630,43 @@ class TestSegal:
         draw = random.Random(data_seed)
         ext = kan_extend(shape, base, *sample_lambda_data(shape, base, None, draw))
         r = draw.choice([r for r, n in enumerate(arities) if n >= 2])
-        piece = _edge_piece(ext, r, draw.randrange(1, arities[r] + 1))
+        piece = edge_piece(ext, r, draw.randrange(1, arities[r] + 1))
         small = piece.shape
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         fam = random_natural_family(base, small, piece, rng)
         assert fam == random_natural_family_oracle(base, small, small.lambda_cells, piece, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(2,), (2, 1), (2, 2), (3, 1)]),
+        st.sampled_from(["finset", "table"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    )
+    def test_a_twist_draws_on_the_free_datum_as_on_its_piece(self, arities, which, data_seed, seed):
+        """Draw lemma (draw_twist): the direction, edge and family drawn
+        on a free datum's restriction to the edge's Lambda cells are
+        those drawn on the edge piece of its Kan extension, and the Random
+        is left in the same state.  The table base is finset:2 as tables,
+        with its swaps; data whose limits leave it are drawn again."""
+        base = finset(2) if which == "finset" else FINSET2_TABLE
+        shape, dirs = sigma_shape(arities), [r for r, n in enumerate(arities) if n >= 2]
+        for k in range(data_seed, data_seed + 500):
+            try:
+                datum = sample_lambda_data(shape, base, None, random.Random(k))
+                ext = kan_extend(shape, base, *datum)
+                break
+            except NoLimitError:
+                continue
+        else:
+            pytest.fail("no datum with limits in the table base")
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        r, i, fam = draw_twist(shape, base, *datum, dirs, rng)
+        r2 = oracle_rng.choice(dirs)
+        i2 = oracle_rng.randrange(1, arities[r2] + 1)
+        piece = edge_piece(ext, r2, i2)
+        assert (r, i, fam) == (r2, i2, random_natural_family(base, piece.shape, piece, oracle_rng))
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -734,7 +770,7 @@ def natural_families_oracle(base, shape, d1, d2):
 def check_families_oracle(base, shape, d):
     """Every natural family other than the identity extended, in the order
     of the fill-order search, until one fails: the oracle of
-    spans._check_families' verdict."""
+    segal.check_families' verdict."""
     for fam in natural_families_oracle(base, shape, d, d):
         if not spans_module._is_identity_family(base, d, fam) and extend_natural_family(d, d, fam) is None:
             return Verdict.refuted(witness={"reason": "free-data automorphism fails to extend", "family": fam})
@@ -742,10 +778,10 @@ def check_families_oracle(base, shape, d):
 
 
 def assert_families_checked_as_the_full_loop(base, shape, d):
-    """_check_families gives the status of check_families_oracle, and a
+    """check_families gives the status of check_families_oracle, and a
     refutation names the first generator, in chain order, that fails to
     extend.  Returns the verdict."""
-    v = _check_families(base, shape, d)
+    v = check_families(base, shape, d)
     assert v.status == check_families_oracle(base, shape, d).status
     failing = [g for g in natural_family_generators(base, shape, d)[0] if extend_natural_family(d, d, g) is None]
     assert v.witness == (None if v else {"reason": "free-data automorphism fails to extend", "family": failing[0]})
@@ -924,7 +960,7 @@ class TestFamilyGenerators:
             "extend_natural_family",
             lambda d1, d2, fam: extended.append(fam) or (None if fam in failing else extend(d1, d2, fam)),
         )
-        v, _ = _check_one_datum(shape, base, obj, mor, [0])
+        v, _ = check_one_datum(shape, base, obj, mor, [0])
         assert v.witness == {"reason": "free-data automorphism fails to extend", "family": witness}
         assert extended == generators[: generators.index(witness) + 1]
 
@@ -1807,6 +1843,16 @@ def level_taking_every_form(base, arities, bound=None):
         return span_level(base, arities, bound)
 
 
+def level_searching_every_aut(base, arities, bound=None):
+    """The objects, morphisms and components of span_level with its rigid
+    shortcut off, so that natural_families finds every Aut(r).  The
+    shortcut is taken when a hom asks for Aut(r), so all are listed here."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans_module, "_rigid", lambda base, d: False)
+        level = span_level(base, arities, bound)
+        return level.objects, level.all_morphisms(), level.components()
+
+
 class TestCanonicalLevel:
     @pytest.mark.parametrize(
         "base, arities, sizes",
@@ -1915,6 +1961,45 @@ class TestCanonicalLevel:
         assert level.objects == oracle.objects
         assert morphisms == oracle.all_morphisms()
         assert components == oracle.components()
+
+    @pytest.mark.parametrize(
+        "make_base, arities, searched",
+        [(lambda: finset(1), (5,), 0), (lambda: finset(1), (2, 1), 0), (lambda: divisor_lattice(12), (2,), 0),
+         (lambda: divisor_lattice(30), (1,), 0), (lambda: finset(2), (1,), 17), (lambda: finset(2), (2,), 206)],
+        ids=["finset1-5", "finset1-2-1", "lattice12-2", "lattice30-1", "finset2-1", "finset2-2"],
+    )
+    def test_rigid_representatives_as_with_the_search(self, make_base, arities, searched, monkeypatch):
+        """Aut(r) is the identity, with no natural_families search, where
+        every Lambda object of r has one automorphism (spans._rigid): the
+        same objects, morphisms in the same order and components as the
+        level that searches every Aut(r).  On finset:2 only the buckets
+        whose Lambda objects include 2, with its swap, are searched: 17 of
+        22 at arity (1,) and 206 of 219 at (2,)."""
+        calls, search = [], spans_module.natural_families
+        monkeypatch.setattr(spans_module, "natural_families", lambda *a: calls.append(1) or search(*a))
+        level = span_level(make_base(), arities)
+        got = level.objects, level.all_morphisms(), level.components()
+        assert len(calls) == searched
+        assert got == level_searching_every_aut(make_base(), arities)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=5),
+        st.sampled_from([(1,), (2,), (1, 1)]),
+    )
+    def test_rigid_representatives_on_random_posets(self, members, arities):
+        """Over the families of subsets of a 3-set closed under
+        intersection, as in test_lone_key_groups_on_random_posets, every
+        object has one automorphism: no Aut(r) is searched, and the level
+        is the one that searches them all."""
+        base = subset_poset(members, True)
+        if count_lambda_data(sigma_shape(arities), base, None, 1001) > 1000:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spans_module, "natural_families", None)
+            level = span_level(base, arities)
+            got = level.objects, level.all_morphisms(), level.components()
+        assert got == level_searching_every_aut(base, arities)
 
     @pytest.mark.parametrize(
         "level, buckets, skeletal",
