@@ -40,9 +40,11 @@ class FinGroupoid:
     An optional key is an isomorphism invariant: objects with different
     keys have no morphisms between them, and hom is never called on them.
 
-    A morphism is the triple (x, y, component).  Homs are computed one
-    source row at a time, on first use, and memoised by object position;
-    objects not listed have no morphisms.  The hom function is only ever
+    A morphism is the triple (x, y, component).  Homs are computed pair by
+    pair, on first use, and a nonempty one is memoised in its source's row,
+    keyed by target position; a row is completed, in object order, only for
+    all_morphisms, validate and to_json.  An empty hom is not memoised.
+    Objects not listed have no morphisms.  The hom function is only ever
     called with the listed objects themselves, never with equal copies, so
     a builder can find its own data for an object through positions()
     without hashing it.
@@ -57,30 +59,45 @@ class FinGroupoid:
         self._key = key
         self._position = positions(self.objects)
         self._rows = [None] * len(self.objects)
+        self._complete = bytearray(len(self.objects))
         self._peers = None
+
+    def _homs(self, i, j):
+        """The morphisms from object i to object j, from the builder."""
+        x, y = self.objects[i], self.objects[j]
+        return tuple((x, y, c) for c in self._hom(x, y))
+
+    def _pair(self, i, j):
+        """The morphisms from object i to object j, stored when nonempty."""
+        row = self._rows[i]
+        ms = row.get(j) if row else None
+        if ms is None:
+            if self._complete[i] or self._peers_of(i) is not self._peers_of(j):
+                return ()
+            ms = self._homs(i, j)
+            if ms:
+                row = self._rows[i] = row or {}
+                row[j] = ms
+        return ms
 
     def _row(self, i):
         """The nonempty homs out of object i, keyed by target position in
         object order."""
-        row = self._rows[i]
-        if row is None:
-            x, row = self.objects[i], {}
+        if not self._complete[i]:
+            found, row = self._rows[i] or {}, {}
             for j in self._peers_of(i):
-                y = self.objects[j]
-                ms = tuple((x, y, c) for c in self._hom(x, y))
+                ms = found.get(j) or self._homs(i, j)
                 if ms:
                     row[j] = ms
-            self._rows[i] = row
-        return row
+            self._rows[i], self._complete[i] = row, True
+        return self._rows[i]
 
     def _peers_of(self, i):
         """The positions of the objects that share object i's key, in
-        object order."""
-        if self._key is None:
-            return range(len(self.objects))
+        object order: one shared list per key."""
         if self._peers is None:
-            groups = {}
-            self._peers = [groups.setdefault(self._key(x), []) for x in self.objects]
+            groups, key = {}, self._key or (lambda x: None)
+            self._peers = [groups.setdefault(key(x), []) for x in self.objects]
             for j, group in enumerate(self._peers):
                 group.append(j)
         return self._peers[i]
@@ -89,7 +106,7 @@ class FinGroupoid:
         i, j = self._position(x), self._position(y)
         if i is None or j is None:
             return ()
-        return self._row(i).get(j, ())
+        return self._pair(i, j)
 
     def aut(self, x):
         return self.hom(x, x)
@@ -151,22 +168,23 @@ class FinGroupoid:
 
     def components(self):
         """Connected components in the order of their first objects, each
-        sorted by repr."""
-        placed = [False] * len(self.objects)
-        out = []
-        for start in range(len(self.objects)):
-            if placed[start]:
-                continue
-            placed[start] = True
-            members, frontier = [start], [start]
-            while frontier:
-                for z in self._row(frontier.pop()):
-                    if not placed[z]:
-                        placed[z] = True
-                        members.append(z)
-                        frontier.append(z)
-            out.append(sorted((self.objects[i] for i in members), key=repr))
-        return out
+        sorted by repr.  Each object, in object order, joins the first
+        component of its key group whose first object it has a morphism
+        to, or starts a new one.  In a groupoid "has a morphism to" is an
+        equivalence relation (identities, inverses, composites), so this is
+        the partition into connected components, with at most n * c hom
+        calls for n objects in c components of one key group."""
+        found, out = {}, []  # first position of a key group -> its components
+        for i in range(len(self.objects)):
+            comps = found.setdefault(self._peers_of(i)[0], [])
+            for members in comps:
+                if self._pair(i, members[0]):
+                    members.append(i)
+                    break
+            else:
+                comps.append([i])
+                out.append(comps[-1])
+        return [sorted((self.objects[k] for k in members), key=repr) for members in out]
 
     def to_json(self) -> dict:
         """The groupoid as tables; composites are listed for each morphism f
@@ -295,6 +313,7 @@ def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
         )
     used = set()
     matching = {}
+    tables_b = {}  # j -> the multiplication table at comps_b[j][0], built once
     for ca in comps_a:
         ra = ca[0]
         els_a, mul_a = _multiplication_table(A, ra)
@@ -303,7 +322,9 @@ def groupoids_equivalent(A: FinGroupoid, B: FinGroupoid) -> Verdict:
             if j in used:
                 continue
             rb = cb[0]
-            els_b, mul_b = _multiplication_table(B, rb)
+            if j not in tables_b:
+                tables_b[j] = _multiplication_table(B, rb)
+            els_b, mul_b = tables_b[j]
             if len(els_a) != len(els_b):
                 continue
             if groups_isomorphic(els_a, mul_a, A.identity(ra), els_b, mul_b, B.identity(rb)):

@@ -3,6 +3,8 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab.fincat import Functor
 from spanlab.groupoid import (
@@ -13,6 +15,7 @@ from spanlab.groupoid import (
     groups_isomorphic,
     equivalent,
     iso_comma,
+    product_groupoid,
 )
 from spanlab.fincat import core, finset
 from spanlab.verdict import ResourceError
@@ -353,3 +356,227 @@ def _rewritten_builders():
 def test_rewritten_builder_validates(name):
     G = _rewritten_builders()[name]()
     assert G.objects and G.validate()
+
+
+# ---------------------------------------------------------------------------
+# components and homs against the row walk
+
+
+def old_row(G, i):
+    """Object i's row as a full walk builds it: the nonempty homs to every
+    object that shares its key, keyed by target position in object order,
+    straight from the builder's hom function."""
+    x, key = G.objects[i], G._key
+    row = {}
+    for j, y in enumerate(G.objects):
+        if key is None or key(x) == key(y):
+            ms = tuple((x, y, c) for c in G._hom(x, y))
+            if ms:
+                row[j] = ms
+    return row
+
+
+def components_oracle(G, rows):
+    """Connected components by walking every hom row from each unplaced
+    object, in the order of their first objects, each sorted by repr."""
+    placed = [False] * len(G.objects)
+    out = []
+    for start in range(len(G.objects)):
+        if placed[start]:
+            continue
+        placed[start] = True
+        members, frontier = [start], [start]
+        while frontier:
+            for z in rows[frontier.pop()]:
+                if not placed[z]:
+                    placed[z] = True
+                    members.append(z)
+                    frontier.append(z)
+        out.append(sorted((G.objects[i] for i in members), key=repr))
+    return out
+
+
+def permutation_group(n, gens):
+    """The elements of the group of permutations of range(n) that gens
+    generate, as tuples, sorted."""
+    els, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in els:
+                els.add(h)
+                frontier.append(h)
+    return sorted(els)
+
+
+def action_union(actions, order, key=None):
+    """The disjoint union of the action groupoids of permutation groups:
+    actions lists (n, generators), and the objects (k, x), a point x of
+    the k-th set, come in the given order.  A morphism (k, x) -> (k, y) is
+    a g of the k-th group with g(x) = y, composed as permutations.  The
+    key is None or an isomorphism invariant: "orbit" (the orbit's size),
+    "stabiliser" (its order) or "block" (k)."""
+    groups = [permutation_group(n, gens) for n, gens in actions]
+    invariants = {
+        "orbit": lambda o: len({g[o[1]] for g in groups[o[0]]}),
+        "stabiliser": lambda o: sum(g[o[1]] == o[1] for g in groups[o[0]]),
+        "block": lambda o: o[0],
+    }
+    return FinGroupoid(
+        order,
+        lambda o1, o2: [g for g in groups[o1[0]] if g[o1[1]] == o2[1]] if o1[0] == o2[0] else [],
+        lambda g, f: tuple(g[i] for i in f),
+        lambda g: tuple(sorted(range(len(g)), key=g.__getitem__)),
+        lambda o: tuple(range(len(groups[o[0]][0]))),
+        invariants.get(key),
+    )
+
+
+class Case:
+    """A groupoid to build afresh on each call, with a readable repr for
+    hypothesis' failure reports."""
+
+    def __init__(self, label, build):
+        self.label, self.build = label, build
+
+    def __repr__(self):
+        return self.label
+
+
+@st.composite
+def action_cases(draw, keys=(None, "orbit", "stabiliser", "block"), blocks=3, points=4):
+    actions = []
+    for _ in range(draw(st.integers(1, blocks))):
+        n = draw(st.integers(1, points))
+        gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=2))
+        actions.append((n, gens))
+    objects = [(k, x) for k, (n, _) in enumerate(actions) for x in range(n)]
+    order = draw(st.permutations(objects))
+    key = draw(st.sampled_from(keys))
+    return Case(f"action_union({actions}, {order}, {key!r})", lambda: action_union(actions, order, key))
+
+
+@st.composite
+def subgroupoid_cases(draw):
+    case = draw(action_cases())
+    kept = draw(st.sets(st.sampled_from(case.build().objects)))
+    return Case(f"full_subgroupoid({case}, {sorted(kept)})", lambda: full_subgroupoid(case.build(), kept.__contains__))
+
+
+def functor_into(K, spec):
+    """A functor into K: the inclusion of the full subgroupoid on a set of
+    objects, a point, the identity, or the projection from the product
+    with a discrete groupoid on range(n)."""
+    kind, arg = spec
+    if kind == "inclusion":
+        S = full_subgroupoid(K, arg.__contains__)
+        return Functor(S, K, lambda x: x, lambda m: m)
+    if kind == "point":
+        pt = discrete_groupoid(["*"])
+        return Functor(pt, K, lambda _: arg, lambda m: K.identity(arg))
+    if kind == "identity":
+        return Functor(K, K, lambda x: x, lambda m: m)
+    P = product_groupoid(K, discrete_groupoid(range(arg)))
+    return Functor(P, K, lambda x: x[0], lambda m: m[2][0])
+
+
+@st.composite
+def iso_comma_cases(draw):
+    case = draw(action_cases(blocks=2, points=3))
+    objects = case.build().objects
+    specs = [
+        draw(
+            st.one_of(
+                st.tuples(st.just("inclusion"), st.frozensets(st.sampled_from(objects))),
+                st.tuples(st.just("point"), st.sampled_from(objects)),
+                st.tuples(st.just("identity"), st.none()),
+                st.tuples(st.just("projection"), st.integers(1, 2)),
+            )
+        )
+        for _ in range(2)
+    ]
+
+    def build():
+        K = case.build()
+        return iso_comma(functor_into(K, specs[0]), functor_into(K, specs[1]))[0]
+
+    return Case(f"iso_comma over {case} of {specs}", build)
+
+
+def _level_case(n, arities):
+    from spanlab.spans import span_level
+
+    return Case(f"span_level(finset({n}), {arities})", lambda: span_level(finset(n), arities))
+
+
+LEVEL_CASES = [_level_case(n, arities) for n, arities in ((1, (1,)), (1, (2,)), (1, (1, 1)), (1, (3,)), (2, (1,)))]
+
+groupoid_cases = st.one_of(action_cases(), subgroupoid_cases(), iso_comma_cases(), st.sampled_from(LEVEL_CASES))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=action_cases())
+def test_action_unions_validate(case):
+    assert case.build().validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=groupoid_cases)
+def test_components_and_homs_match_the_row_walk(case):
+    """components() gives the row walk's components, in its order, and
+    hom(x, y) the full row's entry for every pair; a row completed after
+    homs were asked in any order lists its targets in object order."""
+    G = case.build()
+    rows = [old_row(G, i) for i in range(len(G.objects))]
+    morphisms = [m for row in rows for ms in row.values() for m in ms]
+    assert G.components() == components_oracle(G, rows)
+    for i, x in enumerate(G.objects):
+        for j, y in enumerate(G.objects):
+            assert G.hom(x, y) == rows[i].get(j, ())
+        assert G.aut(x) == rows[i][i]
+    assert G.all_morphisms() == morphisms
+    H = case.build()
+    for x in reversed(H.objects):
+        for y in reversed(H.objects):
+            H.hom(x, y)
+    assert H.all_morphisms() == morphisms
+    assert H.components() == G.components()
+
+
+class TestPairByPair:
+    @staticmethod
+    def counted(G):
+        """G with its builder's hom calls recorded in G.calls."""
+        G.calls, hom = [], G._hom
+        G._hom = lambda x, y: G.calls.append((x, y)) or hom(x, y)
+        return G
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=action_cases())
+    def test_aut_asks_for_one_pair(self, case):
+        G = self.counted(case.build())
+        x = G.objects[-1]
+        assert G.aut(x) == G.aut(x) != ()
+        assert G.calls == [(x, x)]
+
+    def test_completed_rows_answer_with_no_call(self):
+        G = self.counted(action_union([(3, [(1, 0, 2)])], [(0, 0), (0, 1), (0, 2)]))
+        assert len(G.all_morphisms()) == 6
+        G.calls.clear()
+        assert G.hom((0, 0), (0, 1)) == (((0, 0), (0, 1), (1, 0, 2)),)
+        assert G.hom((0, 2), (0, 1)) == ()
+        assert G.components() == [[(0, 0), (0, 1)], [(0, 2)]]
+        assert G.calls == []
+
+    def test_hom_across_keys_asks_for_none(self):
+        G = self.counted(action_union([(2, [(1, 0)]), (1, [])], [(0, 0), (0, 1), (1, 0)], "orbit"))
+        assert G.hom((0, 0), (1, 0)) == G.hom((1, 0), (0, 1)) == ()
+        assert G.calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=action_cases(keys=(None,)))
+    def test_components_ask_at_most_n_times_c_homs(self, case):
+        G = self.counted(case.build())
+        n, c = len(G.objects), len(G.components())
+        assert len(G.calls) <= n * c

@@ -1695,11 +1695,10 @@ class TestMapping:
         assert set(feet) == {(2, 1)}
         assert len(seen) == len(set(seen)) == 14
 
-    def test_fiber_asks_for_homs_inside_buckets_only(self, monkeypatch):
-        """The iso-comma keys its objects by the level's key, so the
-        components of the fiber over (2, 2) on finset:3 take 69,904
-        iso-comma hom calls, where a keyless one asks for all 340^2 =
-        115,600."""
+    @staticmethod
+    def _fiber_hom_calls(monkeypatch, X, Y):
+        """The details of the mapping check on finset:3 over (X, Y), and the
+        number of calls to the iso-comma's hom function it makes."""
         calls, iso_comma = [], groupoid_module.iso_comma
 
         def counted(F, G):
@@ -1709,9 +1708,28 @@ class TestMapping:
             return gpd, proj_a, proj_b
 
         monkeypatch.setattr(groupoid_module, "iso_comma", counted)
-        v = mapping_category_check(finset(3), 2, 2)
-        assert v and v.details["fiber_objects"] == 340
-        assert len(calls) == 69904
+        v = mapping_category_check(finset(3), X, Y)
+        assert v
+        return v.details, len(calls)
+
+    def test_fiber_asks_for_homs_inside_buckets_only(self, monkeypatch):
+        """The iso-comma keys its objects by the level's key, and
+        components() tests each object against the first object of each
+        component found in its key group, so the fiber over (2, 2) on
+        finset:3 takes 3,772 iso-comma hom calls. Walking every hom row
+        inside the key groups took 69,904; a keyless walk asks for all
+        340^2 = 115,600."""
+        details, calls = self._fiber_hom_calls(monkeypatch, 2, 2)
+        assert details["fiber_objects"] == 340
+        assert calls == 3772
+
+    def test_large_fiber_asks_one_hom_per_component(self, monkeypatch):
+        """Over (3, 2) the fiber has 3,108 objects in 84 components, and
+        takes 95,988 iso-comma hom calls, where walking every hom row
+        inside the key groups took 6,910,416."""
+        details, calls = self._fiber_hom_calls(monkeypatch, 3, 2)
+        assert details == {"fiber_objects": 3108, "slice_side_objects": 259}
+        assert calls == 95988
 
     def test_point_pair_over_finset2(self):
         fiber = mapping_fiber(finset(2), 1, 1)
