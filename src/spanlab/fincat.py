@@ -339,6 +339,7 @@ class Functor:
 # the skeletal category of finite sets
 
 
+@functools.total_ordering
 class FinFunction:
     """A function {0..source-1} -> {0..target-1} as a value tuple.
 
@@ -346,8 +347,10 @@ class FinFunction:
     source, target or values after construction.  Two functions are equal
     when their (source, target, values) triples are, hash as that triple,
     and order lexicographically by it, so enumerations sort
-    deterministically.  The constructor trusts its arguments; values from
-    outside the program go through FinFunction.checked."""
+    deterministically: sorting uses only <, and total_ordering derives the
+    other three comparisons from it.  The constructor trusts its
+    arguments; values from outside the program go through
+    FinFunction.checked."""
 
     __slots__ = ("source", "target", "values")
 
@@ -368,21 +371,6 @@ class FinFunction:
         if other.__class__ is not FinFunction:
             return NotImplemented
         return (self.source, self.target, self.values) < (other.source, other.target, other.values)
-
-    def __le__(self, other):
-        if other.__class__ is not FinFunction:
-            return NotImplemented
-        return (self.source, self.target, self.values) <= (other.source, other.target, other.values)
-
-    def __gt__(self, other):
-        if other.__class__ is not FinFunction:
-            return NotImplemented
-        return (self.source, self.target, self.values) > (other.source, other.target, other.values)
-
-    def __ge__(self, other):
-        if other.__class__ is not FinFunction:
-            return NotImplemented
-        return (self.source, self.target, self.values) >= (other.source, other.target, other.values)
 
     def __repr__(self):
         return f"FinFunction(source={self.source!r}, target={self.target!r}, values={self.values!r})"

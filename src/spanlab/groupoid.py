@@ -223,8 +223,8 @@ def discrete_groupoid(labels) -> FinGroupoid:
 
 def equivalent(F: Functor) -> Verdict:
     """Decide whether F is an equivalence: essentially surjective plus a
-    bijection on every hom-set.  The witness is a quasi-inverse on component
-    representatives when true, a violating object or hom-pair when false."""
+    bijection on every hom-set.  A refutation's witness is a violating object
+    or hom-pair; a verdict of verified carries none."""
     A, B = F.source, F.target
     for x in A.objects:
         for y in A.objects:
@@ -243,18 +243,10 @@ def equivalent(F: Functor) -> Verdict:
                         "sizes": (len(dom), len(cod)),
                     }
                 )
-    hit = {}
     for b in B.objects:
-        found = None
-        for x in A.objects:
-            isos = [m for m in B.hom(F.on_obj(x), b)]
-            if isos:
-                found = (x, isos[0])
-                break
-        if found is None:
+        if not any(B.hom(F.on_obj(x), b) for x in A.objects):
             return Verdict.refuted(witness={"object": b, "reason": "not in essential image"})
-        hit[b] = found
-    return Verdict.verified(witness={"quasi_inverse": hit})
+    return Verdict.verified()
 
 
 def _multiplication_table(G: FinGroupoid, x):

@@ -4,13 +4,15 @@ An internal category is a strict category object in finite sets (object and
 morphism sets with source/target/identity/composition tables).  A local
 system span carries vertex labels into the object set and an apex label
 into the morphism set, compatibly with source and target; composition
-pushes the apex labels through the internal composition table.
+pushes the apex labels through the internal composition table.  Homs,
+isomorphisms and inverses come from the tables' view as a FinCategory.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .fincat import FinSetCategory, Functor, SliceCategory, core
+from .fincat import FinCategory, FinSetCategory, Functor, SliceCategory, core
 from .groupoid import FinGroupoid, equivalent, groupoids_equivalent, positions
 from .inverse import inverse_candidates
 from .spans import (
@@ -37,25 +39,16 @@ class InternalCategory:
         self.comp = dict(comp)
         self.inv = tuple(inv) if inv is not None else None
 
-    def compose(self, g, f):
-        """g after f; requires src(g) = tgt(f)."""
-        return self.comp[(g, f)]
-
-    def is_invertible(self, m) -> bool:
-        return self.inv is not None or self._search_inverse(m) is not None
-
-    def inverse(self, m):
-        n = self.inv[m] if self.inv is not None else self._search_inverse(m)
-        if n is None:
-            raise SpanlabError(f"internal morphism {m} is not invertible")
-        return n
-
-    def _search_inverse(self, m):
-        """The first morphism n with n . m and m . n identities, or None."""
-        s, t = self.src[m], self.tgt[m]
-        ident = self.ident[s], self.ident[t]
-        candidates = (n for n in range(self.C1) if self.src[n] == t and self.tgt[n] == s)
-        return next((n for n in candidates if (self.comp.get((n, m)), self.comp.get((m, n))) == ident), None)
+    @functools.cached_property
+    def cat(self) -> FinCategory:
+        """The tables as a FinCategory, built on first use: objects
+        range(C0), morphism m from src[m] to tgt[m], identities ident and
+        composites comp.  Its homs list morphisms in increasing order, and
+        it keeps no reference to self.  Ask for it only once
+        validate_internal has passed."""
+        return FinCategory(
+            range(self.C0), enumerate(zip(self.src, self.tgt)), enumerate(self.ident), self.comp
+        )
 
     def to_json(self) -> dict:
         data = {
@@ -228,19 +221,15 @@ def compose_locsys(
         raise FootMismatchError("middle foot or middle label mismatch")
     P, p, q = base.pullback(ss.rleg, ts.lleg)
     comp = Span(ss.left, base.compose(ss.lleg, p), P, base.compose(ts.rleg, q), ts.right)
-    labels = [C.compose(t.a[j], s.a[i]) for i, j in zip(p.values, q.values)]
+    labels = [C.cat.compose(t.a[j], s.a[i]) for i, j in zip(p.values, q.values)]
     return LocalSystemSpan(comp, s.xi, t.eta, labels)
 
 
 def _apex_labels(C: InternalCategory, l, r, xi, eta):
     """Every apex labeling a of the span with legs l, r and feet labels xi,
     eta: src . a = xi . l and tgt . a = eta . r."""
-    return itertools.product(
-        *(
-            [m for m in range(C.C1) if C.src[m] == xi[x] and C.tgt[m] == eta[y]]
-            for x, y in zip(l.values, r.values)
-        )
-    )
+    hom = C.cat.hom
+    return itertools.product(*(hom(xi[x], eta[y]) for x, y in zip(l.values, r.values)))
 
 
 def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
@@ -255,21 +244,12 @@ def all_locsys_spans(C: InternalCategory, base: FinSetCategory, bound=None):
     ]
 
 
-def invertible_between(C: InternalCategory, x, y):
-    """Internally invertible morphisms x -> y in C."""
-    return [
-        m
-        for m in range(C.C1)
-        if C.src[m] == x and C.tgt[m] == y and C.is_invertible(m)
-    ]
-
-
 def labeled_bijections(C: InternalCategory, base, X, xi, Y, eta):
     """Morphisms of labeled sets (X, xi) -> (Y, eta): a bijection g with a
     family of internal isomorphisms mu(x): xi(x) -> eta(g x)."""
-    out = []
+    out, isos = [], C.cat.isos
     for g in base.isos(X, Y):
-        choices = [invertible_between(C, xi[x], eta[g.values[x]]) for x in range(X)]
+        choices = [isos(xi[x], eta[g.values[x]]) for x in range(X)]
         for mu in itertools.product(*choices):
             out.append((g, mu))
     return out
@@ -281,14 +261,14 @@ def compose_labeled_bij(C, base, b2, b1):
     g1, mu1 = b1
     return (
         base.compose(g2, g1),
-        tuple(C.compose(mu2[g1.values[x]], mu1[x]) for x in range(g1.source)),
+        tuple(C.cat.compose(mu2[g1.values[x]], mu1[x]) for x in range(g1.source)),
     )
 
 
 def invert_labeled_bij(C, base, b):
     g, mu = b
     ginv = base.inverse(g)
-    return (ginv, tuple(C.inverse(mu[ginv.values[y]]) for y in range(g.target)))
+    return (ginv, tuple(C.cat.inverse(mu[ginv.values[y]]) for y in range(g.target)))
 
 
 def identity_labeled_bij(C, base, X, xi):
@@ -300,7 +280,7 @@ def locsys_span_isos(C: InternalCategory, base, s: LocalSystemSpan, t: LocalSyst
     bijections of the feet and h an apex bijection over them, such that the
     apex labels commute with the internal components:
     t.a(h i) . mul(lleg i) = mur(rleg i) . s.a(i)."""
-    out = []
+    out, compose = [], C.cat.compose
     ss, ts = s.span, t.span
     for bl in labeled_bijections(C, base, ss.left, s.xi, ts.left, t.xi):
         gl, mul = bl
@@ -317,8 +297,8 @@ def locsys_span_isos(C: InternalCategory, base, s: LocalSystemSpan, t: LocalSyst
                 if base.compose(ts.rleg, h) != base.compose(gr, ss.rleg):
                     continue
                 if all(
-                    C.compose(t.a[h.values[i]], mul[ss.lleg.values[i]])
-                    == C.compose(mur[ss.rleg.values[i]], s.a[i])
+                    compose(t.a[h.values[i]], mul[ss.lleg.values[i]])
+                    == compose(mur[ss.rleg.values[i]], s.a[i])
                     for i in range(ss.apex)
                 ):
                     out.append((bl, h, br))
@@ -441,7 +421,7 @@ def locsys_invertible_search(C, base, s: LocalSystemSpan, bound=None, rows=None)
 def locsys_invertible_predicate(C, base, s: LocalSystemSpan) -> bool:
     """Trivial underlying span (both legs invertible) with internally
     invertible labels."""
-    return both_legs_iso(base, s.span) and all(C.is_invertible(m) for m in s.a)
+    return both_legs_iso(base, s.span) and all(map(C.cat.is_iso, s.a))
 
 
 def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
@@ -490,13 +470,8 @@ def locsys_equivalence_check(C: InternalCategory, bound=1) -> Verdict:
 def comma_set(C: InternalCategory, X, xi, Y, eta):
     """The set of triples (x, y, m: xi(x) -> eta(y)), in lexicographic
     order."""
-    return [
-        (x, y, m)
-        for x in range(X)
-        for y in range(Y)
-        for m in range(C.C1)
-        if C.src[m] == xi[x] and C.tgt[m] == eta[y]
-    ]
+    hom = C.cat.hom
+    return [(x, y, m) for x in range(X) for y in range(Y) for m in hom(xi[x], eta[y])]
 
 
 def locsys_mapping_fiber_check(C: InternalCategory, X, xi, Y, eta, bound=1) -> Verdict:

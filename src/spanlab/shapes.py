@@ -162,7 +162,7 @@ class SigmaShape:
         order: (cell, due), due the Lambda cells whose Lambda up-set is
         complete once the cell is assigned, as it is the last of their
         up-set in fill order.  Their limits are due at that step."""
-        order = sorted(self.lambda_cells, key=self.fill_rank.__getitem__)
+        order = self.lambda_fill_order
         at = {c: i for i, c in enumerate(order)}
         due = [[] for _ in order]
         for c in order:
@@ -208,6 +208,12 @@ class SigmaShape:
             return max((rank[b] for b in up[c] if not up[b]), default=rank[c]), rank[c]
 
         return tuple(sorted(self.lambda_cells, key=key))
+
+    @cached_property
+    def lambda_fill_order(self) -> tuple:
+        """The Lambda cells in fill order: every cell after the Lambda
+        cells above it."""
+        return tuple(sorted(self.lambda_cells, key=self.fill_rank.__getitem__))
 
     @cached_property
     def fill_rank(self) -> dict:

@@ -107,10 +107,6 @@ class SpanDiagram:
         return Verdict.verified()
 
 
-def _cells_by_length(shape: SigmaShape, cells):
-    return sorted(cells, key=shape.fill_rank.__getitem__)
-
-
 def _cell_diagram(shape: SigmaShape, c, obj, mor):
     """The diagram whose limit presents cell c: the Lambda cells strictly
     above c, as node objects and arrows (a, b, morphism) read off (obj,
@@ -267,7 +263,7 @@ def sample_lambda_data(shape: SigmaShape, base, bound, rng: random.Random):
     """One random functor on the Lambda sub-poset, seeded."""
     objects = base.objects_within(bound)
     obj, mor = {}, {}
-    for c in _cells_by_length(shape, shape.lambda_cells):
+    for c in shape.lambda_fill_order:
         ups = shape.lambda_up[c]
         if not ups:
             obj[c] = rng.choice(objects)
@@ -477,10 +473,9 @@ def extend_natural_family(d1: SpanDiagram, d2: SpanDiagram, fam: dict):
 def random_natural_family(base, shape, d: SpanDiagram, rng):
     """A seeded random natural automorphism family on the Lambda cells;
     falls back to the identity family when sampling keeps dead-ending."""
-    order = _cells_by_length(shape, shape.lambda_cells)
     for _ in range(12):
         fam = {}
-        for c in order:
+        for c in shape.lambda_fill_order:
             cands = [
                 g for g in base.isos(d.obj[c], d.obj[c]) if natural_with(base, shape, d, d, fam, c, g)
             ]
@@ -583,7 +578,7 @@ def _canonical_form(base, shape, reps, d: SpanDiagram):
     product of isomorphism sets.  Diagrams have the same form exactly when
     their Lambda data are isomorphic."""
     form, best = [], [{}]
-    for c in _cells_by_length(shape, shape.lambda_cells):
+    for c in shape.lambda_fill_order:
         x, ups = d.obj[c], shape.lambda_up[c]
         least, keep = None, []
         for g in base.isos(x, reps[x]):
@@ -740,7 +735,7 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     listed = [diagrams[k] for k in keys]
     at = positions(keys)
     cells = shape.objects
-    lam = _cells_by_length(shape, shape.lambda_cells)
+    lam = shape.lambda_fill_order
     lam_at = [cells.index(c) for c in lam]
     reps = _iso_class_reps(base, base.objects_within(bound))
     key = lambda d: tuple(reps[d.obj[c]] for c in lam)

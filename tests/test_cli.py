@@ -715,9 +715,18 @@ class TestByteStability:
                 ["locsys", "check", "--coeff", "arrow", "--kind", "equivalence", "--bound", "2"],
                 "baa4c8f5053b6734dfffd3503df8e348015946801c12d72996874f4d51f2db63",
             ),
+            (
+                ["locsys", "check", "--coeff", "cyclic:4", "--kind", "fiber", "-X", "2", "-Y", "1", "--bound", "2"],
+                "20aab54da6b3c92eea468bf6d52e58187cf21764f2e77041732d7d714652b860",
+            ),
+            (
+                ["locsys", "check", "--coeff", "arrow", "--kind", "battery"],
+                "6d05c76d44c01e24744ea04133ee8a4ae31f8bd18d4ca020972c61a51f7dac59",
+            ),
         ],
         ids=["mapping", "mapping-finset3", "complete", "dual", "battery", "equivalence", "pairs", "zigzag",
-             "adjoint", "segal-sampled", "adjoint-seed1", "invertible", "equivalence-arrow"],
+             "adjoint", "segal-sampled", "adjoint-seed1", "invertible", "equivalence-arrow", "fiber-cyclic4",
+             "battery-arrow"],
     )
     def test_report_hash(self, argv, digest):
         """Reports of the functor, pairing, pullback, reversal, limit and

@@ -18,6 +18,14 @@ from spanlab.groupoid import (
     product_groupoid,
 )
 from spanlab.fincat import core, finset
+from spanlab.locsys import (
+    cyclic_internal,
+    locsys_battery_check,
+    locsys_equivalence_check,
+    locsys_mapping_fiber_check,
+    walking_arrow_internal,
+)
+from spanlab.spans import completeness_check, mapping_category_check, span_level
 from spanlab.verdict import ResourceError
 from test_fincat import finset_table
 
@@ -580,3 +588,30 @@ class TestPairByPair:
         G = self.counted(case.build())
         n, c = len(G.objects), len(G.components())
         assert len(G.calls) <= n * c
+
+
+# Each request builds its groupoids and drops them; the locsys checks also
+# build their coefficients' table view.
+CHECKS_THAT_BUILD_GROUPOIDS = {
+    "span_level": lambda: span_level(finset(2), (1,), 2).components(),
+    "mapping_category_check": lambda: mapping_category_check(finset(2), 1, 1, bound=2),
+    "completeness_check": lambda: completeness_check(finset(3), 3),
+    "locsys_battery_check": lambda: locsys_battery_check(cyclic_internal(3), 1),
+    "locsys_equivalence_check": lambda: locsys_equivalence_check(walking_arrow_internal(), 2),
+    "locsys_mapping_fiber_check": lambda: locsys_mapping_fiber_check(cyclic_internal(4), 2, (0, 0), 1, (0,), 2),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECKS_THAT_BUILD_GROUPOIDS))
+def test_groupoids_leave_no_reference_cycle(check):
+    """A groupoid whose closures reach the groupoid itself, or a view that
+    reaches back to its coefficients, outlives its request until the cycle
+    collector runs; with the collector off, every object these requests
+    build is freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert CHECKS_THAT_BUILD_GROUPOIDS[check]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

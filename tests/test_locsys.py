@@ -100,10 +100,10 @@ class TestInternalCategories:
         assert v.witness["reason"] == "inverse law"
 
     def test_invertibility_in_walking_arrow(self):
-        assert ARROW.is_invertible(0) and ARROW.is_invertible(1)
-        assert not ARROW.is_invertible(2)
-        with pytest.raises(SpanlabError):
-            ARROW.inverse(2)
+        cat = ARROW.cat
+        assert cat.is_iso(0) and cat.is_iso(1)
+        assert not cat.is_iso(2)
+        assert cat.inverse(2) is None
 
     def test_json_roundtrip(self):
         for C in (BZ3, ARROW):
@@ -114,6 +114,85 @@ class TestInternalCategories:
     def test_malformed_json(self):
         with pytest.raises(SpanlabError):
             InternalCategory.from_json({"C0": 1})
+
+
+# -- the former scans over range(C1), kept as oracles of the table view
+
+
+def hom_scan(C, x, y):
+    """The morphisms x -> y, in increasing order."""
+    return [m for m in range(C.C1) if C.src[m] == x and C.tgt[m] == y]
+
+
+def search_inverse(C, m):
+    """The first morphism n with n . m and m . n identities, or None."""
+    s, t = C.src[m], C.tgt[m]
+    ident = C.ident[s], C.ident[t]
+    candidates = (n for n in range(C.C1) if C.src[n] == t and C.tgt[n] == s)
+    return next((n for n in candidates if (C.comp.get((n, m)), C.comp.get((m, n))) == ident), None)
+
+
+def inverse_oracle(C, m):
+    """m's inverse: read off the inv table when there is one, else searched."""
+    return C.inv[m] if C.inv is not None else search_inverse(C, m)
+
+
+def invertible_between(C, x, y):
+    """Internally invertible morphisms x -> y in C."""
+    return [m for m in hom_scan(C, x, y) if inverse_oracle(C, m) is not None]
+
+
+STOCK = {
+    **{f"discrete:{n}": discrete_internal(n) for n in range(4)},
+    **{f"cyclic:{n}": cyclic_internal(n) for n in range(1, 6)},
+    "arrow": walking_arrow_internal(),
+}
+
+
+@st.composite
+def preorder_internal(draw):
+    """A preorder on at most 4 objects as an internal category, one
+    morphism per related pair in a drawn order, with an inv table when the
+    relation is symmetric."""
+    n = draw(st.integers(1, 4))
+    rel = {(a, a) for a in range(n)} | draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    )
+    while True:
+        closed = rel | {(a, d) for a, b in rel for c, d in rel if b == c}
+        if closed == rel:
+            break
+        rel = closed
+    pairs = draw(st.permutations(sorted(rel)))
+    at = {p: m for m, p in enumerate(pairs)}
+    comp = {(at[(b, c)], at[(a, b)]): at[(a, c)] for a, b in pairs for b2, c in pairs if b == b2}
+    inv = [at[(b, a)] for a, b in pairs] if all((b, a) in rel for a, b in rel) else None
+    return InternalCategory(
+        n, len(pairs), [a for a, _ in pairs], [b for _, b in pairs], [at[(a, a)] for a in range(n)], comp, inv
+    )
+
+
+def assert_view_matches_scans(C):
+    assert validate_internal(C)
+    cat = C.cat
+    for x in range(C.C0):
+        for y in range(C.C0):
+            assert cat.hom(x, y) == hom_scan(C, x, y)
+            assert cat.isos(x, y) == invertible_between(C, x, y)
+    for m in range(C.C1):
+        assert cat.inverse(m) == inverse_oracle(C, m)
+        assert cat.is_iso(m) == (inverse_oracle(C, m) is not None)
+
+
+class TestTableView:
+    @pytest.mark.parametrize("coeff", list(STOCK))
+    def test_stock_coefficients_match_scans(self, coeff):
+        assert_view_matches_scans(STOCK[coeff])
+
+    @given(preorder_internal())
+    @settings(max_examples=100, deadline=None)
+    def test_preorders_match_scans(self, C):
+        assert_view_matches_scans(C)
 
 
 class TestComposition:
