@@ -8,6 +8,8 @@ design note shows they agree (discrete cospan target).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .fincat import Functor
 from .verdict import ResourceError, SpanlabError, Verdict
 
@@ -31,6 +33,27 @@ def positions(objects):
         return i
 
     return position
+
+
+class ListedMap(Mapping):
+    """Listed objects mapped to the values listed at their positions,
+    found through positions(): a listed object by identity, so only an
+    equal copy of one is ever hashed."""
+
+    def __init__(self, objects, values):
+        self.position, self._objects, self._values = positions(objects), objects, values
+
+    def __getitem__(self, x):
+        i = self.position(x)
+        if i is None:
+            raise KeyError(x)
+        return self._values[i]
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    def __len__(self):
+        return len(self._objects)
 
 
 class FinGroupoid:
@@ -374,24 +397,35 @@ def iso_comma(F: Functor, G: Functor):
     Its key pairs A's key of a with B's key of b, None for a side without
     one: a morphism of the iso-comma projects to morphisms a -> a' and
     b -> b', so objects whose keys differ have none between them.
+
+    B's hom is asked once per pair (b, b') and kept, empty or not, by
+    their positions in B: every pair of objects over (b, b'), one per
+    alpha over b and alpha over b', reads it, and B keeps only nonempty
+    homs.
     """
     if F.target is not G.target:
         raise SpanlabError("iso-comma needs a shared target")
     A, B, K = F.source, G.source, F.target
-    objs, alphas = [], []
+    objs, alphas, b_at = [], [], []
     for a in A.objects:
-        for b in B.objects:
+        for j, b in enumerate(B.objects):
             for alpha in K.hom(F.on_obj(a), G.on_obj(b)):
                 objs.append((a, b, alpha[2]))
                 alphas.append(alpha)
+                b_at.append(j)
     at = positions(objs)
+    homs_b = {}  # (position of b, position of b') -> B.hom(b, b')
 
     def hom(o1, o2):
-        al1, al2 = alphas[at(o1)], alphas[at(o2)]
+        i1, i2 = at(o1), at(o2)
+        al1, al2 = alphas[i1], alphas[i2]
+        pair = b_at[i1], b_at[i2]
+        if pair not in homs_b:
+            homs_b[pair] = B.hom(o1[1], o2[1])
         return [
             (m, n)
             for m in A.hom(o1[0], o2[0])
-            for n in B.hom(o1[1], o2[1])
+            for n in homs_b[pair]
             if K.compose(al2, F.on_mor(m)) == K.compose(G.on_mor(n), al1)
         ]
 

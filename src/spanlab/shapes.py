@@ -9,12 +9,12 @@ and JSON dumps are deterministic.
 A shape is compiled once per process: sigma_shape returns one shared
 instance per arity tuple, and that instance builds its order tables (the
 order as a set of pairs, strict and Lambda up-sets, the fill order, the
-arrows among a node list, restriction maps and their cut to each edge's
-Lambda cells, the steps at which the free-data search takes each Lambda
-cell's limit, and the covers through which Kan extension factors each
-filled cell) on first use and keeps them, so checks that visit
-thousands of diagrams on one shape never re-derive its order.  Nothing
-is built at import time.
+arrows among a node list, the sorted cells and pairs a diagram's key
+reads, restriction maps and their cut to each edge's Lambda cells, the
+steps at which the free-data search takes each Lambda cell's limit, and
+the covers through which Kan extension factors each filled cell) on
+first use and keeps them, so checks that visit thousands of diagrams on
+one shape never re-derive its order.  Nothing is built at import time.
 """
 from __future__ import annotations
 
@@ -214,6 +214,13 @@ class SigmaShape:
         """The Lambda cells in fill order: every cell after the Lambda
         cells above it."""
         return tuple(sorted(self.lambda_cells, key=self.fill_rank.__getitem__))
+
+    @cached_property
+    def key_order(self) -> tuple:
+        """The cells and the comparable pairs (a, b) of distinct cells,
+        each sorted: the order of a diagram's key.  objects is sorted, so
+        the arrows among it come out sorted too."""
+        return self.objects, self.arrows_among(self.objects)
 
     @cached_property
     def fill_rank(self) -> dict:

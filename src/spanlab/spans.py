@@ -16,7 +16,7 @@ import random
 from collections import Counter
 
 from .fincat import FinSetCategory, Functor
-from .groupoid import FinGroupoid, equivalent, positions
+from .groupoid import FinGroupoid, ListedMap, equivalent
 from .shapes import SigmaShape, sigma_shape
 from .verdict import FootMismatchError, NoLimitError, ResourceError, SpanlabError, Verdict
 
@@ -46,8 +46,7 @@ class SpanDiagram:
     """A functor from a SigmaShape into the base.
 
     obj maps cells to base objects; mor maps strictly comparable cell pairs
-    (a, b) with a <= b to base morphisms.  Hashable on its data so level
-    groupoids can deduplicate on the nose.
+    (a, b) with a <= b to base morphisms.  Equal and hashed as its key.
     """
 
     __slots__ = ("shape", "base", "obj", "mor", "_key", "comparisons")
@@ -63,13 +62,23 @@ class SpanDiagram:
     @property
     def key(self):
         """The arities and the sorted obj and mor items, computed on first
-        use; obj and mor never change to unequal dicts after construction."""
+        use; obj and mor never change to unequal dicts after construction.
+
+        A diagram on every cell and comparable pair of its shape, as Kan
+        extension and restriction build, has its values read off in the
+        shape's key_order, which is the sorted one, with no sort; free
+        Lambda data and partial dicts are sorted.  The (cell, value) pairs
+        stay: level --json writes the key, and components sort by its
+        repr."""
         if self._key is None:
-            self._key = (
-                self.shape.arities,
-                tuple(sorted(self.obj.items())),
-                tuple(sorted(self.mor.items())),
-            )
+            (cells, pairs), obj, mor = self.shape.key_order, self.obj, self.mor
+            try:
+                if len(obj) != len(cells) or len(mor) != len(pairs):
+                    raise KeyError
+                items = tuple(zip(cells, map(obj.__getitem__, cells))), tuple(zip(pairs, map(mor.__getitem__, pairs)))
+            except KeyError:  # not on every cell and pair
+                items = tuple(sorted(obj.items())), tuple(sorted(mor.items()))
+            self._key = (self.shape.arities, *items)
         return self._key
 
     def __eq__(self, other):
@@ -87,7 +96,7 @@ class SpanDiagram:
         return self.mor[(a, b)]
 
     def comparable_pairs(self):
-        return self.shape.arrows_among(self.shape.objects)
+        return self.shape.key_order[1]
 
     def validate(self) -> Verdict:
         """Functoriality: morphisms present on every comparable pair and
@@ -708,7 +717,10 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
 
     A level over SPANLAB_MAX_CELLS data is refused before any datum of
     its shape is enumerated (count_lambda_data); the data are then
-    enumerated once, and the diagrams share equal arrow keys and morphisms.
+    enumerated once.  Each Kan extension is listed, its mor rebuilt on the
+    shape's own arrow tuples with equal morphisms shared, and the list is
+    sorted by key once: distinct free data extend to distinct diagrams, so
+    no key repeats and none is hashed.
 
     The key is a cheap invariant, the class representatives of the Lambda
     objects in fill order.  A diagram gets its form when a row of its key
@@ -717,33 +729,34 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
     buckets refine key groups, so its hom(d, d) is Aut(d) and no other
     bucket's r changes.  On a poset every diagram is alone.
 
-    The returned groupoid carries a .diagrams dict from object keys to
-    SpanDiagram values.
+    The returned groupoid's objects are the diagrams' keys, and its
+    .diagrams (a ListedMap) maps each key to its diagram.
     """
     arities = tuple(arities)
     shape = sigma_shape(arities)
     ceiling = enumeration_ceiling()
     if count_lambda_data(shape, base, bound, ceiling + 1) > ceiling:
         raise ResourceError(f"level enumeration for arities {arities} exceeds the ceiling {ceiling}")
-    diagrams, shared = {}, {}  # shared: one object per equal arrow key or morphism
+    cells, pairs = shape.key_order
+    listed, shared = [], {}  # shared: one object per equal morphism
     for lo, lm in enumerate_lambda_data(shape, base, bound):
         d = kan_extend(shape, base, lo, lm)
-        # an equal dict, before the key is taken
-        d.mor = {shared.setdefault(ab, ab): shared.setdefault(m, m) for ab, m in d.mor.items()}
-        diagrams[d.key] = d
-    keys = sorted(diagrams)
-    listed = [diagrams[k] for k in keys]
-    at = positions(keys)
-    cells = shape.objects
+        # an equal dict on the shape's arrow tuples, before the key is taken
+        d.mor = dict(zip(pairs, [shared.setdefault(m, m) for m in map(d.mor.__getitem__, pairs)]))
+        listed.append(d)
+    listed.sort(key=operator.attrgetter("key"))
+    keys = [d.key for d in listed]
+    diagrams = ListedMap(keys, listed)
+    at = diagrams.position
     lam = shape.lambda_fill_order
     lam_at = [cells.index(c) for c in lam]
     reps = _iso_class_reps(base, base.objects_within(bound))
-    key = lambda d: tuple(reps[d.obj[c]] for c in lam)
-    group_sizes = Counter(map(key, listed))
+    cheap = [tuple(reps[d.obj[c]] for c in lam) for d in listed]  # the cheap key of each
+    group_sizes = Counter(cheap)
     firsts = {}  # canonical form -> position of r, its bucket's representative
     # (position of r, phi_d), once canonicalised; a diagram alone in its key
     # group is its own bucket's r, with no form taken
-    canon = [(i, None) if group_sizes[key(d)] == 1 else None for i, d in enumerate(listed)]
+    canon = [(i, None) if group_sizes[k] == 1 else None for i, k in enumerate(cheap)]
     psis = [None] * len(listed)  # (psi_d, psi_d^-1)
     auts = {}  # position of r -> Aut(r)
     ranks = {}  # (x, y) -> position of each iso in base.isos(x, y)
@@ -799,8 +812,8 @@ def span_level(base, arities, bound=None) -> FinGroupoid:
         hom,
         lambda g, f: tuple((c, base.compose(gc, fc)) for (c, gc), (_, fc) in zip(g, f)),
         lambda m: tuple((c, base.inverse(mc)) for c, mc in m),
-        lambda k: tuple((c, base.identity(x)) for c, x in sorted(listed[at(k)].obj.items())),
-        key=lambda k: key(listed[at(k)]),
+        lambda k: tuple((c, base.identity(x)) for c, x in k[1]),  # k[1]: the obj items by cell
+        key=lambda k: cheap[at(k)],
     )
     gpd.diagrams = diagrams
     return gpd
@@ -826,7 +839,7 @@ def underlying_2fold_level(base, pq, bound=None) -> FinGroupoid:
         return True
 
     sub = full_subgroupoid(level, degenerate)
-    sub.diagrams = {k: level.diagrams[k] for k in sub.objects}
+    sub.diagrams = ListedMap(sub.objects, [level.diagrams[k] for k in sub.objects])
     return sub
 
 

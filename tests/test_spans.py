@@ -8,10 +8,11 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spanlab import groupoid as groupoid_module
@@ -1731,6 +1732,22 @@ class TestMapping:
         assert details == {"fiber_objects": 3108, "slice_side_objects": 259}
         assert calls == 95988
 
+    def test_fiber_asks_the_level_once_per_pair(self, monkeypatch):
+        """The iso-comma keeps the level's homs by pair of diagram
+        positions, empty ones included, so over (3, 2) the level's hom
+        function is asked once for each of the 1,087 pairs of diagrams the
+        fiber meets, where asking the level for every pair of fiber
+        objects took 80,611 calls, most of them for empty homs, which the
+        level does not keep."""
+        calls, build = [], spans_module.FinGroupoid
+
+        def counted(objects, hom, *rest, **kw):
+            return build(objects, lambda x, y: calls.append((id(x), id(y))) or hom(x, y), *rest, **kw)
+
+        monkeypatch.setattr(spans_module, "FinGroupoid", counted)
+        assert mapping_category_check(finset(3), 3, 2).details == {"fiber_objects": 3108, "slice_side_objects": 259}
+        assert len(calls) == len(set(calls)) == 1087
+
     def test_point_pair_over_finset2(self):
         fiber = mapping_fiber(finset(2), 1, 1)
         assert len(fiber.components()) == 3
@@ -2114,6 +2131,173 @@ class TestCanonicalLevel:
         level = span_level(finset(2), (1,))
         with pytest.raises(SpanlabError, match="fails to extend"):
             level.all_morphisms()
+
+
+# ---------------------------------------------------------------------------
+# the level's list of diagrams against the keyed build
+
+
+def sorted_items_key(d):
+    """A diagram's key by its definition: the arities and the sorted obj
+    and mor items."""
+    return d.shape.arities, tuple(sorted(d.obj.items())), tuple(sorted(d.mor.items()))
+
+
+def keyed_level_keys(base, arities, bound=None):
+    """The level's object keys as a dict keyed by each Kan extension's
+    sorted-items key builds them, then sorted: the oracle of span_level's
+    list, sorted once."""
+    shape, diagrams = sigma_shape(arities), {}
+    for lo, lm in enumerate_lambda_data(shape, base, bound):
+        d = kan_extend(shape, base, lo, lm)
+        diagrams[sorted_items_key(d)] = d
+    return sorted(diagrams)
+
+
+def assert_built_as_keyed(base, arities, bound=None):
+    """Equal keys in the same order with the same repr, each key mapped by
+    .diagrams to a diagram whose sorted-items key it is; returns how
+    many."""
+    keys = keyed_level_keys(base, arities, bound)
+    level = span_level(base, arities, bound)
+    assert level.objects == keys
+    assert all(repr(k) == repr(o) for k, o in zip(level.objects, keys))
+    assert all(sorted_items_key(level.diagrams[k]) == k for k in level.objects)
+    return len(keys)
+
+
+@pytest.fixture
+def key_hashes(monkeypatch):
+    """The names of the functions that hash a diagram key, in order, a
+    comprehension counted as the function around it: every key is handed
+    out as a tuple subclass that records them, and hashing a SpanDiagram
+    raises."""
+    sites, key = [], SpanDiagram.key.fget
+
+    class Recorded(tuple):
+        def __hash__(self):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            sites.append(frame.f_code.co_name)
+            return tuple.__hash__(self)
+
+    def recorded(d):
+        if type(key(d)) is not Recorded:
+            d._key = Recorded(d._key)
+        return d._key
+
+    def unhashable(d):
+        raise AssertionError("a SpanDiagram was hashed")
+
+    monkeypatch.setattr(SpanDiagram, "key", property(recorded))
+    monkeypatch.setattr(SpanDiagram, "__hash__", unhashable)
+    return sites
+
+
+class TestLevelBuild:
+    @pytest.mark.parametrize(
+        "n, arities, bound",
+        [(1, arities, None) for arities in [(1,), (2,), (1, 1), (2, 1), (3,)]]
+        + [(2, (1,), None), (2, (2,), None), (2, (1, 1), 1), (2, (2, 1), 1), (2, (3,), None)],
+    )
+    def test_finite_sets_as_keyed(self, n, arities, bound):
+        """finset:2 at (1, 1) and (2, 1) has over a million free data, so
+        those two are built at bound 1."""
+        assert assert_built_as_keyed(finset(n), arities, bound) > 0
+
+    @pytest.mark.parametrize("X, Y", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("arities", [(1,), (2,), (1, 1), (3,)])
+    def test_slices_at_bound_one_as_keyed(self, X, Y, arities):
+        assert assert_built_as_keyed(slice_over_pair(finset(2), X, Y), arities, 1) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=6),
+        st.booleans(),
+        st.sampled_from([(1,), (2,), (1, 1), (2, 1), (3,)]),
+    )
+    def test_random_posets_as_keyed(self, members, bottom, arities):
+        """The subset-family posets of TestEnumerationTree, those with at
+        most 3,000 free data.  Where a filled cell has no limit, as two
+        disjoint members without a bottom have no meet, both builds
+        raise."""
+        base = subset_poset(members, bottom)
+        assume(count_lambda_data(sigma_shape(arities), base, None, 3001) <= 3000)
+        try:
+            keyed_level_keys(base, arities)
+        except NoLimitError:
+            with pytest.raises(NoLimitError):
+                span_level(base, arities)
+        else:
+            assert_built_as_keyed(base, arities)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**6))
+    @pytest.mark.parametrize("arities", [(1,), (3,), (2, 1), (1, 1, 1)])
+    @pytest.mark.parametrize(
+        "make_base, bound",
+        [(lambda: finset(2), None), (lambda: divisor_lattice(30), None), (lambda: slice_over_pair(finset(2), 1, 2), 2)],
+        ids=["finset2", "lattice30", "slice1x2"],
+    )
+    def test_key_is_the_sorted_items_key(self, make_base, bound, arities, seed):
+        """Kan extensions and every piece restricted from them along a
+        simplex map per direction read their keys off the shape's order;
+        free Lambda data on a shape with filled cells, and a diagram whose
+        dicts are as long as its shape's but miss a pair, are sorted.
+        Each gets the sorted-items key."""
+        base, shape, rng = make_base(), sigma_shape(arities), random.Random(seed)
+        lo, lm = sample_lambda_data(shape, base, bound, rng)
+        free = SpanDiagram(shape, base, lo, lm)
+        assert free.key == sorted_items_key(free)
+        d = kan_extend(shape, base, lo, lm)
+        assert d.key == sorted_items_key(d)
+        phis = [
+            SimplexMap(m, n, tuple(sorted(rng.randint(0, n) for _ in range(m + 1))))
+            for n, m in zip(arities, (rng.randint(0, 2) for _ in arities))
+        ]
+        piece = restrict_along(sigma_shape([phi.source_size for phi in phis]), phis, d)
+        assert piece.key == sorted_items_key(piece)
+        (a, b), m = next(iter(d.mor.items()))
+        moved = {**d.mor, (b, a): m}
+        del moved[(a, b)]
+        bad = SpanDiagram(shape, base, d.obj, moved)
+        assert bad.key == sorted_items_key(bad) != d.key
+
+    def test_no_key_is_hashed(self, key_hashes):
+        """Building a level and listing its morphisms, the underlying
+        2-fold level and its diagrams, and the mapping check over (2, 2)
+        find every diagram by position: the only code that hashes a key
+        is the group isomorphism test of groupoids_equivalent, whose
+        tables and element orders are keyed by morphisms of the fiber, and
+        so by keys.  A level kept in a dict under its keys hashed each of
+        them."""
+        level = span_level(finset(2), (2,))
+        assert len(level.all_morphisms()) == 15537
+        assert all(level.diagrams[k].key is k for k in level.objects)
+        sub = underlying_2fold_level(finset(1), (1, 1))
+        sub.all_morphisms()
+        assert all(sub.diagrams[k].key is k for k in sub.objects)
+        assert key_hashes == []
+        assert mapping_category_check(finset(2), 2, 2)
+        group_test = {"_multiplication_table", "groups_isomorphic", "order", "_extends_to_isomorphism"}
+        assert set(key_hashes) == group_test
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: span_level(finset(2), (2,)), lambda: underlying_2fold_level(finset(1), (1, 1))],
+        ids=["level", "2-fold"],
+    )
+    def test_diagrams_by_key(self, build):
+        """.diagrams finds every listed key, and an equal copy of it, and
+        lists the keys in object order."""
+        level = build()
+        assert list(level.diagrams) == level.objects and len(level.diagrams) == len(level.objects)
+        for k in level.objects:
+            d = level.diagrams[k]
+            assert d.key is k
+            assert level.diagrams[tuple(map(tuple, k))] is d
+        assert ("not a key",) not in level.diagrams
 
 
 @functools.lru_cache(maxsize=None)
